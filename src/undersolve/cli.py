@@ -12,8 +12,8 @@ import sys
 import numpy as np
 
 from . import convergence, formats, generate, iterate
-from .errors import SolverError
-from .rref import exact_solve, reduced_system
+from .errors import Inconsistent, SolverError
+from .rref import reduced_system, solve_reduced
 from .linalg import NORM_INF, NORM_ONE, vector_norm
 from .partition import POLICY_IDENTITY, POLICY_PIVOT_COLUMNS, partition_system
 
@@ -87,7 +87,7 @@ def _print_summary(report):
     print(f"final residual: {final:.6e}")
 
 
-def _write_json(path, text):
+def _write_text(path, text):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
@@ -99,7 +99,7 @@ def cmd_solve(args):
     report = iterate.run(a, b, x0, config)
     _print_summary(report)
     if args.json:
-        _write_json(args.json, formats.write_report(report))
+        _write_text(args.json, formats.write_report(report))
     return STATUS_EXIT[report.status]
 
 
@@ -123,7 +123,7 @@ def cmd_check(args):
     print("overall: " + ("certified" if report.overall_certified else "uncertified"))
     if args.json:
         obj = formats._conditions_to_obj(report)
-        _write_json(args.json, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+        _write_text(args.json, json.dumps(obj, sort_keys=True, indent=2) + "\n")
     return EXIT_OK if report.overall_certified else EXIT_UNCERTIFIED
 
 
@@ -132,17 +132,18 @@ def cmd_rref(args):
     if a.shape[0] >= a.shape[1]:
         raise CliError("method requires m < n")
     config = _config(args, args.method)
-    result, a_bar, b_bar = reduced_system(a, b)
+    reduction = reduced_system(a, b)
+    result, a_bar, b_bar = reduction
     print("reduced system [A b]:")
     for i in range(result.matrix.shape[0]):
         print("  " + "  ".join(f"{v:10.4f}" for v in result.matrix[i]))
     if a_bar.shape[0] < a.shape[0]:
         print(f"rank-deficient: {a.shape[0]} rows reduced to {a_bar.shape[0]}")
-    report = exact_solve(a, b, x0, config)
-    if report.error == "inconsistent":
+    report = solve_reduced(reduction, x0, config)
+    if report.error == Inconsistent.kind:
         print("status:         error (inconsistent system)")
         if args.json:
-            _write_json(args.json, formats.write_report(report))
+            _write_text(args.json, formats.write_report(report))
         return EXIT_DIVERGED
     _print_summary(report)
     print("solution: " + "  ".join(f"{v:.6f}" for v in report.solution))
@@ -151,7 +152,7 @@ def cmd_rref(args):
     print(f"residual vs reduced system (1-norm):  {r_reduced:.6e}")
     print(f"residual vs original system (1-norm): {r_orig:.6e}")
     if args.json:
-        _write_json(args.json, formats.write_report(report))
+        _write_text(args.json, formats.write_report(report))
     return STATUS_EXIT[report.status]
 
 
@@ -176,7 +177,7 @@ def cmd_compare(args):
         print(f"{method:<10} {report.status:<16} {report.iterations:>10} {final:>18.6e}")
     if args.json:
         obj = [json.loads(formats.write_report(rep)) for _, rep in rows]
-        _write_json(args.json, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+        _write_text(args.json, json.dumps(obj, sort_keys=True, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -192,9 +193,9 @@ def cmd_gen(args):
     except (SolverError, ValueError) as exc:
         raise CliError(str(exc))
     prefix = args.out_prefix
-    _write_json(f"{prefix}_A.csv", formats.write_csv_matrix(a))
-    _write_json(f"{prefix}_b.csv", formats.write_csv_vector(b))
-    _write_json(f"{prefix}_x.csv", formats.write_csv_vector(x_star))
+    _write_text(f"{prefix}_A.csv", formats.write_csv_matrix(a))
+    _write_text(f"{prefix}_b.csv", formats.write_csv_vector(b))
+    _write_text(f"{prefix}_x.csv", formats.write_csv_vector(x_star))
     print(f"wrote {prefix}_A.csv, {prefix}_b.csv, {prefix}_x.csv")
     return EXIT_OK
 

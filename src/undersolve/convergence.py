@@ -10,17 +10,16 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ZeroDiagonal, ZeroTailRow
-from .iterate import GENERALIZED_METHODS, METHOD_GJACOBI
-from .linalg import (
-    NORM_KINDS,
-    NORM_ONE,
-    matrix_norm,
-    right_divide_lower,
-    row_one_norms,
-    sign_matrix,
-    singularity_threshold,
+from .iterate import (
+    GENERALIZED_METHODS,
+    METHOD_GGS,
+    METHOD_GJACOBI,
+    METHOD_JACOBI,
+    SWEEPS,
+    Operator,
+    prepare,
 )
+from .linalg import NORM_KINDS, matrix_norm
 from .partition import PartitionedSystem
 
 
@@ -41,50 +40,48 @@ class ConditionReport:
 
 
 def check_conditions(sys: PartitionedSystem, method: str) -> ConditionReport:
-    """Evaluate both convergence-condition factors in every supported norm."""
+    """Evaluate both convergence-condition factors in every supported norm.
+
+    Raises the same structural errors as ``iterate.prepare``."""
     if method not in GENERALIZED_METHODS:
         raise ValueError(f"conditions are defined for {GENERALIZED_METHODS}, got {method!r}")
-    m = sys.m
-    norms_tail = row_one_norms(sys.b_tail)
-    if np.any(norms_tail == 0.0):
-        raise ZeroTailRow("tail block has an all-zero row")
-    identity = np.eye(m)
+    return operator_conditions(prepare(sys, SWEEPS[method]))
 
-    # tail factor: m*I - B~ s(B~) N(B~)^-1, shared by both methods
-    tail_product = (sys.b_tail @ sign_matrix(sys.b_tail)) / norms_tail[np.newaxis, :]
-    tail_factor = m * identity - tail_product
 
-    if method == METHOD_GJACOBI:
-        diag = np.diag(sys.b_head)
-        if np.any(np.abs(diag) <= singularity_threshold(sys.b_head)):
-            raise ZeroDiagonal("head block has a zero diagonal entry")
-        head_factor = identity - sys.b_head / diag[np.newaxis, :]
-        inv_applied = lambda mat: mat / diag[:, np.newaxis]   # D^-1 @ mat
-    else:
-        lower = np.tril(sys.b_head)
-        head_factor = identity - right_divide_lower(sys.b_head, lower)
-        inv_applied = lambda mat: np.linalg.solve(lower, mat)
-
-    sign_scaled = sign_matrix(sys.b_tail) / norms_tail[np.newaxis, :]
-
-    records = []
-    for kind in NORM_KINDS:
-        c1 = matrix_norm(head_factor, kind)
-        c2 = matrix_norm(tail_factor, kind)
-        bound = (matrix_norm(inv_applied(identity - tail_product / m), kind)
-                 + matrix_norm(sign_scaled, kind) / m)
-        records.append(NormConditionRecord(
+def operator_conditions(op: Operator) -> ConditionReport:
+    """The conditions of a prepared generalized-method operator, derived
+    from its invariants; a solve passes its own operator."""
+    m = op.sys.m
+    # each matrix is reduced to its norms and dropped before the next is
+    # built: the solve's operator is still alive, so this keeps peak memory
+    sign_norms = _norms(op.signs * op.weights)
+    # tail iteration matrix I - B~ s(B~) N(B~)^-1 / m; c2 is m times its norm
+    tail_op = np.eye(m) - (op.sys.b_tail @ op.signs) * op.weights
+    tail_norms = _norms(tail_op)
+    solved_norms = _norms(op.solve_head(tail_op))
+    # c1 = ||I - B H^-1|| = ||(B - H) H^-1||
+    head_norms = _norms(op.off_head / op.diag if op.diag is not None
+                        else op.off_head @ op.lower_inv)
+    records = tuple(
+        NormConditionRecord(
             norm_kind=kind,
             c1=c1,
-            c2=c2,
-            certified=bool(c1 < 1.0 and c2 < m),
-            cauchy_bound=bound,
-        ))
+            c2=m * tail,
+            certified=bool(c1 < 1.0 and m * tail < m),
+            cauchy_bound=solved + sign,
+        )
+        for kind, c1, tail, solved, sign in zip(
+            NORM_KINDS, head_norms, tail_norms, solved_norms, sign_norms)
+    )
     return ConditionReport(
-        method=method,
-        per_norm=tuple(records),
+        method=METHOD_GJACOBI if op.sweep == METHOD_JACOBI else METHOD_GGS,
+        per_norm=records,
         overall_certified=any(r.certified for r in records),
     )
+
+
+def _norms(mat):
+    return [matrix_norm(mat, kind) for kind in NORM_KINDS]
 
 
 def contraction_factor(report: ConditionReport, m: int) -> Optional[float]:

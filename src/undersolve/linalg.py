@@ -1,4 +1,4 @@
-"""Dense matrix/vector helpers and the solver-specific primitives.
+"""Dense matrix/vector helpers.
 
 All values are plain float64 numpy arrays.  Matrices are row-major 2-D
 arrays, vectors are 1-D arrays.  Constructors reject NaN/Inf so every
@@ -7,7 +7,7 @@ downstream routine may assume finite inputs.
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularTriangular
+from .errors import DimensionMismatch
 
 NORM_ONE = "one"
 NORM_INF = "inf"
@@ -78,43 +78,3 @@ def singularity_threshold(a: np.ndarray) -> float:
     scale = matrix_norm(a, NORM_INF)
     return 1e-12 * (scale if scale > 0.0 else 1.0)
 
-
-def forward_substitution(l: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve l @ y = rhs for lower-triangular l without forming an inverse."""
-    l = np.asarray(l, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    m = l.shape[0]
-    if l.shape != (m, m):
-        raise DimensionMismatch("triangular solve needs a square matrix")
-    if rhs.shape != (m,):
-        raise DimensionMismatch("right-hand side length must match matrix size")
-    thr = singularity_threshold(l)
-    if np.any(np.abs(np.diag(l)) <= thr):
-        raise SingularTriangular("zero (or near-zero) diagonal in triangular solve")
-    y = np.empty(m)
-    for i in range(m):
-        y[i] = (rhs[i] - l[i, :i] @ y[:i]) / l[i, i]
-    return y
-
-
-def back_substitution(u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve u @ y = rhs for upper-triangular u; rhs may be 1-D or 2-D
-    (solved column by column)."""
-    u = np.asarray(u, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    m = u.shape[0]
-    if u.shape != (m, m):
-        raise DimensionMismatch("triangular solve needs a square matrix")
-    thr = singularity_threshold(u)
-    if np.any(np.abs(np.diag(u)) <= thr):
-        raise SingularTriangular("zero (or near-zero) diagonal in triangular solve")
-    y = np.empty_like(rhs, dtype=float)
-    for i in range(m - 1, -1, -1):
-        y[i] = (rhs[i] - u[i, i + 1:] @ y[i + 1:]) / u[i, i]
-    return y
-
-
-def right_divide_lower(b_mat: np.ndarray, l: np.ndarray) -> np.ndarray:
-    """Return b_mat @ inv(l) for lower-triangular l, computed by
-    triangular solves on the transposed system (X l = B)."""
-    return back_substitution(l.T, np.asarray(b_mat, dtype=float).T).T

@@ -76,36 +76,42 @@ def partition_system(a, b, policy: str = POLICY_IDENTITY) -> PartitionedSystem:
         perm = _pivot_column_order(a)
     else:
         raise ValueError(f"unknown permutation policy: {policy!r}")
+    return split_system(a, b, perm, m)
+
+
+def split_system(a, b, perm, head_size: int) -> PartitionedSystem:
+    """Blocks of a[:, perm]: the first ``head_size`` columns form the head,
+    the rest the tail.  A head of 0 columns or a tail of 0 columns is
+    allowed; ``m`` is always the number of rows."""
+    perm = list(perm)
     permuted = a[:, perm]
     return PartitionedSystem(
-        b_head=permuted[:, :m].copy(),
-        b_tail=permuted[:, m:].copy(),
+        b_head=permuted[:, :head_size].copy(),
+        b_tail=permuted[:, head_size:].copy(),
         rhs=b.copy(),
         column_perm=tuple(perm),
-        m=m,
-        n=n,
+        m=a.shape[0],
+        n=a.shape[1],
     )
 
 
 def assemble(x: SplitIterate, perm) -> np.ndarray:
     """Merge head and tail back into a full vector in ORIGINAL column order."""
-    n = len(perm)
-    if len(x.head) + len(x.tail) != n:
+    perm = np.asarray(perm, dtype=np.intp)
+    if len(x.head) + len(x.tail) != len(perm):
         raise DimensionMismatch("head + tail length must match the permutation")
-    full = np.empty(n)
-    stacked = np.concatenate([x.head, x.tail])
-    for slot, orig in enumerate(perm):
-        full[orig] = stacked[slot]
+    full = np.empty(len(perm))
+    full[perm] = np.concatenate([x.head, x.tail])
     return full
 
 
 def disassemble(x, perm, m: int) -> SplitIterate:
     """Split a full vector (original column order) into head/tail slots."""
     x = as_vector(x)
-    n = len(perm)
-    if x.shape != (n,):
+    perm = np.asarray(perm, dtype=np.intp)
+    if x.shape != perm.shape:
         raise DimensionMismatch("vector length must match the permutation")
-    if not 0 <= m <= n:
+    if not 0 <= m <= len(perm):
         raise DimensionMismatch("head size out of range")
-    stacked = np.array([x[orig] for orig in perm])
+    stacked = x[perm]
     return SplitIterate(head=stacked[:m], tail=stacked[m:])

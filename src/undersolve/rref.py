@@ -9,16 +9,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotUnderdetermined
+from .errors import DimensionMismatch, Inconsistent, NotUnderdetermined
 from .iterate import (
     GENERALIZED_METHODS,
     METHOD_GJACOBI,
+    STATUS_ERROR,
     SolveReport,
     SolverConfig,
-    run_partitioned,
+    _drive,
 )
 from .linalg import as_matrix, as_vector, matrix_norm
-from .partition import PartitionedSystem, disassemble
+from .partition import split_system
 
 DEFAULT_RREF_TOLERANCE = 1e-10
 
@@ -96,37 +97,34 @@ def exact_solve(a, b, x0=None, config: SolverConfig = None,
     by dropping zero rows before partitioning.
     """
     a = as_matrix(a)
-    b = as_vector(b)
     m, n = a.shape
     if m >= n:
         raise NotUnderdetermined("exact solve requires m < n")
+    return solve_reduced(reduced_system(a, b, tolerance), x0, config)
+
+
+def solve_reduced(reduction, x0=None, config: SolverConfig = None) -> SolveReport:
+    """Run a generalized method on the output of ``reduced_system``,
+    partitioned into its pivot columns (the head) and free columns."""
+    result, a_bar, b_bar = reduction
+    n = a_bar.shape[1]
     if config is None:
         config = SolverConfig(method=METHOD_GJACOBI)
     if config.method not in GENERALIZED_METHODS:
         raise ValueError("exact solve supports the generalized methods only")
     x0 = as_vector(x0) if x0 is not None else np.zeros(n)
-
-    result, a_bar, b_bar = reduced_system(a, b, tolerance)
+    if x0.shape != (n,):
+        raise DimensionMismatch("x0 length must equal the number of columns")
     if not result.consistent:
         return SolveReport(
-            status="error",
+            status=STATUS_ERROR,
             solution=x0,
             iterations=0,
             residual_norms=[],
             config=config,
-            error="inconsistent",
+            error=Inconsistent.kind,
         )
     pivots = list(result.pivot_columns)
     free = [j for j in range(n) if j not in pivots]
-    perm = pivots + free
-    r = len(pivots)
-    sys = PartitionedSystem(
-        b_head=a_bar[:, pivots].copy(),
-        b_tail=a_bar[:, free].copy(),
-        rhs=b_bar,
-        column_perm=tuple(perm),
-        m=r,
-        n=n,
-    )
-    split0 = disassemble(x0, perm, r)
-    return run_partitioned(a_bar, b_bar, sys, split0, config)
+    sys = split_system(a_bar, b_bar, pivots + free, len(pivots))
+    return _drive(a_bar, b_bar, sys, x0, config)

@@ -1,4 +1,8 @@
+import importlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -129,6 +133,17 @@ def test_rref_demo(demo_files, capsys):
     assert "residual vs original system" in out
 
 
+def test_rref_reduces_once(demo_files, monkeypatch):
+    rref_module = importlib.import_module("undersolve.rref")
+    calls = []
+    original = rref_module.rref
+    monkeypatch.setattr(rref_module, "rref",
+                        lambda *args: calls.append(1) or original(*args))
+    assert main(["rref", "--matrix", demo_files["A"], "--rhs", demo_files["b"],
+                 "--x0", demo_files["x0"]]) == 0
+    assert len(calls) == 1
+
+
 def test_rref_inconsistent(tmp_path, capsys):
     (tmp_path / "A.csv").write_text(formats.write_csv_matrix(np.ones((2, 3))))
     (tmp_path / "b.csv").write_text(formats.write_csv_vector(np.array([1.0, 2.0])))
@@ -219,3 +234,24 @@ def test_mtx_input_autodetected(tmp_path):
         formats.write_matrix_market(b_bar.reshape(-1, 1), form="array"))
     assert main(["solve", "--matrix", str(tmp_path / "A.mtx"),
                  "--rhs", str(tmp_path / "b.mtx"), "--method", "gjacobi"]) == 0
+
+
+def test_cli_and_solves_do_not_import_scipy():
+    # scipy roughly doubles import time and resident memory; numpy suffices
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import undersolve.cli\n"
+        "from undersolve.iterate import SolverConfig, run\n"
+        "a = np.array([[4.0, 1.0, 1.0], [1.0, 3.0, 1.0]])\n"
+        "for method in ('ggs', 'gs'):\n"
+        "    m = a if method == 'ggs' else a[:, :2]\n"
+        "    assert run(m, np.ones(2), None, SolverConfig(method=method)).status == 'converged'\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"

@@ -240,3 +240,34 @@ def test_run_diverges_on_expanding_iteration():
     report = run(b_mat, np.array([1.0, 1.0]), np.zeros(2),
                  SolverConfig(method="jacobi", max_iterations=10000))
     assert report.status == "diverged"
+
+
+@pytest.mark.parametrize("method,a,kind", [
+    ("baseline", [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]], "zero_row"),
+    # an all-zero tail row is reported before the zero head diagonal
+    ("gjacobi", [[0.0, 2.0, 0.0], [3.0, 4.0, 5.0]], "zero_tail_row"),
+    ("ggs", [[0.0, 2.0, 0.0], [3.0, 4.0, 5.0]], "zero_tail_row"),
+    ("ggs", [[0.0, 2.0, 1.0], [3.0, 4.0, 5.0]], "singular_triangular"),
+    ("jacobi", [[0.0, 1.0], [1.0, 1.0]], "zero_diagonal"),
+    ("gs", [[0.0, 1.0], [1.0, 1.0]], "singular_triangular"),
+    ("gs", [[1e9, 0.0], [1.0, 1e-4]], "singular_triangular"),
+])
+def test_run_error_kinds(method, a, kind):
+    report = run(np.array(a), np.ones(2), None, SolverConfig(method=method))
+    assert report.status == "error"
+    assert report.error == kind
+    assert report.iterations == 0
+    assert report.conditions is None
+
+
+@pytest.mark.parametrize("method", ["gjacobi", "ggs"])
+def test_run_converged_x0_skips_invalid_system(method):
+    # zero head diagonal: a step would fail, but x0 already solves the system
+    a = np.array([[0.0, 2.0, 1.0], [3.0, 4.0, 5.0]])
+    x = np.array([1.0, -1.0, 2.0])
+    report = run(a, a @ x, x, SolverConfig(method=method))
+    assert report.status == "converged"
+    assert report.iterations == 0
+    assert report.error is None
+    assert report.conditions is None
+    assert np.array_equal(report.solution, x)

@@ -2,17 +2,13 @@ import numpy as np
 import pytest
 
 from undersolve.demo import DEMO_A
-from undersolve.errors import SingularTriangular
 from undersolve.linalg import (
     NORM_FRO,
     NORM_INF,
     NORM_ONE,
     as_matrix,
     as_vector,
-    back_substitution,
-    forward_substitution,
     matrix_norm,
-    right_divide_lower,
     row_one_norms,
     sign_matrix,
 )
@@ -80,44 +76,3 @@ def test_identity_norms(size):
     assert matrix_norm(np.eye(size), NORM_ONE) == 1.0
     assert matrix_norm(np.eye(size), NORM_INF) == 1.0
 
-
-def test_forward_substitution_small():
-    y = forward_substitution(np.array([[2.0, 0.0], [1.0, 4.0]]), np.array([2.0, 6.0]))
-    assert y.tolist() == [1.0, 1.25]
-
-
-def test_forward_substitution_identity():
-    rhs = np.array([3.0, -1.0, 2.0])
-    assert forward_substitution(np.eye(3), rhs).tolist() == rhs.tolist()
-
-
-def test_forward_substitution_singular():
-    with pytest.raises(SingularTriangular):
-        forward_substitution(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([1.0, 1.0]))
-
-
-def test_forward_substitution_roundtrip():
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        m = int(rng.integers(2, 51))
-        l = np.tril(rng.uniform(-1, 1, size=(m, m)))
-        np.fill_diagonal(l, rng.uniform(1.0, 2.0, size=m) * rng.choice([-1, 1], size=m))
-        rhs = rng.uniform(-10, 10, size=m)
-        y = forward_substitution(l, rhs)
-        assert np.abs(l @ y - rhs).max() <= 1e-10 * (1 + np.abs(rhs).max())
-
-
-def test_back_substitution_matches_dense_solve():
-    rng = np.random.default_rng(13)
-    u = np.triu(rng.uniform(-1, 1, size=(6, 6)))
-    np.fill_diagonal(u, rng.uniform(1.0, 2.0, size=6))
-    rhs = rng.uniform(-5, 5, size=6)
-    assert np.allclose(back_substitution(u, rhs), np.linalg.solve(u, rhs))
-
-
-def test_right_divide_lower():
-    rng = np.random.default_rng(17)
-    l = np.tril(rng.uniform(-1, 1, size=(5, 5)))
-    np.fill_diagonal(l, rng.uniform(1.0, 2.0, size=5))
-    b = rng.uniform(-3, 3, size=(5, 5))
-    assert np.allclose(right_divide_lower(b, l), b @ np.linalg.inv(l))

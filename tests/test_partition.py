@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from undersolve.demo import DEMO_A, DEMO_B
 from undersolve.errors import DimensionMismatch, NotUnderdetermined, RankDeficient
@@ -102,3 +104,32 @@ def test_assemble_dimension_mismatch():
         assemble(x, (0, 1, 2))
     with pytest.raises(DimensionMismatch):
         disassemble(np.array([1.0, 2.0]), (0, 1, 2), 1)
+
+
+@st.composite
+def _permutations(draw):
+    """(perm, n): a uniformly drawn permutation, or the pivot-columns
+    policy's permutation of a random full-rank matrix."""
+    n = draw(st.integers(2, 12))
+    if draw(st.booleans()):
+        return tuple(draw(st.permutations(range(n)))), n
+    m = draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sys = partition_system(rng.uniform(-5, 5, size=(m, n)), np.zeros(m), POLICY_PIVOT_COLUMNS)
+    return sys.column_perm, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(_permutations(), st.data())
+def test_disassemble_assemble_identity(perm_n, data):
+    perm, n = perm_n
+    m = data.draw(st.integers(0, n))
+    x = np.array(data.draw(st.lists(
+        st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n)))
+    split = disassemble(x, perm, m)
+    assert np.array_equal(split.head, x[list(perm[:m])])
+    full = assemble(split, perm)
+    assert np.array_equal(full, x)
+    again = disassemble(full, perm, m)
+    assert np.array_equal(again.head, split.head)
+    assert np.array_equal(again.tail, split.tail)
