@@ -1,8 +1,14 @@
 """Command-line interface.
 
 Subcommands: solve, check, rref, compare, gen.  Exit codes: 0 converged
-(or certified / generated), 2 max-iterations or stagnated, 3 diverged or
-inconsistent, 1 uncertified (check only), 4 input or validation errors.
+(or certified / generated), 1 uncertified (``check`` only), 2
+max-iterations or stagnated, 3 diverged or inconsistent, 4 every input or
+validation error: an unreadable or malformed file, NaN/Inf entries, a
+duplicate Matrix Market coordinate, mismatched lengths or shapes, a bad
+``--eps``/``--max-iter``, or an unknown method.
+
+The library makes every validation decision; the CLI loads files, calls
+it, and turns a ``SolverError`` into exit code 4 in one place, ``main``.
 """
 
 import argparse
@@ -36,27 +42,27 @@ class CliError(Exception):
     pass
 
 
-def _load_problem(args, need_x0_len=None):
+def _exit_code(report):
+    """The exit code of a solve report: its status, except that an
+    inconsistent system counts as diverged."""
+    if report.error == Inconsistent.kind:
+        return EXIT_DIVERGED
+    return STATUS_EXIT[report.status]
+
+
+def _load(path, loader, what):
     try:
-        a = formats.load_matrix_file(args.matrix)
+        return loader(path)
     except (OSError, SolverError, ValueError) as exc:
-        raise CliError(f"cannot read matrix {args.matrix}: {exc}")
-    try:
-        b = formats.load_vector_file(args.rhs)
-    except (OSError, SolverError, ValueError) as exc:
-        raise CliError(f"cannot read rhs {args.rhs}: {exc}")
-    if a.shape[0] != b.shape[0]:
-        raise CliError(
-            f"rhs {args.rhs} has length {b.shape[0]}, matrix has {a.shape[0]} rows")
-    x0 = None
-    if getattr(args, "x0", None):
-        try:
-            x0 = formats.load_vector_file(args.x0)
-        except (OSError, SolverError, ValueError) as exc:
-            raise CliError(f"cannot read x0 {args.x0}: {exc}")
-        if x0.shape[0] != a.shape[1]:
-            raise CliError(
-                f"x0 {args.x0} has length {x0.shape[0]}, matrix has {a.shape[1]} columns")
+        raise CliError(f"cannot read {what} {path}: {exc}")
+
+
+def _load_problem(args):
+    a = _load(args.matrix, formats.load_matrix_file, "matrix")
+    b = _load(args.rhs, formats.load_vector_file, "rhs")
+    x0 = getattr(args, "x0", None)
+    if x0:
+        x0 = _load(x0, formats.load_vector_file, "x0")
     return a, b, x0
 
 
@@ -69,14 +75,6 @@ def _config(args, method):
         permutation_policy=(POLICY_PIVOT_COLUMNS if getattr(args, "pivot_columns", False)
                             else POLICY_IDENTITY),
     )
-
-
-def _validate_shape(method, a):
-    m, n = a.shape
-    if method in iterate.UNDERDETERMINED_METHODS and m >= n:
-        raise CliError("method requires m < n")
-    if method in iterate.SQUARE_METHODS and m != n:
-        raise CliError("method requires a square matrix")
 
 
 def _print_summary(report):
@@ -94,24 +92,18 @@ def _write_text(path, text):
 
 def cmd_solve(args):
     a, b, x0 = _load_problem(args)
-    _validate_shape(args.method, a)
-    config = _config(args, args.method)
-    report = iterate.run(a, b, x0, config)
+    report = iterate.run(a, b, x0, _config(args, args.method))
     _print_summary(report)
     if args.json:
         _write_text(args.json, formats.write_report(report))
-    return STATUS_EXIT[report.status]
+    return _exit_code(report)
 
 
 def cmd_check(args):
     a, b, _ = _load_problem(args)
-    _validate_shape(args.method, a)
     policy = POLICY_PIVOT_COLUMNS if args.pivot_columns else POLICY_IDENTITY
-    try:
-        sys_part = partition_system(a, b, policy)
-        report = convergence.check_conditions(sys_part, args.method)
-    except SolverError as exc:
-        raise CliError(str(exc))
+    sys_part = partition_system(a, b, policy)
+    report = convergence.check_conditions(sys_part, args.method)
     print(f"method: {args.method}")
     for rec in report.per_norm:
         verdict = "certified" if rec.certified else "uncertified"
@@ -129,8 +121,6 @@ def cmd_check(args):
 
 def cmd_rref(args):
     a, b, x0 = _load_problem(args)
-    if a.shape[0] >= a.shape[1]:
-        raise CliError("method requires m < n")
     config = _config(args, args.method)
     reduction = reduced_system(a, b)
     result, a_bar, b_bar = reduction
@@ -140,37 +130,25 @@ def cmd_rref(args):
     if a_bar.shape[0] < a.shape[0]:
         print(f"rank-deficient: {a.shape[0]} rows reduced to {a_bar.shape[0]}")
     report = solve_reduced(reduction, x0, config)
-    if report.error == Inconsistent.kind:
-        print("status:         error (inconsistent system)")
-        if args.json:
-            _write_text(args.json, formats.write_report(report))
-        return EXIT_DIVERGED
     _print_summary(report)
-    print("solution: " + "  ".join(f"{v:.6f}" for v in report.solution))
-    r_reduced = vector_norm(a_bar @ report.solution - b_bar, NORM_ONE)
-    r_orig = vector_norm(a @ report.solution - b, NORM_ONE)
-    print(f"residual vs reduced system (1-norm):  {r_reduced:.6e}")
-    print(f"residual vs original system (1-norm): {r_orig:.6e}")
+    if report.status != iterate.STATUS_ERROR:
+        print("solution: " + "  ".join(f"{v:.6f}" for v in report.solution))
+        r_reduced = vector_norm(a_bar @ report.solution - b_bar, NORM_ONE)
+        r_orig = vector_norm(a @ report.solution - b, NORM_ONE)
+        print(f"residual vs reduced system (1-norm):  {r_reduced:.6e}")
+        print(f"residual vs original system (1-norm): {r_orig:.6e}")
     if args.json:
         _write_text(args.json, formats.write_report(report))
-    return STATUS_EXIT[report.status]
+    return _exit_code(report)
 
 
 def cmd_compare(args):
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise CliError("no methods given")
-    for method in methods:
-        if method not in iterate.METHODS:
-            raise CliError(f"unknown method: {method!r}")
+    configs = [_config(args, method) for method in methods]
     a, b, x0 = _load_problem(args)
-    for method in methods:
-        _validate_shape(method, a)
-    rows = []
-    for method in methods:
-        config = _config(args, method)
-        report = iterate.run(a, b, x0, config)
-        rows.append((method, report))
+    rows = [(config.method, iterate.run(a, b, x0, config)) for config in configs]
     print(f"{'method':<10} {'status':<16} {'iterations':>10} {'residual(1-norm)':>18}")
     for method, report in rows:
         final = vector_norm(a @ report.solution - b, NORM_ONE)
@@ -182,16 +160,8 @@ def cmd_compare(args):
 
 
 def cmd_gen(args):
-    if args.rows >= args.cols:
-        raise CliError("generation requires rows < cols")
-    rng = np.random.default_rng(args.seed)
-    try:
-        if args.certified:
-            a, b, x_star = generate.generate_certified(args.rows, args.cols, rng)
-        else:
-            a, b, x_star = generate.generate_system(args.rows, args.cols, rng)
-    except (SolverError, ValueError) as exc:
-        raise CliError(str(exc))
+    make = generate.generate_certified if args.certified else generate.generate_system
+    a, b, x_star = make(args.rows, args.cols, np.random.default_rng(args.seed))
     prefix = args.out_prefix
     _write_text(f"{prefix}_A.csv", formats.write_csv_matrix(a))
     _write_text(f"{prefix}_b.csv", formats.write_csv_vector(b))
@@ -258,14 +228,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except SolverError as exc:
+    except (CliError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -10,6 +10,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import InvalidInput
 from .iterate import (
     GENERALIZED_METHODS,
     METHOD_GGS,
@@ -44,7 +45,7 @@ def check_conditions(sys: PartitionedSystem, method: str) -> ConditionReport:
 
     Raises the same structural errors as ``iterate.prepare``."""
     if method not in GENERALIZED_METHODS:
-        raise ValueError(f"conditions are defined for {GENERALIZED_METHODS}, got {method!r}")
+        raise InvalidInput(f"conditions are defined for {GENERALIZED_METHODS}, got {method!r}")
     return operator_conditions(prepare(sys, SWEEPS[method]))
 
 
@@ -89,7 +90,3 @@ def contraction_factor(report: ConditionReport, m: int) -> Optional[float]:
     None when no norm certifies."""
     certified = [r.c1 * (r.c2 / m) for r in report.per_norm if r.certified]
     return min(certified) if certified else None
-
-
-def certifying_records(report: ConditionReport):
-    return [r for r in report.per_norm if r.certified]

@@ -7,6 +7,15 @@ class SolverError(Exception):
     kind = "error"
 
 
+class InvalidInput(SolverError, ValueError):
+    """An argument the library rejects before doing any work: a NaN or Inf
+    entry, an out-of-range setting (epsilon, max_iterations, tolerance), or
+    an unknown method, norm or policy name.  It is also a ``ValueError``,
+    so callers that catch that keep working."""
+
+    kind = "invalid_input"
+
+
 class DimensionMismatch(SolverError):
     kind = "dimension_mismatch"
 

@@ -1,35 +1,28 @@
 """Reading and writing matrices, vectors, and solve reports.
 
 CSV carries one matrix row per line; Matrix Market is supported in both
-coordinate and array variants (real, general).  Reports serialize to
+coordinate and array variants (real, general).  A coordinate entry that
+repeats an earlier (i, j) is rejected with a ``ParseError`` naming its
+line, never summed or overwritten.  NaN and Inf entries are rejected
+with ``InvalidInput`` in every format.  Reports serialize to
 JSON with sorted keys so identical runs produce byte-identical output;
 floats use shortest round-trip repr, which re-parses bit-identically.
 """
 
 import json
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParseError, RaggedRows, UnsupportedFormat
+from .errors import (
+    DimensionMismatch,
+    InvalidInput,
+    ParseError,
+    RaggedRows,
+    UnsupportedFormat,
+)
 from .iterate import SolveReport, SolverConfig
 from .convergence import ConditionReport, NormConditionRecord
-from .linalg import as_matrix, as_vector
-
-
-@dataclass(frozen=True)
-class ProblemFile:
-    a: np.ndarray
-    b: np.ndarray
-    x0: Optional[np.ndarray] = None
-    name: str = ""
-
-    def __post_init__(self):
-        if self.a.shape[0] != self.b.shape[0]:
-            raise DimensionMismatch("rhs length must equal the matrix row count")
-        if self.x0 is not None and self.x0.shape[0] != self.a.shape[1]:
-            raise DimensionMismatch("x0 length must equal the matrix column count")
+from .linalg import _require_finite, as_matrix, as_vector
 
 
 # ---------------------------------------------------------------- CSV
@@ -62,7 +55,10 @@ def write_csv_matrix(a) -> str:
 
 
 def read_csv_vector(text: str) -> np.ndarray:
-    mat = read_csv_matrix(text)
+    return _single_row_or_column(read_csv_matrix(text))
+
+
+def _single_row_or_column(mat: np.ndarray) -> np.ndarray:
     if mat.shape[1] == 1:
         return mat[:, 0].copy()
     if mat.shape[0] == 1:
@@ -78,6 +74,7 @@ def write_csv_vector(v) -> str:
 # ------------------------------------------------------- Matrix Market
 
 MM_BANNER = "%%MatrixMarket"
+MM_SIZE_FIELDS = {"coordinate": "rows cols nnz", "array": "rows cols"}
 
 
 def read_matrix_market(text: str) -> np.ndarray:
@@ -90,31 +87,37 @@ def read_matrix_market(text: str) -> np.ndarray:
     _, obj, form, field, symmetry = [h.lower() for h in header]
     if obj != "matrix":
         raise UnsupportedFormat(f"unsupported object {obj!r}")
-    if form not in ("coordinate", "array"):
+    if form not in MM_SIZE_FIELDS:
         raise UnsupportedFormat(f"unsupported format {form!r}")
     if field not in ("real", "integer"):
         raise UnsupportedFormat(f"unsupported field {field!r}")
     if symmetry != "general":
         raise UnsupportedFormat(f"unsupported symmetry {symmetry!r}")
 
-    body = [(i + 1, ln.rstrip("\r").strip()) for i, ln in enumerate(lines)]
-    data = [(no, ln) for no, ln in body[1:] if ln and not ln.startswith("%")]
+    data = [(no, s) for no, ln in enumerate(lines[1:], start=2)
+            if (s := ln.strip()) and not s.startswith("%")]
     if not data:
         raise ParseError("missing size line")
     size_no, size_line = data[0]
-    tokens = size_line.split()
     entries = data[1:]
+    fields = MM_SIZE_FIELDS[form]
+    tokens = size_line.split()
+    if len(tokens) != len(fields.split()):
+        raise ParseError(f"{form} size line needs '{fields}'", line=size_no)
+    try:
+        size = [int(t) for t in tokens]
+    except ValueError:
+        raise ParseError("non-integer size line", line=size_no)
+    if min(size) < 0:
+        raise ParseError("negative size", line=size_no)
+    m, n = size[:2]
+    count = size[2] if form == "coordinate" else m * n
+    if len(entries) != count:
+        raise ParseError(f"expected {count} entries, found {len(entries)}", line=size_no)
 
     if form == "coordinate":
-        if len(tokens) != 3:
-            raise ParseError("coordinate size line needs 'rows cols nnz'", line=size_no)
-        try:
-            m, n, nnz = (int(t) for t in tokens)
-        except ValueError:
-            raise ParseError("non-integer size line", line=size_no)
-        if len(entries) != nnz:
-            raise ParseError(f"expected {nnz} entries, found {len(entries)}", line=size_no)
-        mat = np.zeros((m, n))
+        mat = np.zeros(m * n)     # row-major; reshaped on return
+        seen = bytearray(m * n)   # mask of the entries read so far
         for no, ln in entries:
             parts = ln.split()
             if len(parts) != 3:
@@ -125,17 +128,13 @@ def read_matrix_market(text: str) -> np.ndarray:
                 raise ParseError("malformed coordinate entry", line=no)
             if not (1 <= i <= m and 1 <= j <= n):
                 raise ParseError("coordinate entry out of range", line=no)
-            mat[i - 1, j - 1] = v
-        return mat
+            k = (i - 1) * n + j - 1
+            if seen[k]:
+                raise ParseError(f"duplicate entry ({i}, {j})", line=no)
+            seen[k] = 1
+            mat[k] = v
+        return _require_finite(mat.reshape(m, n), "matrix")
 
-    if len(tokens) != 2:
-        raise ParseError("array size line needs 'rows cols'", line=size_no)
-    try:
-        m, n = (int(t) for t in tokens)
-    except ValueError:
-        raise ParseError("non-integer size line", line=size_no)
-    if len(entries) != m * n:
-        raise ParseError(f"expected {m * n} values, found {len(entries)}", line=size_no)
     values = []
     for no, ln in entries:
         try:
@@ -143,7 +142,7 @@ def read_matrix_market(text: str) -> np.ndarray:
         except ValueError:
             raise ParseError(f"malformed value {ln!r}", line=no)
     # array format stores column-major
-    return np.array(values).reshape((n, m)).T.copy()
+    return _require_finite(np.array(values).reshape((n, m)).T.copy(), "matrix")
 
 
 def write_matrix_market(a, form: str = "coordinate") -> str:
@@ -159,7 +158,7 @@ def write_matrix_market(a, form: str = "coordinate") -> str:
         lines = [f"{MM_BANNER} matrix array real general", f"{m} {n}"]
         lines.extend(repr(float(a[i, j])) for j in range(n) for i in range(m))
     else:
-        raise ValueError(f"unknown MatrixMarket form: {form!r}")
+        raise InvalidInput(f"unknown MatrixMarket form: {form!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -249,19 +248,12 @@ def read_report(text: str) -> SolveReport:
 # --------------------------------------------------------- file paths
 
 def load_matrix_file(path) -> np.ndarray:
-    text = open(path, encoding="utf-8").read()
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
     if str(path).lower().endswith(".mtx"):
         return read_matrix_market(text)
     return read_csv_matrix(text)
 
 
 def load_vector_file(path) -> np.ndarray:
-    text = open(path, encoding="utf-8").read()
-    if str(path).lower().endswith(".mtx"):
-        mat = read_matrix_market(text)
-        if mat.shape[1] == 1:
-            return mat[:, 0].copy()
-        if mat.shape[0] == 1:
-            return mat[0].copy()
-        raise DimensionMismatch("vector file must have a single row or column")
-    return read_csv_vector(text)
+    return _single_row_or_column(load_matrix_file(path))

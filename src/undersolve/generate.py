@@ -11,7 +11,7 @@ certifies.
 import numpy as np
 
 from .convergence import check_conditions
-from .errors import NotUnderdetermined, SolverError
+from .errors import InvalidInput, NotUnderdetermined, SolverError
 from .iterate import GENERALIZED_METHODS
 from .partition import partition_system
 
@@ -19,10 +19,16 @@ SNAP_THRESHOLD = 1e-12
 MAX_HALVINGS = 60
 
 
-def generate_system(m: int, n: int, rng: np.random.Generator):
-    """Random m x n system with known solution: b = A @ x_star."""
+def _require_shape(m: int, n: int):
+    if m < 1:
+        raise InvalidInput("generation requires at least one row")
     if m >= n:
         raise NotUnderdetermined("generation requires m < n")
+
+
+def generate_system(m: int, n: int, rng: np.random.Generator):
+    """Random m x n system with known solution: b = A @ x_star."""
+    _require_shape(m, n)
     a = rng.uniform(-10.0, 10.0, size=(m, n))
     x_star = rng.uniform(-1.0, 1.0, size=n)
     return a, a @ x_star, x_star
@@ -45,10 +51,9 @@ def generate_certified(m: int, n: int, rng: np.random.Generator):
     Requires n >= 2m so every tail row can own at least one column; with
     fewer tail columns the tail-factor bound cannot drop below m.
     """
-    if m >= n:
-        raise NotUnderdetermined("generation requires m < n")
+    _require_shape(m, n)
     if n < 2 * m:
-        raise ValueError("certified generation requires n >= 2 * m")
+        raise InvalidInput("certified generation requires n >= 2 * m")
     head = np.diag(rng.uniform(1.0, 2.0, size=m)) + \
         rng.uniform(-0.5, 0.5, size=(m, m)) / (2 * m)
     tail = rng.uniform(-1.0, 1.0, size=(m, n - m))

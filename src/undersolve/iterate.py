@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InvalidInput,
     NotUnderdetermined,
     SingularTriangular,
     SolverError,
@@ -97,15 +98,15 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError(f"unknown method: {self.method!r}")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+            raise InvalidInput(f"unknown method: {self.method!r}")
+        if not 0.0 < self.epsilon < np.inf:
+            raise InvalidInput("epsilon must be positive and finite")
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+            raise InvalidInput("max_iterations must be at least 1")
         if self.residual_norm not in (NORM_ONE, NORM_INF):
-            raise ValueError("residual norm must be 'one' or 'inf'")
+            raise InvalidInput("residual norm must be 'one' or 'inf'")
         if self.stagnation_window < 2:
-            raise ValueError("stagnation_window must be at least 2")
+            raise InvalidInput("stagnation_window must be at least 2")
 
 
 @dataclass

@@ -7,7 +7,7 @@ downstream routine may assume finite inputs.
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidInput
 
 NORM_ONE = "one"
 NORM_INF = "inf"
@@ -16,14 +16,19 @@ NORM_FRO = "fro"
 NORM_KINDS = (NORM_ONE, NORM_INF, NORM_FRO)
 
 
+def _require_finite(a: np.ndarray, what: str) -> np.ndarray:
+    """Return ``a`` itself, or raise ``InvalidInput`` if it holds NaN/Inf."""
+    if a.size and not np.all(np.isfinite(a)):
+        raise InvalidInput(f"{what} entries must be finite (no NaN/Inf)")
+    return a
+
+
 def as_matrix(data) -> np.ndarray:
     """Validate and return a 2-D float64 matrix (finite entries only)."""
     a = np.array(data, dtype=float)
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if a.size and not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
-    return a
+    return _require_finite(a, "matrix")
 
 
 def as_vector(data) -> np.ndarray:
@@ -31,9 +36,7 @@ def as_vector(data) -> np.ndarray:
     v = np.array(data, dtype=float)
     if v.ndim != 1:
         raise DimensionMismatch(f"expected a 1-D vector, got ndim={v.ndim}")
-    if v.size and not np.all(np.isfinite(v)):
-        raise ValueError("vector entries must be finite (no NaN/Inf)")
-    return v
+    return _require_finite(v, "vector")
 
 
 def sign_matrix(a: np.ndarray) -> np.ndarray:
@@ -61,7 +64,7 @@ def matrix_norm(a: np.ndarray, which: str) -> float:
         return float(np.abs(a).sum(axis=1).max())
     if which == NORM_FRO:
         return float(np.sqrt((a * a).sum()))
-    raise ValueError(f"unknown norm kind: {which!r}")
+    raise InvalidInput(f"unknown norm kind: {which!r}")
 
 
 def vector_norm(v: np.ndarray, which: str) -> float:
@@ -69,7 +72,7 @@ def vector_norm(v: np.ndarray, which: str) -> float:
         return float(np.abs(v).sum())
     if which == NORM_INF:
         return float(np.abs(v).max()) if v.size else 0.0
-    raise ValueError(f"unknown vector norm kind: {which!r}")
+    raise InvalidInput(f"unknown vector norm kind: {which!r}")
 
 
 def singularity_threshold(a: np.ndarray) -> float:

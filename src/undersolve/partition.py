@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotUnderdetermined, RankDeficient
+from .errors import DimensionMismatch, InvalidInput, NotUnderdetermined, RankDeficient
 from .linalg import as_matrix, as_vector, singularity_threshold
 
 POLICY_IDENTITY = "identity"
@@ -75,7 +75,7 @@ def partition_system(a, b, policy: str = POLICY_IDENTITY) -> PartitionedSystem:
     elif policy == POLICY_PIVOT_COLUMNS:
         perm = _pivot_column_order(a)
     else:
-        raise ValueError(f"unknown permutation policy: {policy!r}")
+        raise InvalidInput(f"unknown permutation policy: {policy!r}")
     return split_system(a, b, perm, m)
 
 

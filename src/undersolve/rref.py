@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, Inconsistent, NotUnderdetermined
+from .errors import DimensionMismatch, Inconsistent, InvalidInput, NotUnderdetermined
 from .iterate import (
     GENERALIZED_METHODS,
     METHOD_GJACOBI,
@@ -39,9 +39,9 @@ def rref(a, tolerance: float = DEFAULT_RREF_TOLERANCE) -> RrefResult:
     exact zero during pivot search; pivot entries are set to exactly 1 and
     the rest of each pivot column to exactly 0 by assignment.
     """
-    work = as_matrix(a).copy()
+    work = as_matrix(a)
     if tolerance < 0:
-        raise ValueError("tolerance must be nonnegative")
+        raise InvalidInput("tolerance must be nonnegative")
     m, n = work.shape
     pivots = []
     row = 0
@@ -76,9 +76,17 @@ def rref(a, tolerance: float = DEFAULT_RREF_TOLERANCE) -> RrefResult:
 
 def reduced_system(a, b, tolerance: float = DEFAULT_RREF_TOLERANCE):
     """RREF of the augmented [a b]; returns (result, a_bar, b_bar) with
-    zero rows dropped.  a_bar keeps a's original column order."""
+    zero rows dropped.  a_bar keeps a's original column order.
+
+    Raises ``DimensionMismatch`` when len(b) != m and
+    ``NotUnderdetermined`` unless m < n."""
     a = as_matrix(a)
     b = as_vector(b)
+    m, n = a.shape
+    if b.shape != (m,):
+        raise DimensionMismatch("rhs length must equal the number of rows")
+    if m >= n:
+        raise NotUnderdetermined("exact solve requires m < n")
     aug = np.column_stack([a, b])
     result = rref(aug, tolerance)
     r = result.rank if result.consistent else result.rank - 1
@@ -96,10 +104,6 @@ def exact_solve(a, b, x0=None, config: SolverConfig = None,
     kind "inconsistent".  Rank-deficient consistent systems are handled
     by dropping zero rows before partitioning.
     """
-    a = as_matrix(a)
-    m, n = a.shape
-    if m >= n:
-        raise NotUnderdetermined("exact solve requires m < n")
     return solve_reduced(reduced_system(a, b, tolerance), x0, config)
 
 
@@ -111,7 +115,7 @@ def solve_reduced(reduction, x0=None, config: SolverConfig = None) -> SolveRepor
     if config is None:
         config = SolverConfig(method=METHOD_GJACOBI)
     if config.method not in GENERALIZED_METHODS:
-        raise ValueError("exact solve supports the generalized methods only")
+        raise InvalidInput("exact solve supports the generalized methods only")
     x0 = as_vector(x0) if x0 is not None else np.zeros(n)
     if x0.shape != (n,):
         raise DimensionMismatch("x0 length must equal the number of columns")

@@ -215,6 +215,56 @@ def test_gen_rejects_wide_short(tmp_path, capsys):
                  "--out-prefix", str(tmp_path / "bad")]) == 4
 
 
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+MTX_HEADER = "%%MatrixMarket matrix coordinate real general\n"
+
+# each case builds argv from the demo files and a temporary directory
+INPUT_ERROR_CASES = {
+    "solve-nan-mtx": lambda demo, tmp: [
+        "solve", "--method", "gjacobi",
+        "--matrix", _write(tmp, "A.mtx", MTX_HEADER + "2 3 2\n1 1 1.0\n2 2 nan\n"),
+        "--rhs", _write(tmp, "b.csv", "1\n1\n")],
+    "solve-eps-0": lambda demo, tmp: [
+        "solve", "--method", "gjacobi", "--matrix", demo["A"], "--rhs", demo["b"],
+        "--eps", "0"],
+    "solve-eps-inf": lambda demo, tmp: [
+        "solve", "--method", "gjacobi", "--matrix", demo["A"], "--rhs", demo["b"],
+        "--eps", "inf"],
+    "solve-max-iter-0": lambda demo, tmp: [
+        "solve", "--method", "gjacobi", "--matrix", demo["A"], "--rhs", demo["b"],
+        "--max-iter", "0"],
+    "solve-duplicate-mtx": lambda demo, tmp: [
+        "solve", "--method", "gjacobi",
+        "--matrix", _write(tmp, "A.mtx", MTX_HEADER + "2 3 3\n1 1 1\n2 2 1\n1 1 5\n"),
+        "--rhs", _write(tmp, "b.csv", "1\n1\n")],
+    "rref-rhs-length": lambda demo, tmp: [
+        "rref", "--matrix", demo["A"], "--rhs", _write(tmp, "b.csv", "1\n1\n1\n1\n")],
+    "gen-certified-too-few-columns": lambda demo, tmp: [
+        "gen", "--rows", "3", "--cols", "5", "--certified",
+        "--out-prefix", str(tmp / "gen")],
+    "gen-negative-rows": lambda demo, tmp: [
+        "gen", "--rows", "-1", "--cols", "5", "--out-prefix", str(tmp / "gen")],
+    "compare-square-method": lambda demo, tmp: [
+        "compare", "--methods", "gjacobi,gs", "--matrix", demo["A"], "--rhs", demo["b"],
+        "--max-iter", "5"],
+}
+
+
+@pytest.mark.parametrize("case", list(INPUT_ERROR_CASES))
+def test_input_errors_exit_4(case, demo_files, tmp_path, capsys):
+    code = main(INPUT_ERROR_CASES[case](demo_files, tmp_path))
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
 def test_json_outputs_deterministic(reduced_files, tmp_path):
     pa, pb, px = reduced_files
     j1 = tmp_path / "r1.json"

@@ -1,14 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from undersolve.errors import (
     DimensionMismatch,
+    InvalidInput,
     ParseError,
     RaggedRows,
     UnsupportedFormat,
 )
 from undersolve.formats import (
-    ProblemFile,
+    load_matrix_file,
     read_csv_matrix,
     read_csv_vector,
     read_matrix_market,
@@ -90,6 +93,32 @@ def test_matrix_market_comments_skipped():
     assert read_matrix_market(text)[1, 0] == -3.5
 
 
+def test_matrix_market_duplicate_entry_rejected():
+    text = ("%%MatrixMarket matrix coordinate real general\n"
+            "2 2 3\n1 1 1\n2 2 4\n1 1 5\n")
+    with pytest.raises(ParseError) as err:
+        read_matrix_market(text)
+    assert err.value.line == 5
+    assert "duplicate entry (1, 1)" in str(err.value)
+
+
+def test_matrix_market_negative_size_rejected():
+    for text in ("%%MatrixMarket matrix coordinate real general\n-1 2 0\n",
+                 "%%MatrixMarket matrix array real general\n2 -1\n"):
+        with pytest.raises(ParseError) as err:
+            read_matrix_market(text)
+        assert err.value.line == 2
+
+
+def test_nonfinite_rejected_in_every_format():
+    for text in ("%%MatrixMarket matrix coordinate real general\n1 2 1\n1 2 nan\n",
+                 "%%MatrixMarket matrix array real general\n1 2\n1\ninf\n"):
+        with pytest.raises(InvalidInput):
+            read_matrix_market(text)
+    with pytest.raises(InvalidInput):
+        read_csv_matrix("1,-inf\n")
+
+
 def test_matrix_market_writer_roundtrip():
     rng = np.random.default_rng(43)
     a = rng.uniform(-5, 5, size=(3, 4))
@@ -116,10 +145,10 @@ def test_report_roundtrip():
     assert write_report(again) == text
 
 
-def test_problem_file_invariants():
-    a = np.zeros((2, 3))
-    with pytest.raises(DimensionMismatch):
-        ProblemFile(a=a, b=np.zeros(3))
-    with pytest.raises(DimensionMismatch):
-        ProblemFile(a=a, b=np.zeros(2), x0=np.zeros(2))
-    ProblemFile(a=a, b=np.zeros(2), x0=np.zeros(3), name="ok")
+def test_load_matrix_file_closes_the_file(tmp_path):
+    path = tmp_path / "A.csv"
+    path.write_text("1,2,3\n4,5,6\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        load_matrix_file(path)
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]

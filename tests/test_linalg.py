@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from undersolve.demo import DEMO_A
+from undersolve.errors import SolverError
 from undersolve.linalg import (
     NORM_FRO,
     NORM_INF,
@@ -15,10 +16,12 @@ from undersolve.linalg import (
 
 
 def test_as_matrix_rejects_nonfinite():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         as_matrix([[1.0, np.nan]])
-    with pytest.raises(ValueError):
+    assert isinstance(err.value, SolverError)
+    with pytest.raises(ValueError) as err:
         as_vector([np.inf])
+    assert isinstance(err.value, SolverError)
 
 
 def test_sign_matrix_small():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from undersolve.demo import DEMO_A, DEMO_B, DEMO_X0
+from undersolve.errors import DimensionMismatch, SolverError
 from undersolve.iterate import METHOD_GGS, METHOD_GJACOBI, SolverConfig
 from undersolve.partition import assemble, disassemble, partition_system
 from undersolve.iterate import generalized_jacobi_step
@@ -112,5 +113,11 @@ def test_successive_iterates_differ_until_fixed():
 
 
 def test_negative_tolerance_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         rref(np.eye(2), tolerance=-1.0)
+    assert isinstance(err.value, SolverError)
+
+
+def test_exact_solve_rhs_length_mismatch():
+    with pytest.raises(DimensionMismatch):
+        exact_solve(DEMO_A, DEMO_B[:-1], DEMO_X0)
