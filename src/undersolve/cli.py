@@ -125,8 +125,9 @@ def cmd_rref(args):
     reduction = reduced_system(a, b)
     result, a_bar, b_bar = reduction
     print("reduced system [A b]:")
-    for i in range(result.matrix.shape[0]):
-        print("  " + "  ".join(f"{v:10.4f}" for v in result.matrix[i]))
+    row_format = "  " + "  ".join(["%10.4f"] * result.matrix.shape[1])
+    for row in result.matrix.tolist():
+        print(row_format % tuple(row))
     if a_bar.shape[0] < a.shape[0]:
         print(f"rank-deficient: {a.shape[0]} rows reduced to {a_bar.shape[0]}")
     report = solve_reduced(reduction, x0, config)

@@ -56,8 +56,7 @@ def operator_conditions(op: Operator) -> ConditionReport:
     # each matrix is reduced to its norms and dropped before the next is
     # built: the solve's operator is still alive, so this keeps peak memory
     sign_norms = _norms(op.signs * op.weights)
-    # tail iteration matrix I - B~ s(B~) N(B~)^-1 / m; c2 is m times its norm
-    tail_op = np.eye(m) - (op.sys.b_tail @ op.signs) * op.weights
+    tail_op = tail_iteration_matrix(op.sys.b_tail, op.signs, op.weights)
     tail_norms = _norms(tail_op)
     solved_norms = _norms(op.solve_head(tail_op))
     # c1 = ||I - B H^-1|| = ||(B - H) H^-1||
@@ -79,6 +78,13 @@ def operator_conditions(op: Operator) -> ConditionReport:
         per_norm=records,
         overall_certified=any(r.certified for r in records),
     )
+
+
+def tail_iteration_matrix(b_tail, signs, weights) -> np.ndarray:
+    """I - B~ s(B~) N(B~)^-1 / m, the residual map of one tail update, from
+    the tail B~, its signs s(B~) and the weights 1 / (m ||B~_i||_1).  The
+    tail factor c2 is m times its norm; it involves no head block."""
+    return np.eye(b_tail.shape[0]) - (b_tail @ signs) * weights
 
 
 def _norms(mat):

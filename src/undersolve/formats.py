@@ -4,7 +4,9 @@ CSV carries one matrix row per line; Matrix Market is supported in both
 coordinate and array variants (real, general).  A coordinate entry that
 repeats an earlier (i, j) is rejected with a ``ParseError`` naming its
 line, never summed or overwritten.  NaN and Inf entries are rejected
-with ``InvalidInput`` in every format.  Reports serialize to
+with ``InvalidInput`` in every format.  Digit-group underscores
+(``1_000``), which Python's ``int`` and ``float`` accept, are rejected by
+both readers with a ``ParseError`` naming the line.  Reports serialize to
 JSON with sorted keys so identical runs produce byte-identical output;
 floats use shortest round-trip repr, which re-parses bit-identically.
 """
@@ -25,9 +27,17 @@ from .convergence import ConditionReport, NormConditionRecord
 from .linalg import _require_finite, as_matrix, as_vector
 
 
+def _reject_digit_groups(numbered_lines):
+    for no, line in numbered_lines:
+        if "_" in line:
+            raise ParseError(f"digit-group underscore in {line.strip()!r}", line=no)
+
+
 # ---------------------------------------------------------------- CSV
 
 def read_csv_matrix(text: str) -> np.ndarray:
+    if "_" in text:
+        _reject_digit_groups(enumerate(text.splitlines(), start=1))
     rows = []
     width = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -98,6 +108,8 @@ def read_matrix_market(text: str) -> np.ndarray:
             if (s := ln.strip()) and not s.startswith("%")]
     if not data:
         raise ParseError("missing size line")
+    if "_" in text:
+        _reject_digit_groups(data)
     size_no, size_line = data[0]
     entries = data[1:]
     fields = MM_SIZE_FIELDS[form]
@@ -150,13 +162,13 @@ def write_matrix_market(a, form: str = "coordinate") -> str:
     m, n = a.shape
     if form == "coordinate":
         lines = [f"{MM_BANNER} matrix coordinate real general"]
-        nz = [(i, j, float(a[i, j])) for i in range(m) for j in range(n)
-              if a[i, j] != 0.0]
-        lines.append(f"{m} {n} {len(nz)}")
-        lines.extend(f"{i + 1} {j + 1} {repr(v)}" for i, j, v in nz)
+        rows, cols = np.nonzero(a)   # row-major order; -0.0 counts as zero
+        lines.append(f"{m} {n} {len(rows)}")
+        lines.extend(f"{i} {j} {v!r}" for i, j, v in
+                     zip((rows + 1).tolist(), (cols + 1).tolist(), a[rows, cols].tolist()))
     elif form == "array":
         lines = [f"{MM_BANNER} matrix array real general", f"{m} {n}"]
-        lines.extend(repr(float(a[i, j])) for j in range(n) for i in range(m))
+        lines.extend(map(repr, a.T.ravel().tolist()))
     else:
         raise InvalidInput(f"unknown MatrixMarket form: {form!r}")
     return "\n".join(lines) + "\n"

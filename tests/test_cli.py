@@ -133,6 +133,27 @@ def test_rref_demo(demo_files, capsys):
     assert "residual vs original system" in out
 
 
+@pytest.mark.parametrize("case", ["demo", "negative-zero-and-wide"])
+def test_rref_prints_reduced_rows_per_value(case, tmp_path, capsys):
+    if case == "demo":
+        a, b = DEMO_A, DEMO_B
+    else:
+        a = np.array([[1.0, 0.0, -0.0, 123456789.0, -1e-9],
+                      [0.0, 1.0, 2.5, -0.0, -98765432.25]])
+        b = np.array([-0.0, 1e12])
+    (tmp_path / "A.csv").write_text(formats.write_csv_matrix(a))
+    (tmp_path / "b.csv").write_text(formats.write_csv_vector(b))
+    main(["rref", "--matrix", str(tmp_path / "A.csv"), "--rhs", str(tmp_path / "b.csv")])
+    matrix = reduced_system(a, b)[0].matrix
+    expected = ["  " + "  ".join(f"{v:10.4f}" for v in row) for row in matrix]
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("reduced system [A b]:") + 1
+    assert lines[start:start + len(expected)] == expected
+    if case != "demo":
+        assert np.signbit(matrix[matrix == 0.0]).any()
+        assert max(len(f"{v:10.4f}") for v in matrix.ravel()) > 10
+
+
 def test_rref_reduces_once(demo_files, monkeypatch):
     rref_module = importlib.import_module("undersolve.rref")
     calls = []
@@ -286,10 +307,11 @@ def test_mtx_input_autodetected(tmp_path):
                  "--rhs", str(tmp_path / "b.mtx"), "--method", "gjacobi"]) == 0
 
 
-def test_cli_and_solves_do_not_import_scipy():
+def test_cli_and_solves_do_not_import_scipy(tmp_path):
     # scipy roughly doubles import time and resident memory; numpy suffices
+    prefix = str(tmp_path / "g")
     code = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "import numpy as np\n"
         "import undersolve.cli\n"
         "from undersolve.iterate import SolverConfig, run\n"
@@ -297,6 +319,11 @@ def test_cli_and_solves_do_not_import_scipy():
         "for method in ('ggs', 'gs'):\n"
         "    m = a if method == 'ggs' else a[:, :2]\n"
         "    assert run(m, np.ones(2), None, SolverConfig(method=method)).status == 'converged'\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert undersolve.cli.main(['gen', '--certified', '--rows', '30', '--cols',"
+        f" '120', '--out-prefix', {prefix!r}]) == 0\n"
+        f"    assert undersolve.cli.main(['rref', '--matrix', {prefix + '_A.csv'!r},"
+        f" '--rhs', {prefix + '_b.csv'!r}]) == 0\n"
         "print('scipy' in sys.modules)\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

@@ -1,3 +1,4 @@
+import os
 import warnings
 
 import numpy as np
@@ -126,6 +127,48 @@ def test_matrix_market_writer_roundtrip():
     for form in ("coordinate", "array"):
         again = read_matrix_market(write_matrix_market(a, form))
         assert np.array_equal(a, again)
+
+
+def test_matrix_market_writer_demo_files_byte_identical():
+    data = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "data")
+    for name in ("demo5x8_A.mtx", "demo5x8_b.mtx"):
+        with open(os.path.join(data, name), encoding="utf-8") as fh:
+            text = fh.read()
+        form = text.split()[2]
+        assert write_matrix_market(read_matrix_market(text), form) == text
+
+
+def test_matrix_market_writer_matches_entrywise_formula():
+    rng = np.random.default_rng(47)
+    a = rng.uniform(-5, 5, size=(7, 9)) * 10.0 ** rng.integers(-300, 300, size=(7, 9))
+    a[rng.random(a.shape) < 0.3] = 0.0
+    a[rng.random(a.shape) < 0.2] = -0.0
+    m, n = a.shape
+    nz = [(i, j, float(a[i, j])) for i in range(m) for j in range(n) if a[i, j] != 0.0]
+    coordinate = "\n".join(
+        ["%%MatrixMarket matrix coordinate real general", f"{m} {n} {len(nz)}"]
+        + [f"{i + 1} {j + 1} {repr(v)}" for i, j, v in nz]) + "\n"
+    array = "\n".join(
+        ["%%MatrixMarket matrix array real general", f"{m} {n}"]
+        + [repr(float(a[i, j])) for j in range(n) for i in range(m)]) + "\n"
+    assert "-0.0" in array
+    assert write_matrix_market(a, "coordinate") == coordinate
+    assert write_matrix_market(a, "array") == array
+
+
+def test_csv_digit_group_underscore_rejected():
+    with pytest.raises(ParseError, match="line 2: digit-group underscore"):
+        read_csv_matrix("1,2\n3,1_000\n")
+
+
+def test_matrix_market_digit_group_underscore_rejected():
+    head = "%%MatrixMarket matrix coordinate real general\n% comments_may_hold_underscores\n"
+    assert read_matrix_market(head + "1 2 1\n1 2 0.5\n").tolist() == [[0.0, 0.5]]
+    for body, line in (("1 2 1\n1 2 1_000.5\n", 4), ("1 2_0 1\n1 2 0.5\n", 3)):
+        with pytest.raises(ParseError, match=f"line {line}: digit-group underscore"):
+            read_matrix_market(head + body)
+    with pytest.raises(ParseError, match="line 4: digit-group underscore"):
+        read_matrix_market("%%MatrixMarket matrix array real general\n1 2\n1\n2_0\n")
 
 
 def test_report_roundtrip():
