@@ -12,6 +12,7 @@ it, and turns a ``SolverError`` into exit code 4 in one place, ``main``.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -21,7 +22,7 @@ from . import convergence, formats, generate, iterate
 from .errors import Inconsistent, SolverError
 from .rref import reduced_system, solve_reduced
 from .linalg import NORM_INF, NORM_ONE, vector_norm
-from .partition import POLICY_IDENTITY, POLICY_PIVOT_COLUMNS, partition_system
+from .partition import POLICY_IDENTITY, POLICY_PIVOT_COLUMNS, partition_system, split_system
 
 EXIT_OK = 0
 EXIT_UNCERTIFIED = 1
@@ -90,12 +91,23 @@ def _write_text(path, text):
         fh.write(text)
 
 
+def _report_json(report, a, b):
+    """The JSON report, with the conditions of the solve's partition of
+    (a, b) when a generalized method iterated without error."""
+    if (report.config.method in iterate.GENERALIZED_METHODS and report.error is None
+            and report.iterations > 0):
+        sys_part = split_system(a, b, report.column_perm, a.shape[0])
+        report = dataclasses.replace(
+            report, conditions=convergence.check_conditions(sys_part, report.config.method))
+    return formats.write_report(report)
+
+
 def cmd_solve(args):
     a, b, x0 = _load_problem(args)
     report = iterate.run(a, b, x0, _config(args, args.method))
     _print_summary(report)
     if args.json:
-        _write_text(args.json, formats.write_report(report))
+        _write_text(args.json, _report_json(report, a, b))
     return _exit_code(report)
 
 
@@ -139,7 +151,7 @@ def cmd_rref(args):
         print(f"residual vs reduced system (1-norm):  {r_reduced:.6e}")
         print(f"residual vs original system (1-norm): {r_orig:.6e}")
     if args.json:
-        _write_text(args.json, formats.write_report(report))
+        _write_text(args.json, _report_json(report, a_bar, b_bar))
     return _exit_code(report)
 
 
@@ -155,7 +167,7 @@ def cmd_compare(args):
         final = vector_norm(a @ report.solution - b, NORM_ONE)
         print(f"{method:<10} {report.status:<16} {report.iterations:>10} {final:>18.6e}")
     if args.json:
-        obj = [json.loads(formats.write_report(rep)) for _, rep in rows]
+        obj = [json.loads(_report_json(rep, a, b)) for _, rep in rows]
         _write_text(args.json, json.dumps(obj, sort_keys=True, indent=2) + "\n")
     return EXIT_OK
 

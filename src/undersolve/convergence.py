@@ -11,15 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInput
-from .iterate import (
-    GENERALIZED_METHODS,
-    METHOD_GGS,
-    METHOD_GJACOBI,
-    METHOD_JACOBI,
-    SWEEPS,
-    Operator,
-    prepare,
-)
+from .iterate import GENERALIZED_METHODS, SWEEPS, prepare
 from .linalg import NORM_KINDS, matrix_norm
 from .partition import PartitionedSystem
 
@@ -41,22 +33,18 @@ class ConditionReport:
 
 
 def check_conditions(sys: PartitionedSystem, method: str) -> ConditionReport:
-    """Evaluate both convergence-condition factors in every supported norm.
+    """Evaluate both convergence-condition factors in every supported norm,
+    from the invariants of the method's prepared operator.
 
     Raises the same structural errors as ``iterate.prepare``."""
     if method not in GENERALIZED_METHODS:
         raise InvalidInput(f"conditions are defined for {GENERALIZED_METHODS}, got {method!r}")
-    return operator_conditions(prepare(sys, SWEEPS[method]))
-
-
-def operator_conditions(op: Operator) -> ConditionReport:
-    """The conditions of a prepared generalized-method operator, derived
-    from its invariants; a solve passes its own operator."""
-    m = op.sys.m
-    # each matrix is reduced to its norms and dropped before the next is
-    # built: the solve's operator is still alive, so this keeps peak memory
+    op = prepare(sys, SWEEPS[method])
+    m = sys.m
+    # each matrix is reduced to its norms as soon as it is built, to keep
+    # peak memory low
     sign_norms = _norms(op.signs * op.weights)
-    tail_op = tail_iteration_matrix(op.sys.b_tail, op.signs, op.weights)
+    tail_op = tail_iteration_matrix(sys.b_tail, op.signs, op.weights)
     tail_norms = _norms(tail_op)
     solved_norms = _norms(op.solve_head(tail_op))
     # c1 = ||I - B H^-1|| = ||(B - H) H^-1||
@@ -74,7 +62,7 @@ def operator_conditions(op: Operator) -> ConditionReport:
             NORM_KINDS, head_norms, tail_norms, solved_norms, sign_norms)
     )
     return ConditionReport(
-        method=METHOD_GJACOBI if op.sweep == METHOD_JACOBI else METHOD_GGS,
+        method=method,
         per_norm=records,
         overall_certified=any(r.certified for r in records),
     )

@@ -1,23 +1,22 @@
-"""Stationary iteration: one prepared operator, two primitives, one driver.
+"""Stationary iteration: one prepared operator, one fused step, one driver.
 
-The five methods are two primitives of one step:
+A step takes the iterate x in permuted column order (head h = x[:k], tail
+t = x[k:]) with its residual r = rhs - A x, and returns the new pair: the
+sign-matrix tail update t' = t + s(B~) d with d_i = r_i / (m ||B~_i||_1);
+one Jacobi or Gauss-Seidel sweep H h' = c - (B - H) h on the square head
+B, with c = rhs - B~ t' and H the diagonal or lower triangle of B; and the
+residual r' = c - B h', a fresh m x m product (c itself without a sweep).
 
-* ``tail_update`` - the sign-matrix update z' = z + s(B~) d of the tail
-  block B~, with d_i = (b - B x_head - B~ z)_i / (m ||B~_i||_1);
-* ``head_sweep`` - one Jacobi or Gauss-Seidel sweep on the square head
-  block B, with the current tail folded into the right-hand side.
-
-The methods map onto them as follows:
-
-* ``baseline``: ``tail_update`` with an empty head (the tail is A);
-* ``gjacobi`` / ``ggs``: ``tail_update``, then a Jacobi / Gauss-Seidel
-  ``head_sweep``;
-* ``jacobi`` / ``gs``: ``head_sweep`` alone (the head is A).
+* ``baseline``: the tail update with an empty head (the tail is A);
+* ``gjacobi`` / ``ggs``: the tail update, then a Jacobi / Gauss-Seidel sweep;
+* ``jacobi`` / ``gs``: the sweep alone (the head is A, so c = rhs).
 
 ``prepare`` computes every per-system invariant once and raises the
 method's structural errors; the resulting ``Operator`` is immutable.  One
-driver loop, behind ``run`` and ``rref.exact_solve``, steps an operator
-with residual tracking and convergence/stagnation/divergence detection.
+driver loop, behind ``run`` and ``rref.exact_solve``, steps an operator and
+measures the residual it carries.  Neither computes the convergence
+conditions (``SolveReport.conditions`` stays None); ``check_conditions(
+split_system(a, b, report.column_perm, a.shape[0]), method)`` gives them.
 The public ``*_step`` functions prepare and take one step.
 """
 
@@ -51,8 +50,6 @@ from .partition import (
     POLICY_IDENTITY,
     PartitionedSystem,
     SplitIterate,
-    assemble,
-    disassemble,
     partition_system,
     split_system,
 )
@@ -68,7 +65,7 @@ UNDERDETERMINED_METHODS = (METHOD_BASELINE, METHOD_GJACOBI, METHOD_GGS)
 GENERALIZED_METHODS = (METHOD_GJACOBI, METHOD_GGS)
 SQUARE_METHODS = (METHOD_JACOBI, METHOD_GS)
 
-# sweep kind of each method's head_sweep; None means no sweep
+# sweep kind of each method's head sweep; None means no sweep
 SWEEPS = {
     METHOD_BASELINE: None,
     METHOD_GJACOBI: METHOD_JACOBI,
@@ -116,7 +113,7 @@ class SolveReport:
     iterations: int
     residual_norms: list
     config: SolverConfig
-    conditions: Optional[object] = None   # ConditionReport when available
+    conditions: Optional[object] = None   # ConditionReport; run/exact_solve leave None
     error: Optional[str] = None           # error kind when status == "error"
     column_perm: Optional[tuple] = None
 
@@ -143,22 +140,20 @@ class Operator:
             return self.lower_inv @ v
         return (v.T / self.diag).T
 
-    def tail_update(self, x: SplitIterate) -> np.ndarray:
-        """The sign-matrix update of the tail, driven by the current head."""
+    def step(self, x: np.ndarray, r: np.ndarray):
+        """One step from the permuted iterate x and its residual
+        r = rhs - A x; returns the new (x, r)."""
         sys = self.sys
-        d = (sys.rhs - sys.b_head @ x.head - sys.b_tail @ x.tail) * self.weights
-        return x.tail + self.signs @ d
-
-    def head_sweep(self, head: np.ndarray, tail: np.ndarray) -> np.ndarray:
-        """One sweep H head' = b - B~ tail - (B - H) head."""
-        b_hat = self.sys.rhs - self.sys.b_tail @ tail
-        return self.solve_head(b_hat - self.off_head @ head)
-
-    def step(self, x: SplitIterate) -> SplitIterate:
-        """One step: the tail update, then the head sweep, each if present."""
-        tail = x.tail if self.signs is None else self.tail_update(x)
-        head = x.head if self.sweep is None else self.head_sweep(x.head, tail)
-        return SplitIterate(head=head, tail=tail)
+        k = sys.b_head.shape[1]
+        head, tail = x[:k], x[k:]
+        c = sys.rhs
+        if self.signs is not None:
+            tail = tail + self.signs @ (r * self.weights)
+            c = c - sys.b_tail @ tail
+        if self.sweep is None:
+            return tail, c
+        head = self.solve_head(c - self.off_head @ head)
+        return np.concatenate((head, tail)), c - sys.b_head @ head
 
 
 def prepare(sys: PartitionedSystem, sweep: Optional[str]) -> Operator:
@@ -203,13 +198,18 @@ def _whole_system(a, b, method) -> PartitionedSystem:
     return split_system(a, b, range(a.shape[1]), head_size)
 
 
+def _step_once(sys: PartitionedSystem, sweep, head, tail) -> np.ndarray:
+    """One step of a freshly prepared operator; returns the new iterate."""
+    op = prepare(sys, sweep)
+    r = sys.rhs - sys.b_head @ head - sys.b_tail @ tail
+    return op.step(np.concatenate((head, tail)), r)[0]
+
+
 def _whole_step(method, a, b, x):
-    a = np.asarray(a, dtype=float)
-    sys = _whole_system(a, np.asarray(b, dtype=float), method)
+    sys = _whole_system(np.asarray(a, dtype=float), np.asarray(b, dtype=float), method)
     x = np.asarray(x, dtype=float)
     k = sys.b_head.shape[1]
-    new = prepare(sys, SWEEPS[method]).step(SplitIterate(head=x[:k], tail=x[k:]))
-    return np.concatenate([new.head, new.tail])
+    return _step_once(sys, SWEEPS[method], x[:k], x[k:])
 
 
 def baseline_step(a, b, z):
@@ -220,12 +220,14 @@ def baseline_step(a, b, z):
 
 def generalized_jacobi_step(sys: PartitionedSystem, x: SplitIterate) -> SplitIterate:
     """Tail update followed by one Jacobi sweep on the head."""
-    return prepare(sys, METHOD_JACOBI).step(x)
+    new = _step_once(sys, METHOD_JACOBI, x.head, x.tail)
+    return SplitIterate(head=new[:len(x.head)], tail=new[len(x.head):])
 
 
 def generalized_gauss_seidel_step(sys: PartitionedSystem, x: SplitIterate) -> SplitIterate:
     """Tail update followed by one Gauss-Seidel sweep on the head."""
-    return prepare(sys, METHOD_GS).step(x)
+    new = _step_once(sys, METHOD_GS, x.head, x.tail)
+    return SplitIterate(head=new[:len(x.head)], tail=new[len(x.head):])
 
 
 def classical_jacobi_step(b_mat, rhs, x):
@@ -241,13 +243,15 @@ def classical_gauss_seidel_step(b_mat, rhs, x):
 def _drive(a, b, sys: PartitionedSystem, x0, config: SolverConfig) -> SolveReport:
     """The one driver loop, behind ``run`` and ``rref.exact_solve``.
 
-    Residuals are measured against (a, b) in original column order, so
-    reports are comparable across permutation policies.  x0 is tested
-    before the operator is prepared: an x0 that already meets epsilon
-    converges in zero iterations even on a system the method rejects.
+    The iterate stays in permuted column order until the end; the residual
+    b - A x that the step carries keeps the rows of (a, b), so its norms
+    do not depend on the permutation policy.  x0 is tested before the
+    operator is prepared: an x0 that already meets epsilon converges in
+    zero iterations even on a system the method rejects.
     """
     generalized = config.method in GENERALIZED_METHODS
-    history = [vector_norm(a @ x0 - b, config.residual_norm)]
+    r = b - a @ x0
+    history = [vector_norm(r, config.residual_norm)]
     report = partial(SolveReport, residual_norms=history, config=config,
                      column_perm=sys.column_perm if generalized else None)
     if history[0] < config.epsilon:
@@ -257,22 +261,21 @@ def _drive(a, b, sys: PartitionedSystem, x0, config: SolverConfig) -> SolveRepor
     except SolverError as exc:
         return report(status=STATUS_ERROR, solution=x0, iterations=0, error=exc.kind)
 
-    x = disassemble(x0, op.perm, sys.b_head.shape[1])
+    x = x0[op.perm]
     floor = max(history[0], 1e-300)
     stagnant = 0
     status = STATUS_MAX_ITERATIONS
     for _ in range(config.max_iterations):
-        x = op.step(x)
-        full = assemble(x, op.perm)
-        r = vector_norm(a @ full - b, config.residual_norm)
-        history.append(r)
-        if not np.isfinite(r) or r > DIVERGENCE_FACTOR * floor:
+        x, r = op.step(x, r)
+        norm = vector_norm(r, config.residual_norm)
+        history.append(norm)
+        if not np.isfinite(norm) or norm > DIVERGENCE_FACTOR * floor:
             status = STATUS_DIVERGED
             break
-        if r < config.epsilon:
+        if norm < config.epsilon:
             status = STATUS_CONVERGED
             break
-        if abs(r - history[-2]) < STAGNATION_REL_CHANGE * max(history[-2], 1e-300):
+        if abs(norm - history[-2]) < STAGNATION_REL_CHANGE * max(history[-2], 1e-300):
             stagnant += 1
             if stagnant >= config.stagnation_window:
                 status = STATUS_STAGNATED
@@ -280,12 +283,9 @@ def _drive(a, b, sys: PartitionedSystem, x0, config: SolverConfig) -> SolveRepor
         else:
             stagnant = 0
 
-    conditions = None
-    if generalized:
-        from .convergence import operator_conditions
-        conditions = operator_conditions(op)
-    return report(status=status, solution=full, iterations=len(history) - 1,
-                  conditions=conditions)
+    solution = np.empty_like(x)
+    solution[op.perm] = x
+    return report(status=status, solution=solution, iterations=len(history) - 1)
 
 
 def run(a, b, x0, config: SolverConfig) -> SolveReport:

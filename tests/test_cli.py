@@ -9,8 +9,13 @@ import pytest
 
 from undersolve import formats
 from undersolve.cli import main
+from undersolve.convergence import check_conditions
 from undersolve.demo import DEMO_A, DEMO_B, DEMO_X0
+from undersolve.iterate import GENERALIZED_METHODS
+from undersolve.partition import split_system
 from undersolve.rref import reduced_system
+
+DATA = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "data")
 
 
 @pytest.fixture
@@ -296,6 +301,84 @@ def test_json_outputs_deterministic(reduced_files, tmp_path):
     assert j1.read_bytes() == j2.read_bytes()
     obj = json.loads(j1.read_text())
     assert obj["status"] == "converged"
+
+
+def _json_reports(path):
+    obj = json.loads(path.read_text())
+    return obj if isinstance(obj, list) else [obj]
+
+
+def _assert_conditions_of_partition(obj, a, b):
+    """A JSON report's conditions equal check_conditions on the report's
+    own partition of (a, b) to 12 digits, and are null unless a
+    generalized method iterated without error.  Returns whether they are
+    present."""
+    method = obj["config"]["method"]
+    if method not in GENERALIZED_METHODS or obj["error"] is not None or obj["iterations"] == 0:
+        assert obj["conditions"] is None
+        return False
+    expected = check_conditions(split_system(a, b, obj["column_perm"], a.shape[0]), method)
+    got = formats._conditions_from_obj(obj["conditions"])
+    assert (got.method, got.overall_certified) == (method, expected.overall_certified)
+    for rec, exp in zip(got.per_norm, expected.per_norm, strict=True):
+        assert (rec.norm_kind, rec.certified) == (exp.norm_kind, exp.certified)
+        for field in ("c1", "c2", "cauchy_bound"):
+            assert getattr(rec, field) == pytest.approx(getattr(exp, field), rel=1e-12, abs=0)
+    return True
+
+
+@pytest.mark.parametrize("system", ["demo", "certified"])
+def test_json_reports_keep_their_conditions(system, tmp_path):
+    # the library leaves conditions out of a solve; the JSON writers of
+    # solve, rref and compare add them from the report's partition
+    if system == "demo":
+        paths = [os.path.join(DATA, f"demo5x8_{k}.csv") for k in ("A", "b")]
+    else:
+        prefix = str(tmp_path / "c")
+        assert main(["gen", "--rows", "8", "--cols", "24", "--seed", "1", "--certified",
+                     "--out-prefix", prefix]) == 0
+        paths = [f"{prefix}_A.csv", f"{prefix}_b.csv"]
+    a, b = formats.load_matrix_file(paths[0]), formats.load_vector_file(paths[1])
+    _, a_bar, b_bar = reduced_system(a, b)
+    runs = [(["solve", "--method", method] + policy, a, b)
+            for method in GENERALIZED_METHODS for policy in ([], ["--pivot-columns"])]
+    runs += [(["rref", "--method", method], a_bar, b_bar) for method in GENERALIZED_METHODS]
+    runs += [(["compare", "--methods", "baseline,gjacobi,ggs", "--max-iter", "100"], a, b)]
+    present = 0
+    for i, (argv, a_sys, b_sys) in enumerate(runs):
+        out = tmp_path / f"{i}.json"
+        main(argv + ["--matrix", paths[0], "--rhs", paths[1], "--json", str(out)])
+        present += sum(_assert_conditions_of_partition(obj, a_sys, b_sys)
+                       for obj in _json_reports(out))
+    assert present >= 6
+
+
+def test_json_conditions_null_on_error_and_zero_iterations(tmp_path):
+    a = np.array([[0.0, 2.0, 1.0], [3.0, 4.0, 5.0]])   # zero head diagonal
+    x = np.array([1.0, -1.0, 2.0])
+    f = {}
+    for name, value in [("A", a), ("b", a @ x), ("x", x), ("ones", np.ones(2)),
+                        ("A1", np.ones((2, 3))), ("b12", np.array([1.0, 2.0]))]:
+        writer = formats.write_csv_matrix if value.ndim == 2 else formats.write_csv_vector
+        f[name] = str(tmp_path / f"{name}.csv")
+        (tmp_path / f"{name}.csv").write_text(writer(value))
+    cases = [
+        # a step would fail on the zero head diagonal
+        (["solve", "--method", "gjacobi", "--matrix", f["A"], "--rhs", f["ones"]], "error"),
+        # x0 already solves the system: 0 iterations
+        (["solve", "--method", "ggs", "--matrix", f["A"], "--rhs", f["b"], "--x0", f["x"]],
+         "converged"),
+        # an inconsistent system
+        (["rref", "--matrix", f["A1"], "--rhs", f["b12"]], "error"),
+    ]
+    out = tmp_path / "r.json"
+    for argv, status in cases:
+        main(argv + ["--json", str(out)])
+        obj = json.loads(out.read_text())
+        assert obj["status"] == status
+        assert obj["config"]["method"] in GENERALIZED_METHODS
+        assert obj["error"] is not None or obj["iterations"] == 0
+        assert obj["conditions"] is None
 
 
 def test_mtx_input_autodetected(tmp_path):

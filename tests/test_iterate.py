@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from undersolve import convergence, iterate, partition
+from undersolve import rref as rref_module
 from undersolve.demo import DEMO_A, DEMO_B, DEMO_X0
 from undersolve.errors import ZeroDiagonal, ZeroRow, ZeroTailRow
 from undersolve.iterate import (
+    GENERALIZED_METHODS,
     METHOD_BASELINE,
     METHOD_GJACOBI,
     METHOD_GS,
+    METHODS,
+    SQUARE_METHODS,
     SolverConfig,
     baseline_step,
     classical_gauss_seidel_step,
@@ -15,9 +22,16 @@ from undersolve.iterate import (
     generalized_jacobi_step,
     run,
 )
-from undersolve.linalg import row_one_norms, sign_matrix
-from undersolve.partition import SplitIterate, assemble, disassemble, partition_system
-from undersolve.rref import reduced_system
+from undersolve.linalg import NORM_INF, NORM_ONE, row_one_norms, sign_matrix, vector_norm
+from undersolve.partition import (
+    POLICIES,
+    POLICY_IDENTITY,
+    SplitIterate,
+    assemble,
+    disassemble,
+    partition_system,
+)
+from undersolve.rref import exact_solve, reduced_system
 
 from oracles import random_partitioned
 
@@ -271,3 +285,101 @@ def test_run_converged_x0_skips_invalid_system(method):
     assert report.error is None
     assert report.conditions is None
     assert np.array_equal(report.solution, x)
+
+
+def _assert_residual_honest(residual, a, b, x, norm):
+    """A reported residual norm equals a fresh ||A x - b|| to rounding."""
+    fresh = vector_norm(a @ x - b, norm)
+    scale = vector_norm(np.abs(a) @ np.abs(x), norm) + vector_norm(b, norm)
+    assert abs(residual - fresh) <= 1e-12 * scale, (residual, fresh, scale)
+    return fresh
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 7), extra=st.integers(1, 8),
+       method=st.sampled_from(METHODS), norm=st.sampled_from((NORM_ONE, NORM_INF)),
+       policy=st.sampled_from(POLICIES), max_iterations=st.integers(1, 6),
+       zero_start=st.booleans())
+def test_carried_residual_matches_fresh_residual(seed, m, extra, method, norm, policy,
+                                                 max_iterations, zero_start):
+    # the step carries r = b - A x instead of recomputing it; the last
+    # reported norm must still be that of the returned solution
+    rng = np.random.default_rng(seed)
+    a, m, n = random_partitioned(rng, m=m, n=m + extra)
+    if method in SQUARE_METHODS:
+        a = a[:, :m]
+    b = rng.uniform(-10.0, 10.0, size=m)
+    x0 = None if zero_start else rng.uniform(-2.0, 2.0, size=a.shape[1])
+    config = SolverConfig(
+        method=method, epsilon=1e-300, max_iterations=max_iterations, residual_norm=norm,
+        permutation_policy=policy if method in GENERALIZED_METHODS else POLICY_IDENTITY)
+    report = run(a, b, x0, config)
+    assert report.iterations == len(report.residual_norms) - 1 <= max_iterations
+    _assert_residual_honest(report.residual_norms[-1], a, b, report.solution, norm)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 5), extra=st.integers(1, 5),
+       dependent_rows=st.integers(0, 2), method=st.sampled_from(GENERALIZED_METHODS),
+       norm=st.sampled_from((NORM_ONE, NORM_INF)), iterations=st.integers(1, 6))
+def test_exact_solve_residual_exact_every_iteration(seed, m, extra, dependent_rows, method,
+                                                    norm, iterations):
+    # consistent integer systems, rank-deficient when rows repeat: each
+    # single iteration of the exact pipeline, chained from a random start,
+    # reports the residual of its solution and that solution is exact
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-5, 6, size=(m, m + dependent_rows + extra)).astype(float)
+    a = np.vstack([a] + [rng.integers(-2, 3) * a[:1]] * dependent_rows)
+    b = a @ rng.integers(-3, 4, size=a.shape[1]).astype(float)
+    _, a_bar, b_bar = reduced_system(a, b)
+    if a_bar.shape[0] == 0:
+        return
+    bound = 1e-10 * (1 + np.abs(b_bar).max())
+    x = rng.uniform(-5.0, 5.0, size=a.shape[1])
+    config = SolverConfig(method=method, epsilon=1e-300, max_iterations=1, residual_norm=norm)
+    for _ in range(iterations):
+        report = exact_solve(a, b, x, config)
+        if report.status == "error":
+            assert report.error in ("zero_tail_row", "zero_row")
+            return
+        x = report.solution
+        fresh = _assert_residual_honest(report.residual_norms[-1], a_bar, b_bar, x, norm)
+        assert fresh <= bound
+        assert np.abs(a_bar @ x - b_bar).max() <= bound
+
+
+def _count_calls(monkeypatch, modules, names):
+    """Wrap every binding of ``names`` in ``modules``; returns the counts."""
+    counts = dict.fromkeys(names, 0)
+    for module in modules:
+        for name in names:
+            original = getattr(module, name, None)
+            if original is None:
+                continue
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize("method", list(GENERALIZED_METHODS))
+def test_solve_pays_only_for_its_loop(method, monkeypatch):
+    # run and exact_solve compute no conditions and map the iterate to
+    # original column order at most once per solve, not once per step
+    counts = _count_calls(
+        monkeypatch, (convergence, iterate, partition, rref_module),
+        ("check_conditions", "operator_conditions", "assemble"))
+    rng = np.random.default_rng(16)
+    a, m, n = random_partitioned(rng, m=6, n=15)
+    b = rng.uniform(-5.0, 5.0, size=m)
+    config = SolverConfig(method=method, epsilon=1e-300, max_iterations=8)
+    report = run(a, b, None, config)
+    assert report.iterations >= 2
+    exact = exact_solve(a, b, rng.uniform(-1.0, 1.0, size=n), config)
+    assert exact.iterations >= 1
+    assert report.conditions is None and exact.conditions is None
+    assert counts["check_conditions"] == counts["operator_conditions"] == 0
+    assert counts["assemble"] <= 2
