@@ -22,7 +22,7 @@ from . import convergence, formats, generate, iterate
 from .errors import Inconsistent, SolverError
 from .rref import reduced_system, solve_reduced
 from .linalg import NORM_INF, NORM_ONE, vector_norm
-from .partition import POLICY_IDENTITY, POLICY_PIVOT_COLUMNS, partition_system, split_system
+from .partition import POLICY_IDENTITY, POLICY_PIVOT_COLUMNS, partition_system
 
 EXIT_OK = 0
 EXIT_UNCERTIFIED = 1
@@ -91,23 +91,20 @@ def _write_text(path, text):
         fh.write(text)
 
 
-def _report_json(report, a, b):
-    """The JSON report, with the conditions of the solve's partition of
-    (a, b) when a generalized method iterated without error."""
-    if (report.config.method in iterate.GENERALIZED_METHODS and report.error is None
-            and report.iterations > 0):
-        sys_part = split_system(a, b, report.column_perm, a.shape[0])
-        report = dataclasses.replace(
-            report, conditions=convergence.check_conditions(sys_part, report.config.method))
-    return formats.write_report(report)
+def _with_conditions(report, op):
+    """The report with the conditions of the solve's own operator, when a
+    generalized method prepared one (it then iterated without error)."""
+    if op is None or report.config.method not in iterate.GENERALIZED_METHODS:
+        return report
+    return dataclasses.replace(report, conditions=convergence.operator_conditions(op))
 
 
 def cmd_solve(args):
     a, b, x0 = _load_problem(args)
-    report = iterate.run(a, b, x0, _config(args, args.method))
+    report, op = iterate.run_with_operator(a, b, x0, _config(args, args.method))
     _print_summary(report)
     if args.json:
-        _write_text(args.json, _report_json(report, a, b))
+        _write_text(args.json, formats.write_report(_with_conditions(report, op)))
     return _exit_code(report)
 
 
@@ -142,7 +139,7 @@ def cmd_rref(args):
         print(row_format % tuple(row))
     if a_bar.shape[0] < a.shape[0]:
         print(f"rank-deficient: {a.shape[0]} rows reduced to {a_bar.shape[0]}")
-    report = solve_reduced(reduction, x0, config)
+    report, op = solve_reduced(reduction, x0, config)
     _print_summary(report)
     if report.status != iterate.STATUS_ERROR:
         print("solution: " + "  ".join(f"{v:.6f}" for v in report.solution))
@@ -151,7 +148,7 @@ def cmd_rref(args):
         print(f"residual vs reduced system (1-norm):  {r_reduced:.6e}")
         print(f"residual vs original system (1-norm): {r_orig:.6e}")
     if args.json:
-        _write_text(args.json, _report_json(report, a_bar, b_bar))
+        _write_text(args.json, formats.write_report(_with_conditions(report, op)))
     return _exit_code(report)
 
 
@@ -161,13 +158,17 @@ def cmd_compare(args):
         raise CliError("no methods given")
     configs = [_config(args, method) for method in methods]
     a, b, x0 = _load_problem(args)
-    rows = [(config.method, iterate.run(a, b, x0, config)) for config in configs]
+    # each operator is dropped, after --json takes its conditions, before
+    # the next method runs
+    solves = (iterate.run_with_operator(a, b, x0, config) for config in configs)
+    reports = [_with_conditions(report, op) if args.json else report for report, op in solves]
     print(f"{'method':<10} {'status':<16} {'iterations':>10} {'residual(1-norm)':>18}")
-    for method, report in rows:
+    for report in reports:
         final = vector_norm(a @ report.solution - b, NORM_ONE)
-        print(f"{method:<10} {report.status:<16} {report.iterations:>10} {final:>18.6e}")
+        print(f"{report.config.method:<10} {report.status:<16} {report.iterations:>10} "
+              f"{final:>18.6e}")
     if args.json:
-        obj = [json.loads(_report_json(rep, a, b)) for _, rep in rows]
+        obj = [json.loads(formats.write_report(rep)) for rep in reports]
         _write_text(args.json, json.dumps(obj, sort_keys=True, indent=2) + "\n")
     return EXIT_OK
 

@@ -11,7 +11,15 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInput
-from .iterate import GENERALIZED_METHODS, SWEEPS, prepare
+from .iterate import (
+    GENERALIZED_METHODS,
+    METHOD_GGS,
+    METHOD_GJACOBI,
+    METHOD_JACOBI,
+    SWEEPS,
+    Operator,
+    prepare,
+)
 from .linalg import NORM_KINDS, matrix_norm
 from .partition import PartitionedSystem
 
@@ -33,18 +41,22 @@ class ConditionReport:
 
 
 def check_conditions(sys: PartitionedSystem, method: str) -> ConditionReport:
-    """Evaluate both convergence-condition factors in every supported norm,
-    from the invariants of the method's prepared operator.
+    """Evaluate both convergence-condition factors in every supported norm.
 
     Raises the same structural errors as ``iterate.prepare``."""
     if method not in GENERALIZED_METHODS:
         raise InvalidInput(f"conditions are defined for {GENERALIZED_METHODS}, got {method!r}")
-    op = prepare(sys, SWEEPS[method])
-    m = sys.m
-    # each matrix is reduced to its norms as soon as it is built, to keep
-    # peak memory low
+    return operator_conditions(prepare(sys, SWEEPS[method]))
+
+
+def operator_conditions(op: Operator) -> ConditionReport:
+    """The conditions of a prepared generalized-method operator, derived
+    from its invariants; the CLI passes the operator its solve prepared."""
+    m = op.sys.m
+    # each matrix is reduced to its norms and dropped before the next is
+    # built: the solve's operator is still alive, so this keeps peak memory
     sign_norms = _norms(op.signs * op.weights)
-    tail_op = tail_iteration_matrix(sys.b_tail, op.signs, op.weights)
+    tail_op = tail_iteration_matrix(op.sys.b_tail, op.signs, op.weights)
     tail_norms = _norms(tail_op)
     solved_norms = _norms(op.solve_head(tail_op))
     # c1 = ||I - B H^-1|| = ||(B - H) H^-1||
@@ -62,7 +74,7 @@ def check_conditions(sys: PartitionedSystem, method: str) -> ConditionReport:
             NORM_KINDS, head_norms, tail_norms, solved_norms, sign_norms)
     )
     return ConditionReport(
-        method=method,
+        method=METHOD_GJACOBI if op.sweep == METHOD_JACOBI else METHOD_GGS,
         per_norm=records,
         overall_certified=any(r.certified for r in records),
     )

@@ -6,6 +6,9 @@ sign-matrix tail update t' = t + s(B~) d with d_i = r_i / (m ||B~_i||_1);
 one Jacobi or Gauss-Seidel sweep H h' = c - (B - H) h on the square head
 B, with c = rhs - B~ t' and H the diagonal or lower triangle of B; and the
 residual r' = c - B h', a fresh m x m product (c itself without a sweep).
+The carried residual can understate the rounding of x: with an identity
+head, as after RREF, h' = c and r' is exactly 0.  So the driver converges
+only when a fresh b - A x, in original column order, also meets epsilon.
 
 * ``baseline``: the tail update with an empty head (the tail is A);
 * ``gjacobi`` / ``ggs``: the tail update, then a Jacobi / Gauss-Seidel sweep;
@@ -15,9 +18,10 @@ residual r' = c - B h', a fresh m x m product (c itself without a sweep).
 method's structural errors; the resulting ``Operator`` is immutable.  One
 driver loop, behind ``run`` and ``rref.exact_solve``, steps an operator and
 measures the residual it carries.  Neither computes the convergence
-conditions (``SolveReport.conditions`` stays None); ``check_conditions(
-split_system(a, b, report.column_perm, a.shape[0]), method)`` gives them.
-The public ``*_step`` functions prepare and take one step.
+conditions (``SolveReport.conditions`` stays None);
+``convergence.operator_conditions`` derives them from the operator that
+``run_with_operator`` hands back.  The public ``*_step`` functions
+prepare and take one step.
 """
 
 from dataclasses import dataclass
@@ -198,18 +202,16 @@ def _whole_system(a, b, method) -> PartitionedSystem:
     return split_system(a, b, range(a.shape[1]), head_size)
 
 
-def _step_once(sys: PartitionedSystem, sweep, head, tail) -> np.ndarray:
-    """One step of a freshly prepared operator; returns the new iterate."""
-    op = prepare(sys, sweep)
-    r = sys.rhs - sys.b_head @ head - sys.b_tail @ tail
-    return op.step(np.concatenate((head, tail)), r)[0]
+def _step_once(sys: PartitionedSystem, sweep, x: np.ndarray) -> np.ndarray:
+    """One step of a freshly prepared operator from the permuted iterate x."""
+    k = sys.b_head.shape[1]
+    r = sys.rhs - sys.b_head @ x[:k] - sys.b_tail @ x[k:]
+    return prepare(sys, sweep).step(x, r)[0]
 
 
 def _whole_step(method, a, b, x):
     sys = _whole_system(np.asarray(a, dtype=float), np.asarray(b, dtype=float), method)
-    x = np.asarray(x, dtype=float)
-    k = sys.b_head.shape[1]
-    return _step_once(sys, SWEEPS[method], x[:k], x[k:])
+    return _step_once(sys, SWEEPS[method], np.asarray(x, dtype=float))
 
 
 def baseline_step(a, b, z):
@@ -220,13 +222,13 @@ def baseline_step(a, b, z):
 
 def generalized_jacobi_step(sys: PartitionedSystem, x: SplitIterate) -> SplitIterate:
     """Tail update followed by one Jacobi sweep on the head."""
-    new = _step_once(sys, METHOD_JACOBI, x.head, x.tail)
+    new = _step_once(sys, METHOD_JACOBI, np.concatenate((x.head, x.tail)))
     return SplitIterate(head=new[:len(x.head)], tail=new[len(x.head):])
 
 
 def generalized_gauss_seidel_step(sys: PartitionedSystem, x: SplitIterate) -> SplitIterate:
     """Tail update followed by one Gauss-Seidel sweep on the head."""
-    new = _step_once(sys, METHOD_GS, x.head, x.tail)
+    new = _step_once(sys, METHOD_GS, np.concatenate((x.head, x.tail)))
     return SplitIterate(head=new[:len(x.head)], tail=new[len(x.head):])
 
 
@@ -240,14 +242,16 @@ def classical_gauss_seidel_step(b_mat, rhs, x):
     return _whole_step(METHOD_GS, b_mat, rhs, x)
 
 
-def _drive(a, b, sys: PartitionedSystem, x0, config: SolverConfig) -> SolveReport:
-    """The one driver loop, behind ``run`` and ``rref.exact_solve``.
+def _drive(a, b, sys: PartitionedSystem, x0, config: SolverConfig):
+    """The one driver loop, behind ``run`` and ``rref.exact_solve``; returns
+    the report and the prepared operator (None when none was prepared).
 
-    The iterate stays in permuted column order until the end; the residual
-    b - A x that the step carries keeps the rows of (a, b), so its norms
-    do not depend on the permutation policy.  x0 is tested before the
-    operator is prepared: an x0 that already meets epsilon converges in
-    zero iterations even on a system the method rejects.
+    The iterate stays in permuted column order; it is mapped back to test
+    a carried residual below epsilon on a fresh b - A x, and at the end.
+    Residuals keep the rows of (a, b), so their norms do not depend on the
+    permutation policy.  x0 is tested before the operator is prepared: an
+    x0 that already meets epsilon converges in zero iterations even on a
+    system the method rejects.
     """
     generalized = config.method in GENERALIZED_METHODS
     r = b - a @ x0
@@ -255,19 +259,24 @@ def _drive(a, b, sys: PartitionedSystem, x0, config: SolverConfig) -> SolveRepor
     report = partial(SolveReport, residual_norms=history, config=config,
                      column_perm=sys.column_perm if generalized else None)
     if history[0] < config.epsilon:
-        return report(status=STATUS_CONVERGED, solution=x0, iterations=0)
+        return report(status=STATUS_CONVERGED, solution=x0, iterations=0), None
     try:
         op = prepare(sys, SWEEPS[config.method])
     except SolverError as exc:
-        return report(status=STATUS_ERROR, solution=x0, iterations=0, error=exc.kind)
+        return report(status=STATUS_ERROR, solution=x0, iterations=0, error=exc.kind), None
 
-    x = x0[op.perm]
+    x, back = x0[op.perm], np.argsort(op.perm)
     floor = max(history[0], 1e-300)
     stagnant = 0
     status = STATUS_MAX_ITERATIONS
     for _ in range(config.max_iterations):
         x, r = op.step(x, r)
         norm = vector_norm(r, config.residual_norm)
+        if norm < config.epsilon:
+            # converge on a fresh residual, which the carried one can
+            # understate; the step continues from the fresh one
+            r = b - a @ x[back]
+            norm = vector_norm(r, config.residual_norm)
         history.append(norm)
         if not np.isfinite(norm) or norm > DIVERGENCE_FACTOR * floor:
             status = STATUS_DIVERGED
@@ -283,9 +292,7 @@ def _drive(a, b, sys: PartitionedSystem, x0, config: SolverConfig) -> SolveRepor
         else:
             stagnant = 0
 
-    solution = np.empty_like(x)
-    solution[op.perm] = x
-    return report(status=status, solution=solution, iterations=len(history) - 1)
+    return report(status=status, solution=x[back], iterations=len(history) - 1), op
 
 
 def run(a, b, x0, config: SolverConfig) -> SolveReport:
@@ -294,6 +301,12 @@ def run(a, b, x0, config: SolverConfig) -> SolveReport:
     The initial residual is checked first: an x0 that already meets the
     threshold converges in zero iterations.
     """
+    return run_with_operator(a, b, x0, config)[0]
+
+
+def run_with_operator(a, b, x0, config: SolverConfig):
+    """``run``, also returning the operator the solve prepared (None when
+    it prepared none: an error, or an x0 that already met epsilon)."""
     a = as_matrix(a)
     b = as_vector(b)
     m, n = a.shape

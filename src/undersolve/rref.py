@@ -104,12 +104,15 @@ def exact_solve(a, b, x0=None, config: SolverConfig = None,
     kind "inconsistent".  Rank-deficient consistent systems are handled
     by dropping zero rows before partitioning.
     """
-    return solve_reduced(reduced_system(a, b, tolerance), x0, config)
+    return solve_reduced(reduced_system(a, b, tolerance), x0, config)[0]
 
 
-def solve_reduced(reduction, x0=None, config: SolverConfig = None) -> SolveReport:
+def solve_reduced(reduction, x0=None, config: SolverConfig = None):
     """Run a generalized method on the output of ``reduced_system``,
-    partitioned into its pivot columns (the head) and free columns."""
+    partitioned into its pivot columns (the head) and free columns.
+
+    Returns the report and the prepared operator, as
+    ``iterate.run_with_operator`` does."""
     result, a_bar, b_bar = reduction
     n = a_bar.shape[1]
     if config is None:
@@ -127,7 +130,7 @@ def solve_reduced(reduction, x0=None, config: SolverConfig = None) -> SolveRepor
             residual_norms=[],
             config=config,
             error=Inconsistent.kind,
-        )
+        ), None
     pivots = list(result.pivot_columns)
     free = [j for j in range(n) if j not in pivots]
     sys = split_system(a_bar, b_bar, pivots + free, len(pivots))

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from undersolve import formats
+from undersolve import convergence, formats, iterate
 from undersolve.cli import main
 from undersolve.convergence import check_conditions
 from undersolve.demo import DEMO_A, DEMO_B, DEMO_X0
@@ -351,6 +351,30 @@ def test_json_reports_keep_their_conditions(system, tmp_path):
         present += sum(_assert_conditions_of_partition(obj, a_sys, b_sys)
                        for obj in _json_reports(out))
     assert present >= 6
+
+
+def test_json_conditions_reuse_the_solve_operator(monkeypatch, tmp_path):
+    # the JSON writers derive the conditions from the operator the solve
+    # prepared, so each generalized solve prepares once
+    prepared = []
+
+    def counting_prepare(sys_part, sweep, _prepare=iterate.prepare):
+        prepared.append(sweep)
+        return _prepare(sys_part, sweep)
+
+    monkeypatch.setattr(iterate, "prepare", counting_prepare)
+    monkeypatch.setattr(convergence, "prepare", counting_prepare)
+    paths = ["--matrix", os.path.join(DATA, "demo5x8_A.csv"),
+             "--rhs", os.path.join(DATA, "demo5x8_b.csv")]
+    out = str(tmp_path / "r.json")
+    for argv, expected in [(["solve", "--method", "ggs"], ["gs"]),
+                           (["rref", "--method", "gjacobi"], ["jacobi"]),
+                           (["compare", "--methods", "gjacobi,ggs", "--max-iter", "50"],
+                            ["jacobi", "gs"])]:
+        prepared.clear()
+        main(argv + paths + ["--json", out])
+        assert prepared == expected, argv
+        assert all(obj["conditions"] is not None for obj in _json_reports(tmp_path / "r.json"))
 
 
 def test_json_conditions_null_on_error_and_zero_iterations(tmp_path):

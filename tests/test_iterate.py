@@ -348,9 +348,55 @@ def test_exact_solve_residual_exact_every_iteration(seed, m, extra, dependent_ro
         assert np.abs(a_bar @ x - b_bar).max() <= bound
 
 
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6), extra=st.integers(1, 6),
+       method=st.sampled_from(METHODS), exact=st.booleans(),
+       norm=st.sampled_from((NORM_ONE, NORM_INF)),
+       epsilon=st.sampled_from((1e-300, 1e-15, 1e-13, 1e-8)))
+def test_converged_only_on_a_fresh_residual(seed, m, extra, method, exact, norm, epsilon):
+    # the carried residual can understate the rounding of the iterate
+    # (after RREF the head is I and it is exactly 0), so a converged
+    # report must hold against a fresh ||A x - b|| in original order
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-10.0, 10.0, size=(m, m + extra))
+    b = a @ rng.uniform(-1.0, 1.0, size=m + extra)
+    config = SolverConfig(method=method if not exact else GENERALIZED_METHODS[seed % 2],
+                          epsilon=epsilon, max_iterations=30, residual_norm=norm)
+    if exact:
+        report = exact_solve(a, b, None, config)
+        _, a, b = reduced_system(a, b)
+    else:
+        if method in SQUARE_METHODS:
+            a = a[:, :m]
+        report = run(a, b, None, config)
+    if report.status == "converged":
+        fresh = vector_norm(a @ report.solution - b, norm)
+        assert report.residual_norms[-1] == fresh < epsilon
+
+
+def test_exact_solve_reports_the_rounding_it_lands_on():
+    # an iteration of the exact pipeline on the demo leaves a rounding-
+    # level residual: reported as such, and no convergence below it
+    _, a_bar, b_bar = reduced_system(DEMO_A, DEMO_B)
+    for method in GENERALIZED_METHODS:
+        report = exact_solve(DEMO_A, DEMO_B, DEMO_X0, SolverConfig(method=method))
+        fresh = vector_norm(a_bar @ report.solution - b_bar, NORM_ONE)
+        assert report.status == "converged" and report.iterations == 1
+        assert report.residual_norms[-1] == fresh > 0.0
+        tight = exact_solve(DEMO_A, DEMO_B, DEMO_X0,
+                            SolverConfig(method=method, epsilon=1e-300))
+        fresh = vector_norm(a_bar @ tight.solution - b_bar, NORM_ONE)
+        assert tight.residual_norms[-1] == fresh
+        assert (tight.status == "converged") == (fresh < 1e-300)
+        assert tight.iterations > 1
+
+
 def _count_calls(monkeypatch, modules, names):
-    """Wrap every binding of ``names`` in ``modules``; returns the counts."""
+    """Wrap every binding of ``names`` in ``modules``; returns the counts.
+    Every name must be bound in at least one module."""
     counts = dict.fromkeys(names, 0)
+    for name in names:
+        assert any(hasattr(module, name) for module in modules), name
     for module in modules:
         for name in names:
             original = getattr(module, name, None)
