@@ -204,7 +204,8 @@ def build_parser():
     p.add_argument("--max-iter", type=int, default=10000)
     p.add_argument("--norm", choices=["one", "inf"], default="one")
     p.add_argument("--pivot-columns", action="store_true",
-                   help="permute columns to secure a nonsingular head block")
+                   help="permute columns to secure a nonsingular head block "
+                        "(gjacobi and ggs only)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("check", help="evaluate sufficient convergence conditions")

@@ -51,6 +51,7 @@ from .linalg import (
     vector_norm,
 )
 from .partition import (
+    POLICIES,
     POLICY_IDENTITY,
     PartitionedSystem,
     SplitIterate,
@@ -108,6 +109,11 @@ class SolverConfig:
             raise InvalidInput("residual norm must be 'one' or 'inf'")
         if self.stagnation_window < 2:
             raise InvalidInput("stagnation_window must be at least 2")
+        if self.permutation_policy not in POLICIES:
+            raise InvalidInput(f"unknown permutation policy: {self.permutation_policy!r}")
+        if self.permutation_policy != POLICY_IDENTITY and self.method not in GENERALIZED_METHODS:
+            raise InvalidInput(
+                f"permutation policy {self.permutation_policy!r} needs a generalized method")
 
 
 @dataclass

@@ -23,6 +23,9 @@ from .partition import split_system
 
 DEFAULT_RREF_TOLERANCE = 1e-10
 
+# columns per Gauss-Jordan panel; the trailing columns are updated once per panel
+_PANEL_WIDTH = 32
+
 
 @dataclass(frozen=True)
 class RrefResult:
@@ -33,39 +36,74 @@ class RrefResult:
 
 
 def rref(a, tolerance: float = DEFAULT_RREF_TOLERANCE) -> RrefResult:
-    """Gauss-Jordan elimination with partial row pivoting.
+    """Blocked Gauss-Jordan elimination with partial row pivoting.
 
-    Entries at or below tolerance * ||working matrix||_inf are snapped to
-    exact zero during pivot search; pivot entries are set to exactly 1 and
-    the rest of each pivot column to exactly 0 by assignment.
+    The zero threshold is fixed once from the input, before elimination:
+    thr = tolerance * ||a||_inf, where a is [A b] in the exact pipeline
+    (tolerance itself for a zero matrix).  MATLAB's ``rref`` fixes
+    ``tol = max(size(A)) * eps * norm(A, inf)`` the same way.  Pivot
+    candidates at or below thr are snapped to exact zero; pivot entries
+    are set to exactly 1 and the rest of each pivot column to exactly 0
+    by assignment.
+
+    The elimination is right-looking and blocked, as LAPACK ``dgetrf``
+    (Golub & Van Loan, Matrix Computations, ch. 3).  A panel of columns is
+    reduced column by column over all m rows; its row swaps and transform
+    then reach the trailing columns T in one BLAS-3 update.  With R the p
+    rows that took pivots in the panel and M their pivot columns as they
+    were before the panel's elimination (rows swapped):
+    Y = M_R^-1 T_R, T_other -= M_other Y, T_R = Y.
     """
     work = as_matrix(a)
     if tolerance < 0:
         raise InvalidInput("tolerance must be nonnegative")
     m, n = work.shape
+    scale = matrix_norm(work, "inf")
+    thr = tolerance * (scale if scale > 0 else 1.0)
     pivots = []
     row = 0
-    for col in range(n):
+    for start in range(0, n, _PANEL_WIDTH):
         if row >= m:
             break
-        scale = matrix_norm(work, "inf")
-        thr = tolerance * (scale if scale > 0 else 1.0)
-        cand = np.abs(work[row:, col])
-        best = int(np.argmax(cand))
-        if cand[best] <= thr:
-            work[row:, col][cand <= thr] = 0.0
+        stop = min(start + _PANEL_WIDTH, n)
+        panel = work[:, start:stop]
+        before = panel.copy()
+        order = np.arange(m)
+        top = row
+        local = []
+        for j in range(stop - start):
+            if row >= m:
+                break
+            cand = np.abs(panel[row:, j])
+            best = int(np.argmax(cand))
+            if cand[best] <= thr:
+                panel[row:, j][cand <= thr] = 0.0
+                continue
+            piv = row + best
+            if piv != row:
+                panel[[row, piv]] = panel[[piv, row]]
+                order[[row, piv]] = order[[piv, row]]
+            # the whole row up to the panel's end: zeros left of the pivot
+            # take its sign, as in unblocked elimination
+            work[row, :stop] /= panel[row, j]
+            factors = panel[:, j].copy()
+            factors[row] = 0.0
+            touched = factors != 0.0   # a row with a zero multiplier keeps its entries
+            rest = panel[:, j + 1:]
+            np.subtract(rest, np.outer(factors, rest[row]), out=rest, where=touched[:, None])
+            panel[touched, j] = 0.0
+            panel[row, j] = 1.0
+            local.append(j)
+            row += 1
+        pivots.extend(start + j for j in local)
+        if not local or stop == n:
             continue
-        piv = row + best
-        if piv != row:
-            work[[row, piv]] = work[[piv, row]]
-        work[row] /= work[row, col]
-        work[row, col] = 1.0
-        for r in range(m):
-            if r != row and work[r, col] != 0.0:
-                work[r] -= work[r, col] * work[row]
-                work[r, col] = 0.0
-        pivots.append(col)
-        row += 1
+        trail = work[:, stop:]
+        trail[top:] = trail[order[top:]]
+        basis = before[order][:, local]
+        y = np.linalg.solve(basis[top:row], trail[top:row])
+        trail -= basis @ y
+        trail[top:row] = y
     return RrefResult(
         matrix=work,
         rank=len(pivots),

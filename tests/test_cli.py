@@ -275,6 +275,10 @@ INPUT_ERROR_CASES = {
         "--out-prefix", str(tmp / "gen")],
     "gen-negative-rows": lambda demo, tmp: [
         "gen", "--rows", "-1", "--cols", "5", "--out-prefix", str(tmp / "gen")],
+    # --pivot-columns would be ignored by the non-generalized methods
+    **{f"solve-{method}-pivot-columns": lambda demo, tmp, method=method: [
+        "solve", "--method", method, "--pivot-columns", "--matrix", demo["A"],
+        "--rhs", demo["b"]] for method in ("baseline", "jacobi", "gs")},
     "compare-square-method": lambda demo, tmp: [
         "compare", "--methods", "gjacobi,gs", "--matrix", demo["A"], "--rhs", demo["b"],
         "--max-iter", "5"],

@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from undersolve.errors import (
     DimensionMismatch,
@@ -127,6 +130,37 @@ def test_matrix_market_writer_roundtrip():
     for form in ("coordinate", "array"):
         again = read_matrix_market(write_matrix_market(a, form))
         assert np.array_equal(a, again)
+
+
+TINY = np.finfo(float).smallest_subnormal
+HUGE = np.finfo(float).max
+
+# every finite double, with subnormals, -0.0 and exponents near +-308 drawn often
+FINITE_DOUBLES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([TINY, -TINY, 1234.5 * TINY, np.finfo(float).tiny, -0.0, 0.0,
+                     HUGE, -HUGE, 1e308, -3.5e-308]),
+    st.floats(1e300, HUGE), st.floats(-HUGE, -1e300), st.floats(-1e-300, 1e-300))
+MATRICES = arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6),
+                  elements=FINITE_DOUBLES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=MATRICES)
+def test_csv_roundtrip_bit_exact(a):
+    assert read_csv_matrix(write_csv_matrix(a)).tobytes() == a.tobytes()
+    v = a.ravel()
+    assert read_csv_vector(write_csv_vector(v)).tobytes() == v.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=MATRICES)
+def test_matrix_market_roundtrip_bit_exact(a):
+    again = read_matrix_market(write_matrix_market(a, "array"))
+    assert again.shape == a.shape and again.tobytes() == a.tobytes()
+    # coordinate form stores nonzeros only: -0.0 comes back as +0.0
+    again = read_matrix_market(write_matrix_market(a, "coordinate"))
+    assert again.shape == a.shape and again.tobytes() == (a + 0.0).tobytes()
 
 
 def test_matrix_market_writer_demo_files_byte_identical():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from undersolve import convergence, iterate, partition
 from undersolve import rref as rref_module
 from undersolve.demo import DEMO_A, DEMO_B, DEMO_X0
-from undersolve.errors import ZeroDiagonal, ZeroRow, ZeroTailRow
+from undersolve.errors import InvalidInput, ZeroDiagonal, ZeroRow, ZeroTailRow
 from undersolve.iterate import (
     GENERALIZED_METHODS,
     METHOD_BASELINE,
@@ -26,6 +26,7 @@ from undersolve.linalg import NORM_INF, NORM_ONE, row_one_norms, sign_matrix, ve
 from undersolve.partition import (
     POLICIES,
     POLICY_IDENTITY,
+    POLICY_PIVOT_COLUMNS,
     SplitIterate,
     assemble,
     disassemble,
@@ -272,6 +273,21 @@ def test_run_error_kinds(method, a, kind):
     assert report.error == kind
     assert report.iterations == 0
     assert report.conditions is None
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_config_rejects_a_policy_it_would_ignore(method):
+    with pytest.raises(InvalidInput, match="unknown permutation policy"):
+        SolverConfig(method=method, permutation_policy="bogus")
+    if method in GENERALIZED_METHODS:
+        a, b = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 7.0]]), np.array([1.0, 1.0])
+        report = run(a, b, None, SolverConfig(method=method,
+                                              permutation_policy=POLICY_PIVOT_COLUMNS))
+        expected = tuple(partition_system(a, b, POLICY_PIVOT_COLUMNS).column_perm)
+        assert report.column_perm == expected != (0, 1, 2)
+    else:
+        with pytest.raises(InvalidInput, match="needs a generalized method"):
+            SolverConfig(method=method, permutation_policy=POLICY_PIVOT_COLUMNS)
 
 
 @pytest.mark.parametrize("method", ["gjacobi", "ggs"])

@@ -1,5 +1,9 @@
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from undersolve.demo import DEMO_A, DEMO_B, DEMO_X0
 from undersolve.errors import DimensionMismatch, SolverError
@@ -9,6 +13,8 @@ from undersolve.iterate import generalized_jacobi_step
 from undersolve.rref import exact_solve, reduced_system, rref
 
 from oracles import rational_rref_floats
+
+rref_module = importlib.import_module("undersolve.rref")
 
 
 def test_single_row_scaling():
@@ -52,6 +58,53 @@ def test_matches_rational_oracle_random():
         expected, pivots = rational_rref_floats(a.tolist())
         assert result.pivot_columns == tuple(pivots)
         assert np.abs(result.matrix - expected).max() <= 1e-9
+
+
+@st.composite
+def integer_augmented(draw):
+    """[A b] of small integers; some rows of A are integer combinations of
+    others (rank-deficient A), and b is then drawn independently, so the
+    system is often inconsistent."""
+    m = draw(st.integers(1, 7))
+    n = draw(st.integers(1, 9))
+    entries = st.integers(-4, 4)
+    a = np.array(draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                               min_size=m, max_size=m)), dtype=float)
+    for target in range(m):
+        if m > 1 and draw(st.booleans()):
+            sources = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=2))
+            a[target] = sum(draw(st.integers(-3, 3)) * a[s] for s in sources if s != target)
+    b = np.array(draw(st.lists(entries, min_size=m, max_size=m)), dtype=float)
+    return np.column_stack([a, b])
+
+
+@settings(max_examples=400, deadline=None)
+@given(aug=integer_augmented(), width=st.integers(1, 5), exponent=st.integers(-30, 30))
+def test_blocked_rref_matches_rational_oracle(aug, width, exponent):
+    # narrow panels put panel boundaries and trailing updates inside small
+    # matrices; a power-of-two scale changes neither the RREF nor rounding
+    scaled = aug * 2.0 ** exponent
+    expected, pivots = rational_rref_floats(scaled.tolist())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rref_module, "_PANEL_WIDTH", width)
+        result = rref(scaled)
+    assert result.pivot_columns == tuple(pivots)
+    assert result.rank == len(pivots)
+    assert result.consistent == (aug.shape[1] - 1 not in pivots)
+    assert np.abs(result.matrix - expected).max() <= 1e-9
+
+
+def test_rref_scales_once(monkeypatch):
+    # the zero threshold is fixed from the input: one norm per reduction
+    assert hasattr(rref_module, "matrix_norm")
+    calls = []
+    original = rref_module.matrix_norm
+    monkeypatch.setattr(rref_module, "matrix_norm",
+                        lambda *args: calls.append(args[1]) or original(*args))
+    rng = np.random.default_rng(37)
+    a = rng.uniform(-1.0, 1.0, size=(40, 160))   # several panels
+    reduced_system(a, a @ rng.uniform(-1.0, 1.0, size=160))
+    assert calls == ["inf"]
 
 
 def test_demo_rref_matches_oracle():
