@@ -19,13 +19,7 @@ from .iterate import (
     generalized_jacobi_step,
     run,
 )
-from .partition import (
-    PartitionedSystem,
-    SplitIterate,
-    assemble,
-    disassemble,
-    partition_system,
-)
+from .partition import PartitionedSystem, partition_system
 from .rref import RrefResult, exact_solve, rref
 
 __all__ = [
@@ -36,14 +30,11 @@ __all__ = [
     "SolveReport",
     "SolverConfig",
     "SolverError",
-    "SplitIterate",
-    "assemble",
     "baseline_step",
     "check_conditions",
     "classical_gauss_seidel_step",
     "classical_jacobi_step",
     "contraction_factor",
-    "disassemble",
     "exact_solve",
     "generalized_gauss_seidel_step",
     "generalized_jacobi_step",

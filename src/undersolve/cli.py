@@ -197,11 +197,14 @@ def build_parser():
             p.add_argument("--x0", help="initial guess vector file (default: zeros)")
         p.add_argument("--json", help="write machine-readable output to this path")
 
+    def add_stopping(p):
+        p.add_argument("--eps", type=float, default=1e-8)
+        p.add_argument("--max-iter", type=int, default=10000)
+
     p = sub.add_parser("solve", help="run one iterative method")
     add_common(p)
     p.add_argument("--method", required=True, choices=list(iterate.METHODS))
-    p.add_argument("--eps", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=10000)
+    add_stopping(p)
     p.add_argument("--norm", choices=["one", "inf"], default="one")
     p.add_argument("--pivot-columns", action="store_true",
                    help="permute columns to secure a nonsingular head block "
@@ -219,16 +222,14 @@ def build_parser():
     add_common(p)
     p.add_argument("--method", choices=list(iterate.GENERALIZED_METHODS),
                    default=iterate.METHOD_GJACOBI)
-    p.add_argument("--eps", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=10000)
+    add_stopping(p)
     p.set_defaults(func=cmd_rref)
 
     p = sub.add_parser("compare", help="run several methods from the same start")
     add_common(p)
     p.add_argument("--methods", required=True,
                    help="comma-separated list, e.g. baseline,gjacobi")
-    p.add_argument("--eps", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=10000)
+    add_stopping(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("gen", help="generate a random system with a known solution")

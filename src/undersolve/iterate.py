@@ -1,10 +1,11 @@
 """Stationary iteration: one prepared operator, one fused step, one driver.
 
-A step takes the iterate x in permuted column order (head h = x[:k], tail
-t = x[k:]) with its residual r = rhs - A x, and returns the new pair: the
-sign-matrix tail update t' = t + s(B~) d with d_i = r_i / (m ||B~_i||_1);
-one Jacobi or Gauss-Seidel sweep H h' = c - (B - H) h on the square head
-B, with c = rhs - B~ t' and H the diagonal or lower triangle of B; and the
+A step works in the slot order of the partition's ``column_perm`` (head
+h = x[:k], tail t = x[k:]) and takes the iterate with its residual
+r = rhs - A x; it returns the new pair: the sign-matrix tail update
+t' = t + s(B~) d with d_i = r_i / (m ||B~_i||_1); one Jacobi or
+Gauss-Seidel sweep H h' = c - (B - H) h on the square head B, with
+c = rhs - B~ t' and H the diagonal or lower triangle of B; and the
 residual r' = c - B h', a fresh m x m product (c itself without a sweep).
 The carried residual can understate the rounding of x: with an identity
 head, as after RREF, h' = c and r' is exactly 0.  So the driver converges
@@ -20,8 +21,9 @@ driver loop, behind ``run`` and ``rref.exact_solve``, steps an operator and
 measures the residual it carries.  Neither computes the convergence
 conditions (``SolveReport.conditions`` stays None);
 ``convergence.operator_conditions`` derives them from the operator that
-``run_with_operator`` hands back.  The public ``*_step`` functions
-prepare and take one step.
+``run_with_operator`` hands back.  The five public ``*_step`` functions
+take and return x as a full vector in original column order; each
+prepares an operator and takes one step.
 """
 
 from dataclasses import dataclass
@@ -50,14 +52,7 @@ from .linalg import (
     singularity_threshold,
     vector_norm,
 )
-from .partition import (
-    POLICIES,
-    POLICY_IDENTITY,
-    PartitionedSystem,
-    SplitIterate,
-    partition_system,
-    split_system,
-)
+from .partition import POLICIES, POLICY_IDENTITY, PartitionedSystem, _column_order, split_system
 
 METHOD_BASELINE = "baseline"
 METHOD_GJACOBI = "gjacobi"
@@ -170,18 +165,22 @@ def prepare(sys: PartitionedSystem, sweep: Optional[str]) -> Operator:
     """Build the operator for ``sys`` and a sweep kind (None, METHOD_JACOBI
     or METHOD_GS).
 
-    Structural errors are raised in this order: an all-zero tail row
+    Structural errors are raised in this order: a zero tail row
     (``ZeroRow`` when the head is empty, as for baseline, else
     ``ZeroTailRow``), then a head diagonal entry at or below
     1e-12 * ||H||_inf (``ZeroDiagonal`` for Jacobi, ``SingularTriangular``
     for Gauss-Seidel).
+
+    A tail row counts as zero when its 1-norm is at or below 1e-12 times
+    that of its row of A, as rounding leaves it after RREF; the update
+    would divide by that norm.  Without a head this means exactly zero.
     """
     signs = weights = off_head = diag = lower_inv = None
     if sys.b_tail.shape[1]:
         norms = row_one_norms(sys.b_tail)
-        if np.any(norms == 0.0):
+        if np.any(norms <= 1e-12 * (norms + row_one_norms(sys.b_head))):
             if sys.b_head.shape[1]:
-                raise ZeroTailRow("tail block has an all-zero row")
+                raise ZeroTailRow("tail block has a zero row")
             raise ZeroRow("matrix has an all-zero row")
         signs = sign_matrix(sys.b_tail)
         weights = 1.0 / (sys.m * norms)
@@ -204,48 +203,50 @@ def prepare(sys: PartitionedSystem, sweep: Optional[str]) -> Operator:
 def _whole_system(a, b, method) -> PartitionedSystem:
     """The unpartitioned system: A is the tail for baseline, the head for
     the classical methods."""
+    a = np.asarray(a, dtype=float)
     head_size = 0 if method == METHOD_BASELINE else a.shape[0]
-    return split_system(a, b, range(a.shape[1]), head_size)
+    return split_system(a, np.asarray(b, dtype=float), np.arange(a.shape[1]), head_size)
 
 
-def _step_once(sys: PartitionedSystem, sweep, x: np.ndarray) -> np.ndarray:
-    """One step of a freshly prepared operator from the permuted iterate x."""
+def _step(sys: PartitionedSystem, sweep, x) -> np.ndarray:
+    """One step of a freshly prepared operator from x, a full vector in
+    original column order; returns the new x in original column order."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (sys.n,):
+        raise DimensionMismatch("x length must equal the number of columns")
+    op = prepare(sys, sweep)
     k = sys.b_head.shape[1]
-    r = sys.rhs - sys.b_head @ x[:k] - sys.b_tail @ x[k:]
-    return prepare(sys, sweep).step(x, r)[0]
-
-
-def _whole_step(method, a, b, x):
-    sys = _whole_system(np.asarray(a, dtype=float), np.asarray(b, dtype=float), method)
-    return _step_once(sys, SWEEPS[method], np.asarray(x, dtype=float))
+    slots = x[op.perm]
+    r = sys.rhs - sys.b_head @ slots[:k] - sys.b_tail @ slots[k:]
+    new = np.empty_like(x)
+    new[op.perm] = op.step(slots, r)[0]
+    return new
 
 
 def baseline_step(a, b, z):
     """One sign-matrix iteration on the full system: z + s(A) d with
     d[i] = (b[i] - A_i z) / (m * ||A_i||_1)."""
-    return _whole_step(METHOD_BASELINE, a, b, z)
+    return _step(_whole_system(a, b, METHOD_BASELINE), None, z)
 
 
-def generalized_jacobi_step(sys: PartitionedSystem, x: SplitIterate) -> SplitIterate:
+def generalized_jacobi_step(sys: PartitionedSystem, x):
     """Tail update followed by one Jacobi sweep on the head."""
-    new = _step_once(sys, METHOD_JACOBI, np.concatenate((x.head, x.tail)))
-    return SplitIterate(head=new[:len(x.head)], tail=new[len(x.head):])
+    return _step(sys, METHOD_JACOBI, x)
 
 
-def generalized_gauss_seidel_step(sys: PartitionedSystem, x: SplitIterate) -> SplitIterate:
+def generalized_gauss_seidel_step(sys: PartitionedSystem, x):
     """Tail update followed by one Gauss-Seidel sweep on the head."""
-    new = _step_once(sys, METHOD_GS, np.concatenate((x.head, x.tail)))
-    return SplitIterate(head=new[:len(x.head)], tail=new[len(x.head):])
+    return _step(sys, METHOD_GS, x)
 
 
 def classical_jacobi_step(b_mat, rhs, x):
     """x' = D^-1 (-(B - D) x + rhs) for square B."""
-    return _whole_step(METHOD_JACOBI, b_mat, rhs, x)
+    return _step(_whole_system(b_mat, rhs, METHOD_JACOBI), METHOD_JACOBI, x)
 
 
 def classical_gauss_seidel_step(b_mat, rhs, x):
     """Solve L x' = -(B - L) x + rhs with L the lower triangle of B."""
-    return _whole_step(METHOD_GS, b_mat, rhs, x)
+    return _step(_whole_system(b_mat, rhs, METHOD_GS), METHOD_GS, x)
 
 
 def _drive(a, b, sys: PartitionedSystem, x0, config: SolverConfig):
@@ -327,8 +328,9 @@ def run_with_operator(a, b, x0, config: SolverConfig):
     if config.method in SQUARE_METHODS and m != n:
         raise DimensionMismatch("classical methods require a square matrix")
 
+    # the checks of partition_system are done above and by SolverConfig
     if config.method in GENERALIZED_METHODS:
-        sys = partition_system(a, b, config.permutation_policy)
+        sys = split_system(a, b, _column_order(a, config.permutation_policy), m)
     else:
         sys = _whole_system(a, b, config.method)
     return _drive(a, b, sys, x0, config)

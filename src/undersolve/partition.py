@@ -1,9 +1,10 @@
 """Splitting an m x n system (m < n) into a square head block and a tail block.
 
-The head block is the leading m x m submatrix after an optional column
-permutation; the tail holds the remaining n - m columns.  ``column_perm``
-maps head/tail slots back to original column indices, so iterates can
-always be reported (and residuals measured) in original column order.
+A partition is a column order and nothing else: ``column_perm`` lists
+the original column of every slot, the first m slots form the head and
+the remaining n - m the tail.  Iterates are full vectors in original
+column order; a step gathers x[column_perm] into slot order and scatters
+its result back, so residuals are always measured in original order.
 """
 
 from dataclasses import dataclass
@@ -29,12 +30,6 @@ class PartitionedSystem:
     n: int
 
 
-@dataclass(frozen=True)
-class SplitIterate:
-    head: np.ndarray
-    tail: np.ndarray
-
-
 def _pivot_column_order(a: np.ndarray) -> list:
     """Select m independent columns by Gaussian elimination with column
     pivoting; returns them (in selection order) followed by the rest."""
@@ -54,10 +49,17 @@ def _pivot_column_order(a: np.ndarray) -> list:
         chosen.append(col)
         if ri != 0:
             work[[i, i + ri]] = work[[i + ri, i]]
-        for r in range(i + 1, m):
-            factor = work[r, col] / work[i, col]
-            work[r] -= factor * work[i]
+        work[i + 1:] -= np.outer(work[i + 1:, col] / work[i, col], work[i])
     return chosen + remaining
+
+
+def _column_order(a: np.ndarray, policy: str) -> np.ndarray:
+    """The slot -> original column order that ``policy`` picks for a."""
+    if policy == POLICY_IDENTITY:
+        return np.arange(a.shape[1])
+    if policy == POLICY_PIVOT_COLUMNS:
+        return np.array(_pivot_column_order(a), dtype=np.intp)
+    raise InvalidInput(f"unknown permutation policy: {policy!r}")
 
 
 def partition_system(a, b, policy: str = POLICY_IDENTITY) -> PartitionedSystem:
@@ -70,48 +72,23 @@ def partition_system(a, b, policy: str = POLICY_IDENTITY) -> PartitionedSystem:
     if m >= n:
         raise NotUnderdetermined(
             f"system must have more unknowns than equations (m={m}, n={n})")
-    if policy == POLICY_IDENTITY:
-        perm = list(range(n))
-    elif policy == POLICY_PIVOT_COLUMNS:
-        perm = _pivot_column_order(a)
-    else:
-        raise InvalidInput(f"unknown permutation policy: {policy!r}")
-    return split_system(a, b, perm, m)
+    return split_system(a, b, _column_order(a, policy), m)
 
 
 def split_system(a, b, perm, head_size: int) -> PartitionedSystem:
-    """Blocks of a[:, perm]: the first ``head_size`` columns form the head,
-    the rest the tail.  A head of 0 columns or a tail of 0 columns is
-    allowed; ``m`` is always the number of rows."""
-    perm = list(perm)
-    permuted = a[:, perm]
+    """Blocks of a in the column order ``perm``: the first ``head_size``
+    columns form the head, the rest the tail.  A head of 0 columns or a
+    tail of 0 columns is allowed; ``m`` is always the number of rows.
+
+    Each block is taken from a directly, so a is copied once.  ``np.take``
+    returns C-contiguous blocks; ``a[:, perm]`` would be Fortran-ordered,
+    and a matrix-vector product can round differently on it."""
+    perm = np.asarray(perm, dtype=np.intp)
     return PartitionedSystem(
-        b_head=permuted[:, :head_size].copy(),
-        b_tail=permuted[:, head_size:].copy(),
+        b_head=np.take(a, perm[:head_size], axis=1),
+        b_tail=np.take(a, perm[head_size:], axis=1),
         rhs=b.copy(),
-        column_perm=tuple(perm),
+        column_perm=tuple(perm.tolist()),
         m=a.shape[0],
         n=a.shape[1],
     )
-
-
-def assemble(x: SplitIterate, perm) -> np.ndarray:
-    """Merge head and tail back into a full vector in ORIGINAL column order."""
-    perm = np.asarray(perm, dtype=np.intp)
-    if len(x.head) + len(x.tail) != len(perm):
-        raise DimensionMismatch("head + tail length must match the permutation")
-    full = np.empty(len(perm))
-    full[perm] = np.concatenate([x.head, x.tail])
-    return full
-
-
-def disassemble(x, perm, m: int) -> SplitIterate:
-    """Split a full vector (original column order) into head/tail slots."""
-    x = as_vector(x)
-    perm = np.asarray(perm, dtype=np.intp)
-    if x.shape != perm.shape:
-        raise DimensionMismatch("vector length must match the permutation")
-    if not 0 <= m <= len(perm):
-        raise DimensionMismatch("head size out of range")
-    stacked = x[perm]
-    return SplitIterate(head=stacked[:m], tail=stacked[m:])

@@ -19,7 +19,7 @@ from .iterate import (
     _drive,
 )
 from .linalg import as_matrix, as_vector, matrix_norm
-from .partition import split_system
+from .partition import POLICY_IDENTITY, split_system
 
 DEFAULT_RREF_TOLERANCE = 1e-10
 
@@ -140,7 +140,9 @@ def exact_solve(a, b, x0=None, config: SolverConfig = None,
 
     Inconsistent systems yield a report with status "error" and error
     kind "inconsistent".  Rank-deficient consistent systems are handled
-    by dropping zero rows before partitioning.
+    by dropping zero rows before partitioning.  The partition is always
+    the pivot columns, so a ``permutation_policy`` other than
+    ``identity`` raises ``InvalidInput``.
     """
     return solve_reduced(reduced_system(a, b, tolerance), x0, config)[0]
 
@@ -157,6 +159,9 @@ def solve_reduced(reduction, x0=None, config: SolverConfig = None):
         config = SolverConfig(method=METHOD_GJACOBI)
     if config.method not in GENERALIZED_METHODS:
         raise InvalidInput("exact solve supports the generalized methods only")
+    if config.permutation_policy != POLICY_IDENTITY:
+        raise InvalidInput("exact solve partitions on the RREF pivot columns; "
+                           f"permutation policy {config.permutation_policy!r} does not apply")
     x0 = as_vector(x0) if x0 is not None else np.zeros(n)
     if x0.shape != (n,):
         raise DimensionMismatch("x0 length must equal the number of columns")
@@ -169,7 +174,7 @@ def solve_reduced(reduction, x0=None, config: SolverConfig = None):
             config=config,
             error=Inconsistent.kind,
         ), None
-    pivots = list(result.pivot_columns)
-    free = [j for j in range(n) if j not in pivots]
-    sys = split_system(a_bar, b_bar, pivots + free, len(pivots))
+    pivots = np.array(result.pivot_columns, dtype=np.intp)
+    order = np.concatenate((pivots, np.setdiff1d(np.arange(n), pivots)))
+    sys = split_system(a_bar, b_bar, order, len(pivots))
     return _drive(a_bar, b_bar, sys, x0, config)

@@ -22,7 +22,7 @@ from undersolve.iterate import (
     run,
 )
 from undersolve.linalg import row_one_norms, sign_matrix
-from undersolve.partition import assemble, disassemble, partition_system
+from undersolve.partition import partition_system
 from undersolve.rref import exact_solve, reduced_system, rref
 
 from oracles import (
@@ -63,15 +63,14 @@ def test_criterion_1_residual_recurrence():
             b = rng.uniform(-10, 10, size=m)
             sys = partition_system(a, b)
             x = rng.uniform(-2, 2, size=n)
-            split = disassemble(x, sys.column_perm, m)
-            new = step(sys, split)
+            new = step(sys, x)
             r = a @ x - b
             head_inv = (np.diag(1.0 / np.diag(sys.b_head)) if use_diag
                         else np.linalg.inv(np.tril(sys.b_head)))
             tail_op = np.eye(m) - (sys.b_tail @ sign_matrix(sys.b_tail)) \
                 / row_one_norms(sys.b_tail)[np.newaxis, :] / m
             predicted = (np.eye(m) - sys.b_head @ head_inv) @ tail_op @ r
-            actual = a @ assemble(new, sys.column_perm) - b
+            actual = a @ new - b
             err = np.abs(actual - predicted).max() / (1 + np.abs(r).max())
             worst = max(worst, err)
             assert err <= 1e-10
@@ -241,12 +240,12 @@ def test_criterion_5_certified_convergence():
             for rec in certified:
                 bound = rec.c1 * rec.c2 / m + 1e-9
                 vn = vec_norm[rec.norm_kind]
-                split = disassemble(rng.uniform(-5, 5, size=n), sys.column_perm, m)
-                r_prev = vn(a @ assemble(split, sys.column_perm) - b)
+                x = rng.uniform(-5, 5, size=n)
+                r_prev = vn(a @ x - b)
                 floor = 1e-10 * (1 + np.abs(b).max())
                 for _ in range(200):
-                    split = step(sys, split)
-                    r = vn(a @ assemble(split, sys.column_perm) - b)
+                    x = step(sys, x)
+                    r = vn(a @ x - b)
                     if r_prev > floor:
                         assert r <= bound * r_prev + 1e-15
                         checked_ratios += 1
@@ -305,15 +304,12 @@ def test_criterion_7_fixed_points():
         head = rng.uniform(-2, 2, size=m)
         tail = rng.uniform(-2, 2, size=n - m)
         b = sys0.b_head @ head + sys0.b_tail @ tail
-        x_full = assemble(
-            disassemble(np.concatenate([head, tail]), tuple(range(n)), m),
-            tuple(range(n)))
+        x_full = np.concatenate([head, tail])
         sys = partition_system(a, b)
-        split = disassemble(x_full, sys.column_perm, m)
         for step in (generalized_jacobi_step, generalized_gauss_seidel_step):
-            out = step(sys, split)
-            assert np.abs(out.head - split.head).max() <= 1e-12
-            assert np.abs(out.tail - split.tail).max() <= 1e-12
+            out = step(sys, x_full)
+            assert np.abs(out[:m] - head).max() <= 1e-12
+            assert np.abs(out[m:] - tail).max() <= 1e-12
         assert np.abs(baseline_step(a, b, x_full) - x_full).max() <= 1e-12
         b_sq = a[:, :m]
         x_sq = rng.uniform(-2, 2, size=m)

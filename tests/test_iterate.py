@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from undersolve import convergence, iterate, partition
 from undersolve import rref as rref_module
 from undersolve.demo import DEMO_A, DEMO_B, DEMO_X0
-from undersolve.errors import InvalidInput, ZeroDiagonal, ZeroRow, ZeroTailRow
+from undersolve.errors import DimensionMismatch, InvalidInput, ZeroDiagonal, ZeroRow, ZeroTailRow
 from undersolve.iterate import (
     GENERALIZED_METHODS,
     METHOD_BASELINE,
@@ -27,18 +29,12 @@ from undersolve.partition import (
     POLICIES,
     POLICY_IDENTITY,
     POLICY_PIVOT_COLUMNS,
-    SplitIterate,
-    assemble,
-    disassemble,
     partition_system,
+    split_system,
 )
 from undersolve.rref import exact_solve, reduced_system
 
 from oracles import random_partitioned
-
-
-def split_of(sys, x_full):
-    return disassemble(np.asarray(x_full, dtype=float), sys.column_perm, sys.m)
 
 
 def test_baseline_one_row():
@@ -61,11 +57,10 @@ def test_baseline_zero_row():
 
 def test_gjacobi_hand_example():
     sys = partition_system([[1, 0, 2], [0, 1, 1]], [3, 2])
-    x1 = generalized_jacobi_step(sys, SplitIterate(np.zeros(2), np.zeros(1)))
-    assert x1.tail.tolist() == [1.75]
-    assert x1.head.tolist() == [-0.5, 0.25]
-    full = assemble(x1, sys.column_perm)
-    assert np.allclose(np.array([[1, 0, 2], [0, 1, 1]]) @ full, [3, 2])
+    x1 = generalized_jacobi_step(sys, np.zeros(3))
+    assert x1[2:].tolist() == [1.75]
+    assert x1[:2].tolist() == [-0.5, 0.25]
+    assert np.allclose(np.array([[1, 0, 2], [0, 1, 1]]) @ x1, [3, 2])
 
 
 def test_gjacobi_fixed_point():
@@ -77,44 +72,43 @@ def test_gjacobi_fixed_point():
         tail = rng.uniform(-1, 1, size=n - m)
         b = sys.b_head @ head + sys.b_tail @ tail
         sys = partition_system(a, b)
-        x1 = generalized_jacobi_step(sys, SplitIterate(head, tail))
-        assert np.abs(x1.head - head).max() <= 1e-12
-        assert np.abs(x1.tail - tail).max() <= 1e-12
+        x1 = generalized_jacobi_step(sys, np.concatenate([head, tail]))
+        assert np.abs(x1[:m] - head).max() <= 1e-12
+        assert np.abs(x1[m:] - tail).max() <= 1e-12
 
 
 def test_gjacobi_exact_each_step_on_reduced_demo():
     _, a_bar, b_bar = reduced_system(DEMO_A, DEMO_B)
     sys = partition_system(a_bar, b_bar)
-    x = split_of(sys, DEMO_X0)
+    x = DEMO_X0
     for _ in range(5):
         x = generalized_jacobi_step(sys, x)
-        full = assemble(x, sys.column_perm)
-        assert np.abs(a_bar @ full - b_bar).max() <= 1e-10 * (1 + np.abs(b_bar).max())
+        assert np.abs(a_bar @ x - b_bar).max() <= 1e-10 * (1 + np.abs(b_bar).max())
 
 
 def test_gjacobi_zero_tail_row():
     a = np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 5.0]])
     sys = partition_system(a, [1.0, 2.0])
     with pytest.raises(ZeroTailRow):
-        generalized_jacobi_step(sys, SplitIterate(np.zeros(2), np.zeros(1)))
+        generalized_jacobi_step(sys, np.zeros(3))
 
 
 def test_gjacobi_zero_diagonal():
     a = np.array([[0.0, 2.0, 1.0], [3.0, 4.0, 5.0]])
     sys = partition_system(a, [1.0, 2.0])
     with pytest.raises(ZeroDiagonal):
-        generalized_jacobi_step(sys, SplitIterate(np.zeros(2), np.zeros(1)))
+        generalized_jacobi_step(sys, np.zeros(3))
 
 
 def test_ggs_hand_example():
     a = np.column_stack([np.array([[2.0, 0.0], [1.0, 4.0]]), np.array([[1.0], [1.0]])])
     sys = partition_system(a, [4.0, 9.0])
-    x1 = generalized_gauss_seidel_step(sys, SplitIterate(np.zeros(2), np.zeros(1)))
-    assert x1.tail.tolist() == [6.5]
-    assert x1.head.tolist() == [-1.25, 0.9375]
+    x1 = generalized_gauss_seidel_step(sys, np.zeros(3))
+    assert x1[2:].tolist() == [6.5]
+    assert x1[:2].tolist() == [-1.25, 0.9375]
     # oracle: dense solve of L head = b_hat
-    b_hat = sys.rhs - sys.b_tail @ x1.tail
-    assert np.allclose(x1.head, np.linalg.solve(np.tril(sys.b_head), b_hat))
+    b_hat = sys.rhs - sys.b_tail @ x1[2:]
+    assert np.allclose(x1[:2], np.linalg.solve(np.tril(sys.b_head), b_hat))
 
 
 def test_ggs_matches_gjacobi_for_identity_head():
@@ -122,11 +116,10 @@ def test_ggs_matches_gjacobi_for_identity_head():
     a = np.column_stack([np.eye(3), rng.uniform(-2, 2, size=(3, 2))])
     b = rng.uniform(-3, 3, size=3)
     sys = partition_system(a, b)
-    x0 = SplitIterate(rng.uniform(-1, 1, size=3), rng.uniform(-1, 1, size=2))
+    x0 = np.concatenate([rng.uniform(-1, 1, size=3), rng.uniform(-1, 1, size=2)])
     xj = generalized_jacobi_step(sys, x0)
     xg = generalized_gauss_seidel_step(sys, x0)
-    assert np.array_equal(xj.head, xg.head)
-    assert np.array_equal(xj.tail, xg.tail)
+    assert np.array_equal(xj, xg)
 
 
 def test_ggs_fixed_point():
@@ -136,9 +129,9 @@ def test_ggs_fixed_point():
     tail = rng.uniform(-1, 1, size=n - m)
     b = a[:, :m] @ head + a[:, m:] @ tail
     sys = partition_system(a, b)
-    x1 = generalized_gauss_seidel_step(sys, SplitIterate(head, tail))
-    assert np.abs(x1.head - head).max() <= 1e-12
-    assert np.abs(x1.tail - tail).max() <= 1e-12
+    x1 = generalized_gauss_seidel_step(sys, np.concatenate([head, tail]))
+    assert np.abs(x1[:m] - head).max() <= 1e-12
+    assert np.abs(x1[m:] - tail).max() <= 1e-12
 
 
 def test_classical_jacobi():
@@ -173,10 +166,10 @@ def test_weighted_residual_identity():
         x = rng.uniform(-2, 2, size=n)
         b = rng.uniform(-5, 5, size=m)
         sys = partition_system(a, b)
-        split = split_of(sys, x)
+        slots = x[list(sys.column_perm)]
         norms = row_one_norms(sys.b_tail)
-        b_tilde = b - sys.b_head @ split.head
-        d = (b_tilde - sys.b_tail @ split.tail) / (m * norms)
+        b_tilde = b - sys.b_head @ slots[:m]
+        d = (b_tilde - sys.b_tail @ slots[m:]) / (m * norms)
         expected = (b - a @ x) / (m * norms)
         assert np.abs(d - expected).max() <= 1e-12 * (1 + np.abs(expected).max())
 
@@ -192,15 +185,14 @@ def test_residual_recurrence(step, splitting):
         b = rng.uniform(-5, 5, size=m)
         sys = partition_system(a, b)
         x = rng.uniform(-2, 2, size=n)
-        split = split_of(sys, x)
-        new = step(sys, split)
+        new = step(sys, x)
         r = a @ x - b
         head_inv = (np.diag(1.0 / np.diag(sys.b_head)) if splitting == "diag"
                     else np.linalg.inv(np.tril(sys.b_head)))
         tail_op = np.eye(m) - (sys.b_tail @ sign_matrix(sys.b_tail)) \
             / row_one_norms(sys.b_tail)[np.newaxis, :] / m
         predicted = (np.eye(m) - sys.b_head @ head_inv) @ tail_op @ r
-        actual = a @ assemble(new, sys.column_perm) - b
+        actual = a @ new - b
         assert np.abs(actual - predicted).max() <= 1e-10 * (1 + np.abs(r).max())
 
 
@@ -429,11 +421,10 @@ def _count_calls(monkeypatch, modules, names):
 
 @pytest.mark.parametrize("method", list(GENERALIZED_METHODS))
 def test_solve_pays_only_for_its_loop(method, monkeypatch):
-    # run and exact_solve compute no conditions and map the iterate to
-    # original column order at most once per solve, not once per step
+    # run and exact_solve compute no conditions
     counts = _count_calls(
         monkeypatch, (convergence, iterate, partition, rref_module),
-        ("check_conditions", "operator_conditions", "assemble"))
+        ("check_conditions", "operator_conditions"))
     rng = np.random.default_rng(16)
     a, m, n = random_partitioned(rng, m=6, n=15)
     b = rng.uniform(-5.0, 5.0, size=m)
@@ -444,4 +435,53 @@ def test_solve_pays_only_for_its_loop(method, monkeypatch):
     assert exact.iterations >= 1
     assert report.conditions is None and exact.conditions is None
     assert counts["check_conditions"] == counts["operator_conditions"] == 0
-    assert counts["assemble"] <= 2
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("method", list(GENERALIZED_METHODS))
+def test_generalized_run_validates_a_once(method, policy, monkeypatch):
+    # run checks its input once and partitions the checked matrix: no
+    # second validating copy of A in partition_system
+    counts = _count_calls(monkeypatch, (iterate, partition, rref_module), ("as_matrix",))
+    rng = np.random.default_rng(18)
+    a, m, n = random_partitioned(rng, m=4, n=9)
+    report = run(a, rng.uniform(-5.0, 5.0, size=m), None,
+                 SolverConfig(method=method, permutation_policy=policy, max_iterations=3))
+    assert report.iterations >= 1
+    assert counts["as_matrix"] == 1
+
+
+def test_steps_reject_wrong_length_x():
+    # every public step takes x as a full vector in original column order
+    a = np.array([[4.0, 1.0, 2.0], [1.0, 3.0, 1.0]])
+    b = np.array([1.0, 2.0])
+    sys, square = partition_system(a, b), a[:, :2]
+    steps = [
+        (partial(baseline_step, a, b), 3),
+        (partial(generalized_jacobi_step, sys), 3),
+        (partial(generalized_gauss_seidel_step, sys), 3),
+        (partial(classical_jacobi_step, square, b), 2),
+        (partial(classical_gauss_seidel_step, square, b), 2),
+    ]
+    for step, n in steps:
+        assert step(np.zeros(n)).shape == (n,)
+        for x in (np.zeros(n + 1), np.zeros(n - 1), np.zeros((n, 1))):
+            with pytest.raises(DimensionMismatch):
+                step(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6), extra=st.integers(1, 6),
+       step=st.sampled_from((generalized_jacobi_step, generalized_gauss_seidel_step)))
+def test_step_on_a_column_order_matches_the_reordered_system(seed, m, extra, step):
+    # a step on a column order gathers x into slot order and scatters its
+    # result back: the same values, bit for bit, as a step on the matrix
+    # whose columns are physically reordered, read in original order
+    rng = np.random.default_rng(seed)
+    a, m, n = random_partitioned(rng, m=m, n=m + extra)
+    perm = rng.permutation(n)
+    b = rng.uniform(-5.0, 5.0, size=m)
+    x = rng.uniform(-2.0, 2.0, size=n)
+    reordered = step(split_system(a[:, perm], b, range(n), m), x[perm])
+    new = step(split_system(a, b, perm, m), x)
+    assert np.array_equal(new[perm], reordered)

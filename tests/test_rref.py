@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from undersolve.demo import DEMO_A, DEMO_B, DEMO_X0
-from undersolve.errors import DimensionMismatch, SolverError
+from undersolve.errors import DimensionMismatch, InvalidInput, SolverError
 from undersolve.iterate import METHOD_GGS, METHOD_GJACOBI, SolverConfig
-from undersolve.partition import assemble, disassemble, partition_system
+from undersolve.partition import POLICY_PIVOT_COLUMNS, partition_system
 from undersolve.iterate import generalized_jacobi_step
 from undersolve.rref import exact_solve, reduced_system, rref
 
@@ -154,11 +154,9 @@ def test_exact_solve_rank_deficient_consistent():
 def test_successive_iterates_differ_until_fixed():
     _, a_bar, b_bar = reduced_system(DEMO_A, DEMO_B)
     sys = partition_system(a_bar, b_bar)
-    x = disassemble(DEMO_X0, sys.column_perm, sys.m)
-    prev = assemble(x, sys.column_perm)
+    prev = DEMO_X0
     for _ in range(3):
-        x = generalized_jacobi_step(sys, x)
-        cur = assemble(x, sys.column_perm)
+        cur = generalized_jacobi_step(sys, prev)
         d_norm = np.abs(b_bar - a_bar @ prev).max()
         if d_norm > 1e-12:
             assert np.abs(cur - prev).sum() > 0.0
@@ -169,6 +167,27 @@ def test_negative_tolerance_rejected():
     with pytest.raises(ValueError) as err:
         rref(np.eye(2), tolerance=-1.0)
     assert isinstance(err.value, SolverError)
+
+
+@pytest.mark.parametrize("method", [METHOD_GJACOBI, METHOD_GGS])
+def test_exact_solve_rejects_a_permutation_policy(method):
+    # the exact pipeline partitions on the RREF pivot columns whatever the
+    # policy, so a report naming another policy would misstate the solve
+    config = SolverConfig(method=method, permutation_policy=POLICY_PIVOT_COLUMNS)
+    with pytest.raises(InvalidInput, match="pivot columns"):
+        exact_solve(DEMO_A, DEMO_B, DEMO_X0, config)
+
+
+@pytest.mark.parametrize("method", [METHOD_GJACOBI, METHOD_GGS])
+def test_exact_solve_rounding_residue_is_a_zero_tail_row(method):
+    # RREF leaves 2.2e-16 in a reduced tail row that is exactly zero; a
+    # tail update dividing by that norm threw x to 1e15 and missed b
+    a = np.array([[-1.0, 1.0, -3.0], [3.0, -1.0, 3.0]])
+    b = np.array([-3.0, -3.0])
+    _, a_bar, _ = reduced_system(a, b)
+    assert 0.0 < abs(a_bar[0, 2]) < 1e-15
+    report = exact_solve(a, b, np.array([1.0, 2.0, 3.0]), SolverConfig(method=method))
+    assert report.status == "error" and report.error == "zero_tail_row"
 
 
 def test_exact_solve_rhs_length_mismatch():
