@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from undersolve.demo import DEMO_A, DEMO_B
 from undersolve.errors import NotUnderdetermined, RankDeficient
@@ -9,6 +11,7 @@ from undersolve.partition import (
     POLICY_PIVOT_COLUMNS,
     _pivot_column_order,
     partition_system,
+    split_system,
 )
 
 
@@ -93,3 +96,41 @@ def test_permuted_blocks_reproduce_matrix():
 def test_not_underdetermined():
     with pytest.raises(NotUnderdetermined):
         partition_system(np.eye(3), [1, 2, 3])
+
+
+@st.composite
+def _permutations(draw):
+    """(perm, n): a uniformly drawn permutation, or the pivot-columns
+    policy's permutation of a random full-rank matrix."""
+    n = draw(st.integers(2, 12))
+    if draw(st.booleans()):
+        return tuple(draw(st.permutations(range(n)))), n
+    m = draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sys = partition_system(rng.uniform(-5, 5, size=(m, n)), np.zeros(m), POLICY_PIVOT_COLUMNS)
+    return sys.column_perm, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(_permutations(), st.data())
+def test_disassemble_assemble_identity(perm_n, data):
+    # splitting a into head/tail blocks under any column order and head
+    # size, then scattering the blocks back through column_perm, gives a
+    # back bit for bit; splitting that again gives the same blocks
+    perm, n = perm_n
+    k = data.draw(st.integers(0, n))
+    rows = data.draw(st.integers(1, 4))
+    a = np.array(data.draw(st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                 min_size=n, max_size=n),
+        min_size=rows, max_size=rows)))
+    split = split_system(a, np.zeros(rows), perm, k)
+    assert split.column_perm == tuple(perm)
+    assert sorted(split.column_perm) == list(range(n))
+    assert np.array_equal(split.b_head, a[:, list(perm[:k])])
+    full = np.empty_like(a)
+    full[:, list(perm)] = np.column_stack([split.b_head, split.b_tail])
+    assert np.array_equal(full, a)
+    again = split_system(full, np.zeros(rows), perm, k)
+    assert np.array_equal(again.b_head, split.b_head)
+    assert np.array_equal(again.b_tail, split.b_tail)
