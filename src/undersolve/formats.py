@@ -6,12 +6,28 @@ repeats an earlier (i, j) is rejected with a ``ParseError`` naming its
 line, never summed or overwritten.  NaN and Inf entries are rejected
 with ``InvalidInput`` in every format.  Digit-group underscores
 (``1_000``), which Python's ``int`` and ``float`` accept, are rejected by
-both readers with a ``ParseError`` naming the line.  Reports serialize to
+both readers with a ``ParseError`` naming the line.  A Matrix Market size
+line is checked before anything is allocated: a matrix larger than one
+numpy array can hold, or more coordinate entries than it has cells, is a
+``ParseError`` on that line.
+
+Each reader parses a file's numbers with one ``np.loadtxt`` call and
+validates them as arrays (index range, duplicates, entry count,
+finiteness); only the Matrix Market header, the size line and lines
+holding a '%' are visited in Python.  Text numpy rejects, or splits
+differently from ``str.splitlines`` (non-ASCII text, \\f or \\v line
+breaks, an inline '% note' numpy would drop), goes to a per-line reader
+that names the error kind, message and line the readers have always
+given, or reads the rare forms only Python's ``float`` accepts.  Results
+and errors are the same either way.  Reports serialize to
 JSON with sorted keys so identical runs produce byte-identical output;
 floats use shortest round-trip repr, which re-parses bit-identically.
 """
 
+import io
+import itertools
 import json
+import warnings
 
 import numpy as np
 
@@ -33,9 +49,44 @@ def _reject_digit_groups(numbered_lines):
             raise ParseError(f"digit-group underscore in {line.strip()!r}", line=no)
 
 
+def _plain(text: str) -> bool:
+    """Whether ``text`` is in the common form the numpy parse reads as the
+    per-line readers do: ASCII (numpy reads no non-ASCII digit), no
+    digit-group underscore (the per-line readers name its line), and no
+    line boundary but \\n and \\r\\n (numpy reads \\v, \\f and \\x1c-\\x1e as
+    whitespace within a line)."""
+    return (text.isascii() and "_" not in text
+            and not any(c in text for c in "\v\f\x1c\x1d\x1e")
+            and ("\r" not in text or text.count("\r") == text.count("\r\n")))
+
+
+def _loadtxt(text: str, skip_lines: int = 0, **options):
+    """``np.loadtxt`` of the ASCII ``text`` after its first ``skip_lines``
+    lines, or None where numpy rejects the text or finds no data in it.
+    numpy reads the text's bytes: a str stream would hold four bytes per
+    character."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)   # "input contained no data"
+        try:
+            return np.loadtxt(io.BytesIO(text.encode("ascii")), skiprows=skip_lines, **options)
+        except (ValueError, UserWarning):
+            return None
+
+
 # ---------------------------------------------------------------- CSV
 
 def read_csv_matrix(text: str) -> np.ndarray:
+    if _plain(text):
+        mat = _loadtxt(text, delimiter=",", comments=None, ndmin=2)
+        if mat is not None:
+            return _require_finite(mat, "matrix")
+    return _read_csv_lines(text)
+
+
+def _read_csv_lines(text: str) -> np.ndarray:
+    """One Python step per line: names the error in text numpy rejects, and
+    reads the rare forms that only ``float`` and ``str.splitlines`` accept
+    (a line of blanks, a non-ASCII digit, a \\f line break)."""
     if "_" in text:
         _reject_digit_groups(enumerate(text.splitlines(), start=1))
     rows = []
@@ -85,13 +136,22 @@ def write_csv_vector(v) -> str:
 
 MM_BANNER = "%%MatrixMarket"
 MM_SIZE_FIELDS = {"coordinate": "rows cols nnz", "array": "rows cols"}
+_MM_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+# the most float64 entries one numpy array can hold
+_MAX_ENTRIES = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
 
 def read_matrix_market(text: str) -> np.ndarray:
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError("empty input", line=1)
-    header = lines[0].rstrip("\r").split()
+    if _plain(text):
+        mat = _read_matrix_market_numpy(text)
+        if mat is not None:
+            return mat
+    return _read_matrix_market_lines(text)
+
+
+def _mm_form(header_line: str) -> str:
+    """The storage form named by a valid header line."""
+    header = header_line.rstrip("\r").split()
     if len(header) != 5 or header[0] != MM_BANNER:
         raise ParseError("malformed MatrixMarket header", line=1)
     _, obj, form, field, symmetry = [h.lower() for h in header]
@@ -103,15 +163,12 @@ def read_matrix_market(text: str) -> np.ndarray:
         raise UnsupportedFormat(f"unsupported field {field!r}")
     if symmetry != "general":
         raise UnsupportedFormat(f"unsupported symmetry {symmetry!r}")
+    return form
 
-    data = [(no, s) for no, ln in enumerate(lines[1:], start=2)
-            if (s := ln.strip()) and not s.startswith("%")]
-    if not data:
-        raise ParseError("missing size line")
-    if "_" in text:
-        _reject_digit_groups(data)
-    size_no, size_line = data[0]
-    entries = data[1:]
+
+def _mm_size(size_line: str, size_no: int, form: str):
+    """(rows, cols, entry count) of a valid size line; nothing is allocated
+    before it passes."""
     fields = MM_SIZE_FIELDS[form]
     tokens = size_line.split()
     if len(tokens) != len(fields.split()):
@@ -123,7 +180,95 @@ def read_matrix_market(text: str) -> np.ndarray:
     if min(size) < 0:
         raise ParseError("negative size", line=size_no)
     m, n = size[:2]
+    if m * n > _MAX_ENTRIES:
+        raise ParseError(f"a {m} x {n} matrix exceeds the largest array", line=size_no)
     count = size[2] if form == "coordinate" else m * n
+    if count > m * n:
+        raise ParseError(f"{count} entries exceed the {m * n} of a {m} x {n} matrix",
+                         line=size_no)
+    return m, n, count
+
+
+def _lines(text: str):
+    """(line number, line, offset of the next line) for each \\n-ended line,
+    produced on demand."""
+    start = 0
+    for no in itertools.count(1):
+        end = text.find("\n", start)
+        if end < 0:
+            yield no, text[start:], len(text)
+            return
+        yield no, text[start:end], end + 1
+        start = end + 1
+
+
+def _inline_comment(text: str, start: int) -> bool:
+    """Whether a line of ``text[start:]`` holds data before a '%'.  numpy
+    drops such a note; the format rejects the line."""
+    pct = text.find("%", start)
+    while pct >= 0:
+        if text[text.rfind("\n", 0, pct) + 1:pct].strip():
+            return True
+        end = text.find("\n", pct)
+        pct = text.find("%", end) if end >= 0 else -1
+    return False
+
+
+def _read_matrix_market_numpy(text: str):
+    """The matrix from one numpy parse of the entries, or None where the
+    per-line reader must name the error.  Only header and size line, and
+    the lines holding a '%', are visited in Python."""
+    if not text:
+        return None
+    lines = _lines(text)
+    form = _mm_form(next(lines)[1])
+    for size_no, line, body in lines:
+        size_line = line.strip()
+        if size_line and not size_line.startswith("%"):
+            break
+    else:
+        return None
+    m, n, count = _mm_size(size_line, size_no, form)
+    if count == 0 or _inline_comment(text, body):
+        return None
+    if form == "array":
+        values = _loadtxt(text, size_no, comments="%", ndmin=2)
+        if values is None or values.shape != (count, 1):
+            return None
+        # array format stores column-major
+        return _require_finite(values.reshape(n, m).T.copy(), "matrix")
+    entries = _loadtxt(text, size_no, dtype=_MM_ENTRY, comments="%", ndmin=1)
+    if entries is None or entries.size != count:
+        return None
+    i, j = entries["i"], entries["j"]
+    if i.min() < 1 or i.max() > m or j.min() < 1 or j.max() > n:
+        return None
+    flat = (i - 1) * n + (j - 1)
+    ordered = np.sort(flat)
+    if np.any(ordered[1:] == ordered[:-1]):   # a duplicate entry
+        return None
+    mat = np.zeros(m * n)     # row-major; reshaped on return
+    mat[flat] = entries["v"]
+    return _require_finite(mat.reshape(m, n), "matrix")
+
+
+def _read_matrix_market_lines(text: str) -> np.ndarray:
+    """One Python step per line: names the error in text the numpy parse
+    rejects, and reads the rare forms only ``str.splitlines`` and ``float``
+    accept."""
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError("empty input", line=1)
+    form = _mm_form(lines[0])
+    data = [(no, s) for no, ln in enumerate(lines[1:], start=2)
+            if (s := ln.strip()) and not s.startswith("%")]
+    if not data:
+        raise ParseError("missing size line")
+    if "_" in text:
+        _reject_digit_groups(data)
+    size_no, size_line = data[0]
+    entries = data[1:]
+    m, n, count = _mm_size(size_line, size_no, form)
     if len(entries) != count:
         raise ParseError(f"expected {count} entries, found {len(entries)}", line=size_no)
 

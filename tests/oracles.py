@@ -7,6 +7,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from undersolve.errors import ParseError, RaggedRows, UnsupportedFormat
+from undersolve.linalg import _require_finite, as_matrix
+
 
 def brute_sign(x):
     if x > 0:
@@ -124,3 +127,112 @@ def random_partitioned(rng, m=None, n=None, lo=2, hi=10):
         if np.all(np.abs(np.diag(head)) > 0.5) and \
                 np.all(np.abs(tail).sum(axis=1) > 0.5):
             return a, m, n
+
+
+# The matrix readers as they were before they parsed with numpy: one Python
+# step per line.  The library's readers must return the same bits and raise
+# the same error kind, message and line on every text these accept or reject.
+
+def _reject_digit_groups(numbered_lines):
+    for no, line in numbered_lines:
+        if "_" in line:
+            raise ParseError(f"digit-group underscore in {line.strip()!r}", line=no)
+
+
+def brute_read_csv_matrix(text: str) -> np.ndarray:
+    if "_" in text:
+        _reject_digit_groups(enumerate(text.splitlines(), start=1))
+    rows = []
+    width = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip().rstrip("\r")
+        if not line:
+            continue
+        tokens = [t.strip() for t in line.split(",")]
+        try:
+            row = [float(t) for t in tokens]
+        except ValueError:
+            raise ParseError(f"non-numeric token in {line!r}", line=lineno)
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise RaggedRows(f"row on line {lineno} has {len(row)} entries, expected {width}")
+        rows.append(row)
+    if not rows:
+        raise ParseError("no rows found")
+    return as_matrix(rows)
+
+
+_MM_BANNER = "%%MatrixMarket"
+_MM_SIZE_FIELDS = {"coordinate": "rows cols nnz", "array": "rows cols"}
+
+
+def brute_read_matrix_market(text: str) -> np.ndarray:
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError("empty input", line=1)
+    header = lines[0].rstrip("\r").split()
+    if len(header) != 5 or header[0] != _MM_BANNER:
+        raise ParseError("malformed MatrixMarket header", line=1)
+    _, obj, form, field, symmetry = [h.lower() for h in header]
+    if obj != "matrix":
+        raise UnsupportedFormat(f"unsupported object {obj!r}")
+    if form not in _MM_SIZE_FIELDS:
+        raise UnsupportedFormat(f"unsupported format {form!r}")
+    if field not in ("real", "integer"):
+        raise UnsupportedFormat(f"unsupported field {field!r}")
+    if symmetry != "general":
+        raise UnsupportedFormat(f"unsupported symmetry {symmetry!r}")
+
+    data = [(no, s) for no, ln in enumerate(lines[1:], start=2)
+            if (s := ln.strip()) and not s.startswith("%")]
+    if not data:
+        raise ParseError("missing size line")
+    if "_" in text:
+        _reject_digit_groups(data)
+    size_no, size_line = data[0]
+    entries = data[1:]
+    fields = _MM_SIZE_FIELDS[form]
+    tokens = size_line.split()
+    if len(tokens) != len(fields.split()):
+        raise ParseError(f"{form} size line needs '{fields}'", line=size_no)
+    try:
+        size = [int(t) for t in tokens]
+    except ValueError:
+        raise ParseError("non-integer size line", line=size_no)
+    if min(size) < 0:
+        raise ParseError("negative size", line=size_no)
+    m, n = size[:2]
+    count = size[2] if form == "coordinate" else m * n
+    if len(entries) != count:
+        raise ParseError(f"expected {count} entries, found {len(entries)}", line=size_no)
+
+    if form == "coordinate":
+        mat = np.zeros(m * n)     # row-major; reshaped on return
+        seen = bytearray(m * n)   # mask of the entries read so far
+        for no, ln in entries:
+            parts = ln.split()
+            if len(parts) != 3:
+                raise ParseError("coordinate entry needs 'i j value'", line=no)
+            try:
+                i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
+            except ValueError:
+                raise ParseError("malformed coordinate entry", line=no)
+            if not (1 <= i <= m and 1 <= j <= n):
+                raise ParseError("coordinate entry out of range", line=no)
+            k = (i - 1) * n + j - 1
+            if seen[k]:
+                raise ParseError(f"duplicate entry ({i}, {j})", line=no)
+            seen[k] = 1
+            mat[k] = v
+        return _require_finite(mat.reshape(m, n), "matrix")
+
+    values = []
+    for no, ln in entries:
+        try:
+            values.append(float(ln))
+        except ValueError:
+            raise ParseError(f"malformed value {ln!r}", line=no)
+    # array format stores column-major
+    return _require_finite(np.array(values).reshape((n, m)).T.copy(), "matrix")
+

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from oracles import brute_read_csv_matrix, brute_read_matrix_market
 from undersolve.errors import (
     DimensionMismatch,
     InvalidInput,
     ParseError,
     RaggedRows,
+    SolverError,
     UnsupportedFormat,
 )
 from undersolve.formats import (
@@ -229,3 +232,189 @@ def test_load_matrix_file_closes_the_file(tmp_path):
         warnings.simplefilter("always", ResourceWarning)
         load_matrix_file(path)
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+# ----------------------------------------------- readers against the oracle
+
+# spellings of one double that Python's float and numpy both read exactly
+SPELLINGS = (repr, lambda v: f"{v:.17g}", lambda v: f"{v:.17E}",
+             lambda v: repr(v) if v < 0 or repr(v)[0] == "-" else "+" + repr(v))
+
+
+@st.composite
+def _lines_of(draw, body, comments, first=1):
+    """``body`` joined into text with blank lines (and comment lines where
+    ``comments``) inserted after its first ``first`` lines, CRLF or LF line
+    ends, and a final line end or none."""
+    lines = list(body[:first])
+    fillers = ["", "   ", "\t"] + (["% a note", "   %indented % note", "%"] if comments else [])
+    for line in body[first:]:
+        lines += draw(st.lists(st.sampled_from(fillers), max_size=2)) + [line]
+    lines += draw(st.lists(st.sampled_from(fillers), max_size=2))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+def _matrices(min_rows=1, min_cols=1):
+    return arrays(np.float64, st.tuples(st.integers(min_rows, 6), st.integers(min_cols, 6)),
+                  elements=FINITE_DOUBLES)
+
+
+@st.composite
+def csv_texts(draw, min_rows=1):
+    a = draw(_matrices(min_rows))
+    spell = draw(st.sampled_from(SPELLINGS))
+    pad = draw(st.sampled_from(["", " ", "\t "]))
+    body = [",".join(pad + spell(v) + pad for v in row) for row in a.tolist()]
+    return draw(_lines_of(body, comments=False, first=0))
+
+
+@st.composite
+def mtx_texts(draw, forms=("coordinate", "array"), min_entries=0):
+    a = draw(_matrices())
+    m, n = a.shape
+    spell = draw(st.sampled_from(SPELLINGS))
+    form = draw(st.sampled_from(forms))
+    field = draw(st.sampled_from(["real", "integer"]))
+    if field == "integer":
+        a = np.trunc(np.clip(a, -1e6, 1e6))
+        spell = lambda v: str(int(v))   # noqa: E731
+    header = f"%%MatrixMarket matrix {form} {field} general"
+    if form == "array":
+        body = [header, f"{m} {n}"] + [spell(v) for v in a.T.ravel().tolist()]
+    else:
+        listed = draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n)
+                      .filter(lambda cells: sum(cells) >= min_entries))
+        cells = [(i, j) for i in range(m) for j in range(n) if listed[i * n + j]]
+        cells = draw(st.permutations(cells))
+        body = [header, f"{m} {n} {len(cells)}"] + [
+            f"{i + 1} {j + 1} {spell(float(a[i, j]))}" for i, j in cells]
+    return draw(_lines_of(body, comments=True))
+
+
+def _outcome(read, text):
+    """The matrix read, as shape and bytes, or the error's class, line and
+    message."""
+    try:
+        mat = read(text)
+    except SolverError as exc:
+        return type(exc), exc.line if isinstance(exc, ParseError) else None, str(exc)
+    return mat.shape, mat.dtype, mat.tobytes()
+
+
+def _assert_same_outcome(text):
+    """Both readers give their oracle's outcome on ``text``; an error from
+    the size-line limits, which the oracle lacks, by class and line only."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for read, oracle in ((read_csv_matrix, brute_read_csv_matrix),
+                             (read_matrix_market, brute_read_matrix_market)):
+            got, want = _outcome(read, text), _outcome(oracle, text)
+            if got[0] is ParseError and "exceed" in got[2]:
+                got, want = got[:2], want[:2]
+            assert got == want, (read.__name__, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(csv_texts(), mtx_texts()))
+def test_readers_match_line_oracle_on_well_formed_text(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        oracle = brute_read_csv_matrix if text[0] != "%" else brute_read_matrix_market
+        oracle(text)   # well formed: the oracle reads it
+    _assert_same_outcome(text)
+
+
+def _replace_token(line, index, token):
+    parts = line.split()
+    parts[index] = token
+    return " ".join(parts)
+
+
+def _malform(text, kind, pick):
+    """``text`` with one defect of kind ``kind`` on its data line ``pick``
+    (modulo the number of data lines, the Matrix Market size line aside)."""
+    lines = text.splitlines()
+    data = [k for k, ln in enumerate(lines) if ln.strip() and not ln.strip().startswith("%")]
+    m = 0
+    if text.startswith("%%"):
+        m = int(lines[data[0]].split()[0])
+        data = data[1:]
+    k = data[pick % len(data)]
+    line = lines[k]
+    first, last = line.split(",")[0].strip(), line.split(",")[-1].strip()
+    lines[k] = {
+        "float index": lambda: _replace_token(line, 0, "1.0"),
+        "zero index": lambda: _replace_token(line, 1, "0"),
+        "index past m": lambda: _replace_token(line, 0, str(m + 1)),
+        "two tokens": lambda: " ".join(line.split()[:2]),
+        "four tokens": lambda: line + " 7",
+        "inline note": lambda: line + " % note",
+        "hash line": lambda: "# " + line,
+        "digit group": lambda: line.replace(first, "1_000", 1),
+        "ragged row": lambda: line + ",1",
+        "nan": lambda: line.replace(last, "nan", 1),
+    }[kind]()
+    return "\n".join(lines) + "\n"
+
+
+COORDINATE_DEFECTS = ("float index", "zero index", "index past m", "two tokens", "four tokens")
+CSV_DEFECTS = ("hash line", "digit group", "ragged row", "nan")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_readers_match_line_oracle_on_malformed_text(data):
+    kind = data.draw(st.sampled_from(COORDINATE_DEFECTS + CSV_DEFECTS + ("inline note",)))
+    if kind in COORDINATE_DEFECTS:
+        text = data.draw(mtx_texts(forms=("coordinate",), min_entries=1))
+    elif kind == "inline note":
+        text = data.draw(st.one_of(mtx_texts(min_entries=1), csv_texts()))
+    else:
+        text = data.draw(csv_texts(min_rows=2))
+    bad = _malform(text, kind, data.draw(st.integers(0, 100)))
+    reader = read_matrix_market if bad.startswith("%%") else read_csv_matrix
+    with pytest.raises(SolverError):
+        reader(bad)
+    _assert_same_outcome(bad)
+
+
+NOISE = ["%", "#", "_", ",", ".", "e", "-", "+", "0", "7", " ", "\t", "\n", "\r", "\r\n",
+         "\v", "\f", "\x1c", "\x1f", "\x00", "\x85", "\xa0", "\u2028", "\u0663", "nan", "inf"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.one_of(csv_texts(), mtx_texts()), data=st.data())
+def test_readers_match_line_oracle_on_noisy_text(text, data):
+    # one stray character anywhere: both readers accept it with the same
+    # bits, or reject it with the same error
+    at = data.draw(st.integers(0, len(text)))
+    _assert_same_outcome(text[:at] + data.draw(st.sampled_from(NOISE)) + text[at:])
+
+
+@pytest.mark.parametrize("text", ["", "\n", "\r\n  \n", "% only a note\n",
+                                  "%%MatrixMarket matrix coordinate real general\n",
+                                  "%%MatrixMarket matrix array real general\n% a note\n\n"])
+def test_readers_match_line_oracle_on_empty_text(text):
+    _assert_same_outcome(text)
+
+
+@pytest.mark.parametrize("size_line,message", [
+    ("4000000000 4000000000 0", "exceeds the largest array"),
+    ("4000000000 4000000000", "exceeds the largest array"),
+    ("1000000 1000000 1000000000001", "entries exceed"),
+    ("2 2 5", "entries exceed"),
+])
+def test_matrix_market_size_line_limits(size_line, message):
+    # rejected at the size line, before any matrix is allocated
+    form = "coordinate" if len(size_line.split()) == 3 else "array"
+    text = f"%%MatrixMarket matrix {form} real general\n{size_line}\n" + "1 1 1.0\n" * 5
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=message) as err:
+            read_matrix_market(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.line == 2
+    assert peak < 1 << 20

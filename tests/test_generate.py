@@ -2,17 +2,27 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from undersolve import convergence, generate
-from undersolve.convergence import check_conditions
-from undersolve.generate import generate_certified
+from undersolve.convergence import check_conditions, tail_iteration_matrix
+from undersolve.generate import SNAP_THRESHOLD, _tail_lower_bounds, generate_certified
 from undersolve.iterate import GENERALIZED_METHODS
+from undersolve.linalg import NORM_KINDS, matrix_norm, row_one_norms, sign_matrix
 from undersolve.partition import partition_system
 
 # sha256 of the bytes of (A, b, x*) from generate_certified(m, n,
 # default_rng(seed)), recorded when the generator re-partitioned the system
-# and checked both methods in every halving round; the output must not move
+# and checked both methods in every halving round; the output must not move.
+# (5, 40, 3) certifies before any halving; (2, 4, 2), (2, 8, 1) and (3, 8, 9)
+# certify mid-schedule with off-owner entries left (recorded before the
+# rounds were filtered by lower bounds)
 PINNED = {
+    (2, 4, 2): "718484ac53f06562eba5130e2323a9f63f8a4aeecbb705ee4ca8d99ce619d15a",
+    (2, 8, 1): "8117c4cb8ea3596f03c13f49364c043bd7c3befc07cc18f2655e01290c3a8e6d",
+    (3, 8, 9): "2fc6bf403b5230e0f90cb6fd7bbf20fb66ac693b9bdf9ffef22e024199669ace",
+    (5, 40, 3): "2c466efc3c9445b93acd0c0bc33c41bb1e575172b6a8f433fa4484e061f25fb6",
     (3, 8, 0): "07e2fc8160a5c035b06aacea6391d1b1fcea41e02a345d8ec257d040d1678e89",
     (3, 8, 1): "fe6e5aa9ac944b0146511d4541003b49984c57472cfb8845d64d655501f2ed64",
     (30, 120, 0): "aa03835a8635d6f006108d66a18dc02389090dce24c5ef578a520d465c860852",
@@ -44,3 +54,37 @@ def test_generate_certified_checks_each_method_once(monkeypatch):
     monkeypatch.setattr(generate, "check_conditions", counting, raising=False)
     generate_certified(30, 120, np.random.default_rng(0))
     assert len(calls) <= 2
+
+
+def test_generate_certified_skips_doomed_rounds(monkeypatch):
+    # at 300 x 1200 no round certifies before the off-owner entries snap to
+    # 0 (40 halvings); the lower bounds reject those rounds without the gemm
+    calls = []
+    original = generate.tail_iteration_matrix
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(generate, "tail_iteration_matrix", counting)
+    generate_certified(300, 1200, np.random.default_rng(0))
+    assert len(calls) <= 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8), extra=st.integers(0, 12),
+       halvings=st.integers(0, 40))
+def test_tail_lower_bounds_are_sound(seed, m, extra, halvings):
+    # a tail as the generator holds it after `halvings` rounds: owned entries
+    # of size 0.5-1.5, the others scaled by 2^-halvings and snapped to 0
+    rng = np.random.default_rng(seed)
+    tail = rng.uniform(-1.0, 1.0, size=(m, m + extra))
+    owner = np.arange(m + extra) % m
+    owned = owner == np.arange(m)[:, None]
+    tail[owned] = rng.uniform(0.5, 1.5, size=owned.sum()) * rng.choice([-1.0, 1.0], size=owned.sum())
+    tail[~owned] *= 2.0 ** -halvings
+    tail[~owned & (np.abs(tail) < SNAP_THRESHOLD)] = 0.0
+    signs, weights = sign_matrix(tail), 1.0 / (m * row_one_norms(tail))
+    tail_op = tail_iteration_matrix(tail, signs, weights)
+    for kind, bound in zip(NORM_KINDS, _tail_lower_bounds(tail, signs, weights)):
+        assert bound <= matrix_norm(tail_op, kind) + 1e-12
