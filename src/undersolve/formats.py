@@ -66,10 +66,12 @@ def _loadtxt(text: str, skip_lines: int = 0, **options):
     numpy reads the text's bytes: a str stream would hold four bytes per
     character."""
     with warnings.catch_warnings():
-        warnings.simplefilter("error", UserWarning)   # "input contained no data"
+        # any warning rejects the text: "input contained no data", or an
+        # index parsed through float by numpy releases that still allow it
+        warnings.simplefilter("error")
         try:
             return np.loadtxt(io.BytesIO(text.encode("ascii")), skiprows=skip_lines, **options)
-        except (ValueError, UserWarning):
+        except (ValueError, Warning):
             return None
 
 
