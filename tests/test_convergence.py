@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from undersolve.convergence import (
     ConditionReport,
@@ -9,7 +11,7 @@ from undersolve.convergence import (
 )
 from undersolve.demo import DEMO_A, DEMO_B
 from undersolve.iterate import METHOD_GGS, METHOD_GJACOBI
-from undersolve.linalg import matrix_norm, row_one_norms, sign_matrix
+from undersolve.linalg import NORM_FRO, matrix_norm, row_one_norms, sign_matrix
 from undersolve.partition import partition_system
 from undersolve.rref import reduced_system
 
@@ -57,6 +59,20 @@ def test_certification_predicate_scaling_equivalence():
             scaled = matrix_norm(np.eye(m) - tail_product / m, rec.norm_kind)
             assert abs(rec.c2 / m - scaled) <= 1e-12 * (1 + scaled)
             assert (rec.c2 < m) == (scaled < 1.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(3, 30), extra=st.integers(1, 40),
+       method=st.sampled_from((METHOD_GJACOBI, METHOD_GGS)))
+def test_frobenius_tail_factor_never_certifies(seed, m, extra, method):
+    # the tail factor's diagonal is exactly 1 - 1/m, since B~_ij s(B~_ij)
+    # sums to the row's 1-norm, so c2 >= sqrt(m) (m - 1), which is m or more
+    # for every m >= 3
+    a, m, n = random_partitioned(np.random.default_rng(seed), m=m, n=m + extra)
+    report = check_conditions(partition_system(a, np.zeros(m)), method)
+    fro = next(r for r in report.per_norm if r.norm_kind == NORM_FRO)
+    assert fro.c2 >= np.sqrt(m) * (m - 1) * (1 - 1e-12)
+    assert not fro.certified
 
 
 def test_contraction_factor():

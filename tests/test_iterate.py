@@ -111,6 +111,25 @@ def test_ggs_hand_example():
     assert np.allclose(x1[:2], np.linalg.solve(np.tril(sys.b_head), b_hat))
 
 
+def test_ggs_prepare_inverts_no_large_block(monkeypatch):
+    # a general inverse of the whole m x m triangle costs about 2m^3 flops,
+    # three times a blocked triangular one; only base blocks may reach LAPACK
+    rng = np.random.default_rng(12)
+    m = 300
+    head = np.tril(rng.uniform(-1.0, 1.0, size=(m, m)), -1) + np.diag(rng.uniform(m, 2 * m, size=m))
+    a = np.hstack([head, rng.uniform(-1.0, 1.0, size=(m, 2 * m))])
+    sys = partition_system(a, np.zeros(m))
+    shapes = []
+    for name in ("inv", "solve"):
+        def record(mat, *args, original=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(mat))
+            return original(mat, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, record)
+    op = iterate.prepare(sys, METHOD_GS)
+    assert all(max(shape) <= 64 for shape in shapes)
+    assert np.abs(op.lower_inv @ head - np.eye(m)).max() <= 1e-12
+
+
 def test_ggs_matches_gjacobi_for_identity_head():
     rng = np.random.default_rng(6)
     a = np.column_stack([np.eye(3), rng.uniform(-2, 2, size=(3, 2))])
