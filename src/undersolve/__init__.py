@@ -8,17 +8,7 @@ exact-solution pipeline through reduced row echelon form.
 
 from .convergence import ConditionReport, check_conditions, contraction_factor
 from .errors import SolverError
-from .iterate import (
-    METHODS,
-    SolveReport,
-    SolverConfig,
-    baseline_step,
-    classical_gauss_seidel_step,
-    classical_jacobi_step,
-    generalized_gauss_seidel_step,
-    generalized_jacobi_step,
-    run,
-)
+from .iterate import METHODS, SolveReport, SolverConfig, run
 from .partition import PartitionedSystem, partition_system
 from .rref import RrefResult, exact_solve, rref
 
@@ -30,14 +20,9 @@ __all__ = [
     "SolveReport",
     "SolverConfig",
     "SolverError",
-    "baseline_step",
     "check_conditions",
-    "classical_gauss_seidel_step",
-    "classical_jacobi_step",
     "contraction_factor",
     "exact_solve",
-    "generalized_gauss_seidel_step",
-    "generalized_jacobi_step",
     "partition_system",
     "rref",
     "run",

@@ -21,12 +21,12 @@ driver loop, behind ``run`` and ``rref.exact_solve``, steps an operator and
 measures the residual it carries.  Neither computes the convergence
 conditions (``SolveReport.conditions`` stays None);
 ``convergence.operator_conditions`` derives them from the operator that
-``run_with_operator`` hands back.  The five public ``*_step`` functions
-take and return x as a full vector in original column order; each
-prepares an operator and takes one step.
+``run_with_operator`` hands back.
 """
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
@@ -98,8 +98,13 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise InvalidInput(f"unknown method: {self.method!r}")
-        if not 0.0 < self.epsilon < np.inf:
+        if not isinstance(self.epsilon, numbers.Real) or not 0.0 < self.epsilon < np.inf:
             raise InvalidInput("epsilon must be positive and finite")
+        for name in ("max_iterations", "stagnation_window"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise InvalidInput(f"{name} must be an integer") from None
         if self.max_iterations < 1:
             raise InvalidInput("max_iterations must be at least 1")
         if self.residual_norm not in (NORM_ONE, NORM_INF):
@@ -142,7 +147,6 @@ class Operator:
     off_head: Optional[np.ndarray]     # B - H; None without a sweep
     diag: Optional[np.ndarray]         # Jacobi: the diagonal of B
     lower_inv: Optional[np.ndarray]    # Gauss-Seidel: L^-1
-    perm: np.ndarray                   # column_perm as an index array
 
     def solve_head(self, v):
         """H^-1 v, for a vector or for every column of a matrix."""
@@ -202,57 +206,7 @@ def prepare(sys: PartitionedSystem, sweep: Optional[str]) -> Operator:
         lower_inv = lower_triangular_inverse(lower)
         off_head = sys.b_head - lower
     return Operator(sys=sys, sweep=sweep, signs=signs, weights=weights,
-                    off_head=off_head, diag=diag, lower_inv=lower_inv,
-                    perm=np.asarray(sys.column_perm, dtype=np.intp))
-
-
-def _whole_system(a, b, method) -> PartitionedSystem:
-    """The unpartitioned system: A is the tail for baseline, the head for
-    the classical methods."""
-    a = np.asarray(a, dtype=float)
-    head_size = 0 if method == METHOD_BASELINE else a.shape[0]
-    return split_system(a, np.asarray(b, dtype=float), np.arange(a.shape[1]), head_size)
-
-
-def _step(sys: PartitionedSystem, sweep, x) -> np.ndarray:
-    """One step of a freshly prepared operator from x, a full vector in
-    original column order; returns the new x in original column order."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (sys.n,):
-        raise DimensionMismatch("x length must equal the number of columns")
-    op = prepare(sys, sweep)
-    k = sys.b_head.shape[1]
-    slots = x[op.perm]
-    r = sys.rhs - sys.b_head @ slots[:k] - sys.b_tail @ slots[k:]
-    new = np.empty_like(x)
-    new[op.perm] = op.step(slots, r)[0]
-    return new
-
-
-def baseline_step(a, b, z):
-    """One sign-matrix iteration on the full system: z + s(A) d with
-    d[i] = (b[i] - A_i z) / (m * ||A_i||_1)."""
-    return _step(_whole_system(a, b, METHOD_BASELINE), None, z)
-
-
-def generalized_jacobi_step(sys: PartitionedSystem, x):
-    """Tail update followed by one Jacobi sweep on the head."""
-    return _step(sys, METHOD_JACOBI, x)
-
-
-def generalized_gauss_seidel_step(sys: PartitionedSystem, x):
-    """Tail update followed by one Gauss-Seidel sweep on the head."""
-    return _step(sys, METHOD_GS, x)
-
-
-def classical_jacobi_step(b_mat, rhs, x):
-    """x' = D^-1 (-(B - D) x + rhs) for square B."""
-    return _step(_whole_system(b_mat, rhs, METHOD_JACOBI), METHOD_JACOBI, x)
-
-
-def classical_gauss_seidel_step(b_mat, rhs, x):
-    """Solve L x' = -(B - L) x + rhs with L the lower triangle of B."""
-    return _step(_whole_system(b_mat, rhs, METHOD_GS), METHOD_GS, x)
+                    off_head=off_head, diag=diag, lower_inv=lower_inv)
 
 
 def _drive(a, b, sys: PartitionedSystem, x0, config: SolverConfig):
@@ -278,7 +232,8 @@ def _drive(a, b, sys: PartitionedSystem, x0, config: SolverConfig):
     except SolverError as exc:
         return report(status=STATUS_ERROR, solution=x0, iterations=0, error=exc.kind), None
 
-    x, back = x0[op.perm], np.argsort(op.perm)
+    perm = np.asarray(sys.column_perm, dtype=np.intp)
+    x, back = x0[perm], np.argsort(perm)
     floor = max(history[0], 1e-300)
     stagnant = 0
     status = STATUS_MAX_ITERATIONS
@@ -334,9 +289,9 @@ def run_with_operator(a, b, x0, config: SolverConfig):
     if config.method in SQUARE_METHODS and m != n:
         raise DimensionMismatch("classical methods require a square matrix")
 
-    # the checks of partition_system are done above and by SolverConfig
-    if config.method in GENERALIZED_METHODS:
-        sys = split_system(a, b, _column_order(a, config.permutation_policy), m)
-    else:
-        sys = _whole_system(a, b, config.method)
+    # the checks of partition_system are done above and by SolverConfig,
+    # which leaves the identity order to all but the generalized methods;
+    # A is the tail for baseline, the head for the classical methods
+    head_size = 0 if config.method == METHOD_BASELINE else m
+    sys = split_system(a, b, _column_order(a, config.permutation_policy), head_size)
     return _drive(a, b, sys, x0, config)

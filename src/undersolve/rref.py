@@ -55,8 +55,8 @@ def rref(a, tolerance: float = DEFAULT_RREF_TOLERANCE) -> RrefResult:
     Y = M_R^-1 T_R, T_other -= M_other Y, T_R = Y.
     """
     work = as_matrix(a)
-    if tolerance < 0:
-        raise InvalidInput("tolerance must be nonnegative")
+    if not 0.0 <= tolerance < np.inf:
+        raise InvalidInput("tolerance must be nonnegative and finite")
     m, n = work.shape
     scale = matrix_norm(work, "inf")
     thr = tolerance * (scale if scale > 0 else 1.0)

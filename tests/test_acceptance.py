@@ -13,12 +13,9 @@ from undersolve.generate import generate_certified
 from undersolve.iterate import (
     METHOD_GGS,
     METHOD_GJACOBI,
+    METHOD_GS,
+    METHOD_JACOBI,
     SolverConfig,
-    baseline_step,
-    classical_gauss_seidel_step,
-    classical_jacobi_step,
-    generalized_gauss_seidel_step,
-    generalized_jacobi_step,
     run,
 )
 from undersolve.linalg import row_one_norms, sign_matrix
@@ -35,6 +32,7 @@ from oracles import (
     random_partitioned,
     rational_rref_floats,
 )
+from stepping import stepper, whole_stepper
 
 REPORT_DIR = Path(__file__).resolve().parent / "reports"
 
@@ -56,14 +54,13 @@ def test_criterion_1_residual_recurrence():
     t0 = time.perf_counter()
     rng = np.random.default_rng(101)
     worst = 0.0
-    for step, use_diag in ((generalized_jacobi_step, True),
-                           (generalized_gauss_seidel_step, False)):
+    for sweep, use_diag in ((METHOD_JACOBI, True), (METHOD_GS, False)):
         for _ in range(100):
             a, m, n = random_partitioned(rng)
             b = rng.uniform(-10, 10, size=m)
             sys = partition_system(a, b)
             x = rng.uniform(-2, 2, size=n)
-            new = step(sys, x)
+            new = stepper(sys, sweep)(x)
             r = a @ x - b
             head_inv = (np.diag(1.0 / np.diag(sys.b_head)) if use_diag
                         else np.linalg.inv(np.tril(sys.b_head)))
@@ -162,9 +159,10 @@ def test_criterion_4_baseline_contrast():
     exact_bound = 1e-10 * (1 + np.abs(b_bar).max())   # criterion 2's bound
 
     # the program matches the oracle step on the judged data itself
+    baseline_step = whole_stepper(a_bar, b_bar, None)
     z, z_brute = DEMO_X0.copy(), DEMO_X0.tolist()
     for _ in range(10):
-        z = baseline_step(a_bar, b_bar, z)
+        z = baseline_step(z)
         z_brute = brute_baseline_step(a_bar.tolist(), b_bar.tolist(), z_brute)
         assert np.abs(z - np.array(z_brute)).max() <= 1e-12
 
@@ -182,7 +180,7 @@ def test_criterion_4_baseline_contrast():
     z = DEMO_X0.copy()
     resid = [r0]                       # resid[k]: 1-norm after k steps
     for _ in range(10000):
-        z = baseline_step(a_bar, b_bar, z)
+        z = baseline_step(z)
         resid.append(np.abs(b_bar - a_bar @ z).sum())
     dt = _elapsed(t0)
     min_resid = min(resid)
@@ -226,8 +224,7 @@ def test_criterion_5_certified_convergence():
         n = int(rng.integers(2 * m, 2 * m + 4))
         a, b, _ = generate_certified(m, n, rng)
         sys = partition_system(a, b)
-        for method, step in ((METHOD_GJACOBI, generalized_jacobi_step),
-                             (METHOD_GGS, generalized_gauss_seidel_step)):
+        for method, sweep in ((METHOD_GJACOBI, METHOD_JACOBI), (METHOD_GGS, METHOD_GS)):
             cond = check_conditions(sys, method)
             certified = [r for r in cond.per_norm if r.certified]
             assert certified
@@ -237,6 +234,7 @@ def test_criterion_5_certified_convergence():
                     method=method, epsilon=1e-8, max_iterations=10000))
                 assert report.status == "converged"
             # per-step ratio bound in each certifying norm
+            step = stepper(sys, sweep)
             for rec in certified:
                 bound = rec.c1 * rec.c2 / m + 1e-9
                 vn = vec_norm[rec.norm_kind]
@@ -244,7 +242,7 @@ def test_criterion_5_certified_convergence():
                 r_prev = vn(a @ x - b)
                 floor = 1e-10 * (1 + np.abs(b).max())
                 for _ in range(200):
-                    x = step(sys, x)
+                    x = step(x)
                     r = vn(a @ x - b)
                     if r_prev > floor:
                         assert r <= bound * r_prev + 1e-15
@@ -278,7 +276,7 @@ def test_criterion_6_oracle_equivalence():
         b = rng.uniform(-5, 5, size=m)
         z = rng.uniform(-2, 2, size=n)
         expected = np.array(brute_baseline_step(a.tolist(), b.tolist(), z.tolist()))
-        assert np.abs(baseline_step(a, b, z) - expected).max() <= 1e-12
+        assert np.abs(whole_stepper(a, b, None)(z) - expected).max() <= 1e-12
     for _ in range(200):
         m = int(rng.integers(1, 6))
         b_mat = rng.uniform(-5, 5, size=(m, m))
@@ -287,8 +285,9 @@ def test_criterion_6_oracle_equivalence():
         x = rng.uniform(-2, 2, size=m)
         ej = np.array(brute_jacobi_step(b_mat.tolist(), rhs.tolist(), x.tolist()))
         eg = np.array(brute_gauss_seidel_step(b_mat.tolist(), rhs.tolist(), x.tolist()))
-        assert np.abs(classical_jacobi_step(b_mat, rhs, x) - ej).max() <= 1e-12
-        assert np.abs(classical_gauss_seidel_step(b_mat, rhs, x) - eg).max() <= 1e-12
+        for sweep, expected in ((METHOD_JACOBI, ej), (METHOD_GS, eg)):
+            step = whole_stepper(b_mat, rhs, sweep)
+            assert np.abs(step(x) - expected).max() <= 1e-12
     dt = _elapsed(t0)
     assert dt < 5.0
     print(f"PASS criterion 6: primitives match brute-force oracles to 1e-12 "
@@ -306,16 +305,17 @@ def test_criterion_7_fixed_points():
         b = sys0.b_head @ head + sys0.b_tail @ tail
         x_full = np.concatenate([head, tail])
         sys = partition_system(a, b)
-        for step in (generalized_jacobi_step, generalized_gauss_seidel_step):
-            out = step(sys, x_full)
+        for sweep in (METHOD_JACOBI, METHOD_GS):
+            out = stepper(sys, sweep)(x_full)
             assert np.abs(out[:m] - head).max() <= 1e-12
             assert np.abs(out[m:] - tail).max() <= 1e-12
-        assert np.abs(baseline_step(a, b, x_full) - x_full).max() <= 1e-12
+        assert np.abs(whole_stepper(a, b, None)(x_full) - x_full).max() <= 1e-12
         b_sq = a[:, :m]
         x_sq = rng.uniform(-2, 2, size=m)
         rhs = b_sq @ x_sq
-        assert np.abs(classical_jacobi_step(b_sq, rhs, x_sq) - x_sq).max() <= 1e-12
-        assert np.abs(classical_gauss_seidel_step(b_sq, rhs, x_sq) - x_sq).max() <= 1e-12
+        for sweep in (METHOD_JACOBI, METHOD_GS):
+            step = whole_stepper(b_sq, rhs, sweep)
+            assert np.abs(step(x_sq) - x_sq).max() <= 1e-12
     dt = _elapsed(t0)
     print(f"PASS criterion 7: exact solutions are fixed points of all five "
           f"methods within 1e-12 ({dt:.2f}s)")

@@ -12,16 +12,14 @@ from undersolve.errors import DimensionMismatch, InvalidInput, ZeroDiagonal, Zer
 from undersolve.iterate import (
     GENERALIZED_METHODS,
     METHOD_BASELINE,
+    METHOD_GGS,
     METHOD_GJACOBI,
     METHOD_GS,
+    METHOD_JACOBI,
     METHODS,
     SQUARE_METHODS,
     SolverConfig,
-    baseline_step,
-    classical_gauss_seidel_step,
-    classical_jacobi_step,
-    generalized_gauss_seidel_step,
-    generalized_jacobi_step,
+    _drive,
     run,
 )
 from undersolve.linalg import NORM_INF, NORM_ONE, row_one_norms, sign_matrix, vector_norm
@@ -35,10 +33,11 @@ from undersolve.partition import (
 from undersolve.rref import exact_solve, reduced_system
 
 from oracles import random_partitioned
+from stepping import stepper, whole_stepper
 
 
 def test_baseline_one_row():
-    z = baseline_step(np.array([[1.0, 1.0]]), np.array([2.0]), np.zeros(2))
+    z = whole_stepper(np.array([[1.0, 1.0]]), np.array([2.0]), None)(np.zeros(2))
     assert z.tolist() == [1.0, 1.0]
 
 
@@ -47,17 +46,18 @@ def test_baseline_fixed_point():
     a = rng.uniform(-5, 5, size=(3, 5))
     x = rng.uniform(-1, 1, size=5)
     b = a @ x
-    assert np.abs(baseline_step(a, b, x) - x).max() <= 1e-12
+    assert np.abs(whole_stepper(a, b, None)(x) - x).max() <= 1e-12
 
 
 def test_baseline_zero_row():
     with pytest.raises(ZeroRow):
-        baseline_step(np.array([[0.0, 0.0], [1.0, 2.0]]), np.array([1.0, 1.0]), np.zeros(2))
+        whole_stepper(np.array([[0.0, 0.0], [1.0, 2.0]]), np.array([1.0, 1.0]),
+                      None)(np.zeros(2))
 
 
 def test_gjacobi_hand_example():
     sys = partition_system([[1, 0, 2], [0, 1, 1]], [3, 2])
-    x1 = generalized_jacobi_step(sys, np.zeros(3))
+    x1 = stepper(sys, METHOD_JACOBI)(np.zeros(3))
     assert x1[2:].tolist() == [1.75]
     assert x1[:2].tolist() == [-0.5, 0.25]
     assert np.allclose(np.array([[1, 0, 2], [0, 1, 1]]) @ x1, [3, 2])
@@ -72,17 +72,17 @@ def test_gjacobi_fixed_point():
         tail = rng.uniform(-1, 1, size=n - m)
         b = sys.b_head @ head + sys.b_tail @ tail
         sys = partition_system(a, b)
-        x1 = generalized_jacobi_step(sys, np.concatenate([head, tail]))
+        x1 = stepper(sys, METHOD_JACOBI)(np.concatenate([head, tail]))
         assert np.abs(x1[:m] - head).max() <= 1e-12
         assert np.abs(x1[m:] - tail).max() <= 1e-12
 
 
 def test_gjacobi_exact_each_step_on_reduced_demo():
     _, a_bar, b_bar = reduced_system(DEMO_A, DEMO_B)
-    sys = partition_system(a_bar, b_bar)
+    step = stepper(partition_system(a_bar, b_bar), METHOD_JACOBI)
     x = DEMO_X0
     for _ in range(5):
-        x = generalized_jacobi_step(sys, x)
+        x = step(x)
         assert np.abs(a_bar @ x - b_bar).max() <= 1e-10 * (1 + np.abs(b_bar).max())
 
 
@@ -90,20 +90,20 @@ def test_gjacobi_zero_tail_row():
     a = np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 5.0]])
     sys = partition_system(a, [1.0, 2.0])
     with pytest.raises(ZeroTailRow):
-        generalized_jacobi_step(sys, np.zeros(3))
+        stepper(sys, METHOD_JACOBI)(np.zeros(3))
 
 
 def test_gjacobi_zero_diagonal():
     a = np.array([[0.0, 2.0, 1.0], [3.0, 4.0, 5.0]])
     sys = partition_system(a, [1.0, 2.0])
     with pytest.raises(ZeroDiagonal):
-        generalized_jacobi_step(sys, np.zeros(3))
+        stepper(sys, METHOD_JACOBI)(np.zeros(3))
 
 
 def test_ggs_hand_example():
     a = np.column_stack([np.array([[2.0, 0.0], [1.0, 4.0]]), np.array([[1.0], [1.0]])])
     sys = partition_system(a, [4.0, 9.0])
-    x1 = generalized_gauss_seidel_step(sys, np.zeros(3))
+    x1 = stepper(sys, METHOD_GS)(np.zeros(3))
     assert x1[2:].tolist() == [6.5]
     assert x1[:2].tolist() == [-1.25, 0.9375]
     # oracle: dense solve of L head = b_hat
@@ -136,8 +136,8 @@ def test_ggs_matches_gjacobi_for_identity_head():
     b = rng.uniform(-3, 3, size=3)
     sys = partition_system(a, b)
     x0 = np.concatenate([rng.uniform(-1, 1, size=3), rng.uniform(-1, 1, size=2)])
-    xj = generalized_jacobi_step(sys, x0)
-    xg = generalized_gauss_seidel_step(sys, x0)
+    xj = stepper(sys, METHOD_JACOBI)(x0)
+    xg = stepper(sys, METHOD_GS)(x0)
     assert np.array_equal(xj, xg)
 
 
@@ -148,33 +148,33 @@ def test_ggs_fixed_point():
     tail = rng.uniform(-1, 1, size=n - m)
     b = a[:, :m] @ head + a[:, m:] @ tail
     sys = partition_system(a, b)
-    x1 = generalized_gauss_seidel_step(sys, np.concatenate([head, tail]))
+    x1 = stepper(sys, METHOD_GS)(np.concatenate([head, tail]))
     assert np.abs(x1[:m] - head).max() <= 1e-12
     assert np.abs(x1[m:] - tail).max() <= 1e-12
 
 
 def test_classical_jacobi():
-    x1 = classical_jacobi_step(np.array([[4.0, 1.0], [1.0, 3.0]]),
-                               np.array([1.0, 2.0]), np.zeros(2))
+    x1 = whole_stepper(np.array([[4.0, 1.0], [1.0, 3.0]]),
+                       np.array([1.0, 2.0]), METHOD_JACOBI)(np.zeros(2))
     assert np.allclose(x1, [0.25, 2.0 / 3.0])
     # diagonal matrix solves in one step
     d = np.diag([2.0, 5.0])
-    assert classical_jacobi_step(d, np.array([4.0, 10.0]), np.zeros(2)).tolist() == [2, 2]
+    assert whole_stepper(d, np.array([4.0, 10.0]), METHOD_JACOBI)(np.zeros(2)).tolist() == [2, 2]
     # fixed point
     b_mat = np.array([[3.0, 1.0], [1.0, 4.0]])
     x = np.array([1.0, -2.0])
-    assert np.abs(classical_jacobi_step(b_mat, b_mat @ x, x) - x).max() <= 1e-12
+    assert np.abs(whole_stepper(b_mat, b_mat @ x, METHOD_JACOBI)(x) - x).max() <= 1e-12
 
 
 def test_classical_gauss_seidel():
     b_mat = np.array([[2.0, 1.0], [1.0, 3.0]])
-    x1 = classical_gauss_seidel_step(b_mat, np.array([3.0, 5.0]), np.zeros(2))
+    x1 = whole_stepper(b_mat, np.array([3.0, 5.0]), METHOD_GS)(np.zeros(2))
     # forward substitution by hand: x1[0]=3/2, x1[1]=(5-1.5)/3
     assert np.allclose(x1, [1.5, 3.5 / 3.0])
     d = np.diag([2.0, 5.0])
-    assert classical_gauss_seidel_step(d, np.array([4.0, 10.0]), np.zeros(2)).tolist() == [2, 2]
+    assert whole_stepper(d, np.array([4.0, 10.0]), METHOD_GS)(np.zeros(2)).tolist() == [2, 2]
     x = np.array([1.0, -2.0])
-    assert np.abs(classical_gauss_seidel_step(b_mat, b_mat @ x, x) - x).max() <= 1e-12
+    assert np.abs(whole_stepper(b_mat, b_mat @ x, METHOD_GS)(x) - x).max() <= 1e-12
 
 
 def test_weighted_residual_identity():
@@ -193,18 +193,18 @@ def test_weighted_residual_identity():
         assert np.abs(d - expected).max() <= 1e-12 * (1 + np.abs(expected).max())
 
 
-@pytest.mark.parametrize("step,splitting", [
-    (generalized_jacobi_step, "diag"),
-    (generalized_gauss_seidel_step, "tril"),
+@pytest.mark.parametrize("sweep,splitting", [
+    pytest.param(METHOD_JACOBI, "diag", id="generalized_jacobi_step-diag"),
+    pytest.param(METHOD_GS, "tril", id="generalized_gauss_seidel_step-tril"),
 ])
-def test_residual_recurrence(step, splitting):
+def test_residual_recurrence(sweep, splitting):
     rng = np.random.default_rng(12)
     for _ in range(30):
         a, m, n = random_partitioned(rng)
         b = rng.uniform(-5, 5, size=m)
         sys = partition_system(a, b)
         x = rng.uniform(-2, 2, size=n)
-        new = step(sys, x)
+        new = stepper(sys, sweep)(x)
         r = a @ x - b
         head_inv = (np.diag(1.0 / np.diag(sys.b_head)) if splitting == "diag"
                     else np.linalg.inv(np.tril(sys.b_head)))
@@ -284,6 +284,21 @@ def test_run_error_kinds(method, a, kind):
     assert report.error == kind
     assert report.iterations == 0
     assert report.conditions is None
+
+
+@pytest.mark.parametrize("field,value", [
+    ("max_iterations", 2.5),
+    ("max_iterations", "10"),
+    ("stagnation_window", 2.5),
+    ("epsilon", "1e-8"),
+    ("epsilon", None),
+])
+def test_config_rejects_a_value_of_the_wrong_type(field, value):
+    # a count must be an integer and epsilon a real number: a typed error
+    # here, not a TypeError from range() or a comparison inside a solve
+    with pytest.raises(InvalidInput, match=field):
+        SolverConfig(**{field: value})
+    SolverConfig(**{field: np.int64(3) if field != "epsilon" else np.float64(1e-8)})
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -470,37 +485,49 @@ def test_generalized_run_validates_a_once(method, policy, monkeypatch):
     assert counts["as_matrix"] == 1
 
 
-def test_steps_reject_wrong_length_x():
-    # every public step takes x as a full vector in original column order
+@pytest.mark.parametrize("method", METHODS)
+def test_run_rejects_wrong_length_x0(method):
+    # x0 is a full vector in original column order; exact_solve checks it
+    # against the reduced system's columns
     a = np.array([[4.0, 1.0, 2.0], [1.0, 3.0, 1.0]])
     b = np.array([1.0, 2.0])
-    sys, square = partition_system(a, b), a[:, :2]
-    steps = [
-        (partial(baseline_step, a, b), 3),
-        (partial(generalized_jacobi_step, sys), 3),
-        (partial(generalized_gauss_seidel_step, sys), 3),
-        (partial(classical_jacobi_step, square, b), 2),
-        (partial(classical_gauss_seidel_step, square, b), 2),
-    ]
-    for step, n in steps:
-        assert step(np.zeros(n)).shape == (n,)
-        for x in (np.zeros(n + 1), np.zeros(n - 1), np.zeros((n, 1))):
-            with pytest.raises(DimensionMismatch):
-                step(x)
+    if method in SQUARE_METHODS:
+        a = a[:, :2]
+    n = a.shape[1]
+    config = SolverConfig(method=method, max_iterations=2)
+    assert run(a, b, np.zeros(n), config).solution.shape == (n,)
+    solves = [partial(run, a, b, config=config)]
+    if method in GENERALIZED_METHODS:
+        solves.append(partial(exact_solve, a, b, config=config))
+        assert exact_solve(a, b, np.zeros(n), config).solution.shape == (n,)
+    for solve in solves:
+        for x0 in (np.zeros(n + 1), np.zeros(n - 1), np.zeros((n, 1))):
+            with pytest.raises(DimensionMismatch, match="x0 length|1-D vector"):
+                solve(x0=x0)
 
 
 @settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6), extra=st.integers(1, 6),
-       step=st.sampled_from((generalized_jacobi_step, generalized_gauss_seidel_step)))
-def test_step_on_a_column_order_matches_the_reordered_system(seed, m, extra, step):
-    # a step on a column order gathers x into slot order and scatters its
-    # result back: the same values, bit for bit, as a step on the matrix
-    # whose columns are physically reordered, read in original order
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 6), extra=st.integers(1, 6),
+       method=st.sampled_from((METHOD_GJACOBI, METHOD_GGS)), max_iterations=st.integers(1, 5))
+def test_driver_on_a_column_order_matches_the_reordered_system(seed, m, extra, method,
+                                                                max_iterations):
+    # the driver gathers x0 into slot order and scatters its solution back:
+    # the same solve, to rounding, as on the matrix whose columns are
+    # physically reordered, read back in original order.  One row is left
+    # out: its sweep solves the system, and whether the fresh residual is
+    # then exactly 0 (converged below 1e-300) depends on summation order
     rng = np.random.default_rng(seed)
     a, m, n = random_partitioned(rng, m=m, n=m + extra)
     perm = rng.permutation(n)
     b = rng.uniform(-5.0, 5.0, size=m)
-    x = rng.uniform(-2.0, 2.0, size=n)
-    reordered = step(split_system(a[:, perm], b, range(n), m), x[perm])
-    new = step(split_system(a, b, perm, m), x)
-    assert np.array_equal(new[perm], reordered)
+    x0 = rng.uniform(-2.0, 2.0, size=n)
+    config = SolverConfig(method=method, epsilon=1e-300, max_iterations=max_iterations)
+    permuted, _ = _drive(a, b, split_system(a, b, perm, m), x0, config)
+    reordered, _ = _drive(a[:, perm], b, split_system(a[:, perm], b, range(n), m), x0[perm],
+                          config)
+    assert permuted.status == reordered.status
+    assert permuted.iterations == reordered.iterations
+    expected = np.empty(n)
+    expected[perm] = reordered.solution
+    scale = 1.0 + np.abs(expected).max()
+    assert np.abs(permuted.solution - expected).max() <= 1e-12 * scale

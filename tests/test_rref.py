@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from undersolve.demo import DEMO_A, DEMO_B, DEMO_X0
 from undersolve.errors import DimensionMismatch, InvalidInput, SolverError
-from undersolve.iterate import METHOD_GGS, METHOD_GJACOBI, SolverConfig
+from undersolve.iterate import METHOD_GGS, METHOD_GJACOBI, METHOD_JACOBI, SolverConfig
 from undersolve.partition import POLICY_PIVOT_COLUMNS, partition_system
-from undersolve.iterate import generalized_jacobi_step
 from undersolve.rref import exact_solve, reduced_system, rref
 
 from oracles import rational_rref_floats
+from stepping import stepper
 
 rref_module = importlib.import_module("undersolve.rref")
 
@@ -153,10 +153,10 @@ def test_exact_solve_rank_deficient_consistent():
 
 def test_successive_iterates_differ_until_fixed():
     _, a_bar, b_bar = reduced_system(DEMO_A, DEMO_B)
-    sys = partition_system(a_bar, b_bar)
+    step = stepper(partition_system(a_bar, b_bar), METHOD_JACOBI)
     prev = DEMO_X0
     for _ in range(3):
-        cur = generalized_jacobi_step(sys, prev)
+        cur = step(prev)
         d_norm = np.abs(b_bar - a_bar @ prev).max()
         if d_norm > 1e-12:
             assert np.abs(cur - prev).sum() > 0.0
@@ -164,9 +164,16 @@ def test_successive_iterates_differ_until_fixed():
 
 
 def test_negative_tolerance_rejected():
-    with pytest.raises(ValueError) as err:
-        rref(np.eye(2), tolerance=-1.0)
-    assert isinstance(err.value, SolverError)
+    # a tolerance of inf would snap all of [A b] to zero and report a
+    # wrong solution as converged; nan would snap nothing
+    for tolerance in (-1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError) as err:
+            rref(np.eye(2), tolerance=tolerance)
+        assert isinstance(err.value, SolverError)
+        with pytest.raises(InvalidInput):
+            reduced_system([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]], [1.0, 2.0], tolerance)
+        with pytest.raises(InvalidInput):
+            exact_solve(DEMO_A, DEMO_B, tolerance=tolerance)
 
 
 @pytest.mark.parametrize("method", [METHOD_GJACOBI, METHOD_GGS])
