@@ -298,6 +298,7 @@ def test_config_rejects_a_value_of_the_wrong_type(field, value):
     # here, not a TypeError from range() or a comparison inside a solve
     with pytest.raises(InvalidInput, match=field):
         SolverConfig(**{field: value})
+    # numpy scalars of the right kind are accepted
     SolverConfig(**{field: np.int64(3) if field != "epsilon" else np.float64(1e-8)})
 
 
