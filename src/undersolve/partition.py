@@ -3,7 +3,7 @@
 A partition is a column order and nothing else: ``column_perm`` lists
 the original column of every slot, the first m slots form the head and
 the remaining n - m the tail.  Iterates are full vectors in original
-column order; the driver gathers x[column_perm] into slot order and
+column order; a solve gathers x[column_perm] into slot order and
 scatters its result back, so residuals are always measured in original
 order.
 """

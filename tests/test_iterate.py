@@ -510,9 +510,9 @@ def test_run_rejects_wrong_length_x0(method):
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 6), extra=st.integers(1, 6),
        method=st.sampled_from((METHOD_GJACOBI, METHOD_GGS)), max_iterations=st.integers(1, 5))
-def test_driver_on_a_column_order_matches_the_reordered_system(seed, m, extra, method,
-                                                                max_iterations):
-    # the driver gathers x0 into slot order and scatters its solution back:
+def test_drive_on_a_column_order_matches_the_reordered_system(seed, m, extra, method,
+                                                               max_iterations):
+    # _drive gathers x0 into slot order and scatters its solution back:
     # the same solve, to rounding, as on the matrix whose columns are
     # physically reordered, read back in original order.  One row is left
     # out: its sweep solves the system, and whether the fresh residual is
