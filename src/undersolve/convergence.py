@@ -19,6 +19,7 @@ from .iterate import (
     SWEEPS,
     Operator,
     prepare,
+    tail_iteration_matrix,
 )
 from .linalg import NORM_KINDS, matrix_norm
 from .partition import PartitionedSystem
@@ -60,8 +61,11 @@ def operator_conditions(op: Operator) -> ConditionReport:
     tail_norms = _norms(tail_op)
     solved_norms = _norms(op.solve_head(tail_op))
     # c1 = ||I - B H^-1|| = ||(B - H) H^-1||
-    head_norms = _norms(op.off_head / op.diag if op.diag is not None
-                        else op.off_head @ op.lower_inv)
+    b_head = op.sys.b_head
+    if op.diag is not None:
+        head_norms = _norms((b_head - np.diag(op.diag)) / op.diag)
+    else:
+        head_norms = _norms((b_head - np.tril(b_head)) @ op.lower_inv)
     records = tuple(
         NormConditionRecord(
             norm_kind=kind,
@@ -78,13 +82,6 @@ def operator_conditions(op: Operator) -> ConditionReport:
         per_norm=records,
         overall_certified=any(r.certified for r in records),
     )
-
-
-def tail_iteration_matrix(b_tail, signs, weights) -> np.ndarray:
-    """I - B~ s(B~) N(B~)^-1 / m, the residual map of one tail update, from
-    the tail B~, its signs s(B~) and the weights 1 / (m ||B~_i||_1).  The
-    tail factor c2 is m times its norm; it involves no head block."""
-    return np.eye(b_tail.shape[0]) - (b_tail @ signs) * weights
 
 
 def _norms(mat):

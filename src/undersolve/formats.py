@@ -113,8 +113,18 @@ def _read_csv_lines(text: str) -> np.ndarray:
 
 
 def write_csv_matrix(a) -> str:
+    """One line per row, each entry its shortest round-trip repr.  repr is
+    called only for the entries that need it, those nonzero or -0.0; every
+    other one is +0.0, written "0.0".  Lines are built one row at a time."""
     a = as_matrix(a)
-    return "\n".join(",".join(repr(v) for v in row) for row in a.tolist()) + "\n"
+    lines = []
+    for row in a:
+        cells = ["0.0"] * row.size
+        where = np.flatnonzero((row != 0.0) | np.signbit(row))
+        for i, v in zip(where.tolist(), row[where].tolist()):
+            cells[i] = repr(v)
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
 
 
 def read_csv_vector(text: str) -> np.ndarray:

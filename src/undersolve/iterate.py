@@ -1,27 +1,54 @@
-"""Stationary iteration: one prepared operator, one fused step, one driver.
+"""Stationary iteration: one prepared operator, one driver that advances
+the residual and gathers the iterate.
 
-A step works in the slot order of the partition's ``column_perm`` (head
-h = x[:k], tail t = x[k:]) and takes the iterate with its residual
-r = rhs - A x; it returns the new pair: the sign-matrix tail update
-t' = t + s(B~) d with d_i = r_i / (m ||B~_i||_1); one Jacobi or
-Gauss-Seidel sweep H h' = c - (B - H) h on the square head B, with
-c = rhs - B~ t' and H the diagonal or lower triangle of B; and the
-residual r' = c - B h', a fresh m x m product (c itself without a sweep).
-The carried residual can understate the rounding of x: with an identity
-head, as after RREF, h' = c and r' is exactly 0.  So the driver converges
-only when a fresh b - A x, in original column order, also meets epsilon.
+Every method is a linear stationary iteration.  In the slot order of the
+partition's ``column_perm`` (head h = x[:k], tail t = x[k:]) one step
+from the residual r = rhs - A x changes the iterate by K r and the
+residual to M r.  With the tail update z = s(B~) W r, W = diag of
+1 / (m ||B~_i||_1), and the head sweep's H (the diagonal or lower
+triangle of the square head B):
 
-* ``baseline``: the tail update with an empty head (the tail is A);
-* ``gjacobi`` / ``ggs``: the tail update, then a Jacobi / Gauss-Seidel sweep;
-* ``jacobi`` / ``gs``: the sweep alone (the head is A, so c = rhs).
+    u = r - B~ z,   delta = H^-1 u,   K r = [delta; z],   M r = u - B delta.
+
+* ``baseline``: the tail update with an empty head (the tail is A), so
+  M = T = I - B~ s(B~) W, an m x m matrix ``prepare`` forms once;
+* ``gjacobi`` / ``ggs``: the tail update, then a Jacobi / Gauss-Seidel
+  sweep; M is applied factored, as above;
+* ``jacobi`` / ``gs``: the sweep alone (the head is A, so u = r).
+
+The driver loop carries only the residual: ``acc += r; r = op.advance(r)``.
+The iterate is gathered as x = x_start + K acc (``op.gain``), by
+linearity the same x the steps would have made one at a time, only when
+a fresh b - A x is taken and at the end.  Entries of ``residual_norms``
+between fresh checks are the norms of that recurrence; a fresh check
+replaces the carried residual, and the last entry is always a fresh one.
+
+The recurrence drifts from the true residual by rounding, and below the
+rounding floor of x it keeps shrinking while b - A x does not (the
+carried residual of a recursively updated iteration: van der Vorst & Ye,
+SIAM J. Sci. Comput. 22(3), 2000; Higham & Knight, 1993).  So:
+
+* **refresh rule**: whenever the carried norm falls below max(epsilon,
+  tau), x is gathered and a fresh b - A x (original column order)
+  replaces the carried residual, with tau = n u (||A|| ||x|| + ||b||) in
+  the residual's norm, u the unit roundoff.  tau starts from ||b||
+  alone; ||A|| is computed at the first fresh check that fails.  Only a
+  fresh residual below epsilon converges;
+* **stagnation rule**: ``stagnation_window`` consecutive stagnant steps.
+  A step is stagnant when its norm is within a relative 1e-14 of the one
+  before; a fresh check that fails is also stagnant when the residual is
+  at working precision, ||r|| <= u (||A|| ||x|| + ||b||), or repeats one
+  of the last ``stagnation_window`` norms (x cycling at its rounding).
+  Below the floor every step is a fresh check, so this fires once x
+  settles.  A fresh residual of the returned x below epsilon is
+  converged, whatever stopped the loop.
 
 ``prepare`` computes every per-system invariant once and raises the
 method's structural errors; the resulting ``Operator`` is immutable.  One
-driver loop, behind ``run`` and ``rref.exact_solve``, steps an operator and
-measures the residual it carries.  Neither computes the convergence
-conditions (``SolveReport.conditions`` stays None);
-``convergence.operator_conditions`` derives them from the operator that
-``run_with_operator`` hands back.
+driver loop, behind ``run`` and ``rref.exact_solve``, runs it.  Neither
+computes the convergence conditions (``SolveReport.conditions`` stays
+None); ``convergence.operator_conditions`` derives them from the operator
+that ``run_with_operator`` hands back.
 """
 
 import math
@@ -49,6 +76,7 @@ from .linalg import (
     as_matrix,
     as_vector,
     lower_triangular_inverse,
+    matrix_norm,
     row_one_norms,
     sign_matrix,
     singularity_threshold,
@@ -123,7 +151,7 @@ class SolveReport:
     status: str
     solution: np.ndarray          # original column order
     iterations: int
-    residual_norms: list
+    residual_norms: list          # recurrence values between fresh checks; the last is fresh
     config: SolverConfig
     conditions: Optional[object] = None   # ConditionReport; run/exact_solve leave None
     error: Optional[str] = None           # error kind when status == "error"
@@ -132,7 +160,9 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class Operator:
-    """The per-system invariants of one method, computed once by ``prepare``.
+    """The per-system invariants of one method, computed once by ``prepare``,
+    and its two maps of a residual r: ``advance`` (M r, the residual one
+    step later) and ``gain`` (K r, the step's change of the iterate).
 
     H is the head splitting matrix: the diagonal D for a Jacobi sweep, the
     lower triangle L for a Gauss-Seidel sweep.  ``lower_inv`` is L^-1 as a
@@ -143,8 +173,8 @@ class Operator:
     sys: PartitionedSystem
     sweep: Optional[str]               # None, METHOD_JACOBI or METHOD_GS
     signs: Optional[np.ndarray]        # S = s(B~); None when the tail is empty
-    weights: Optional[np.ndarray]      # 1 / (m ||B~_i||_1)
-    off_head: Optional[np.ndarray]     # B - H; None without a sweep
+    weights: Optional[np.ndarray]      # W = 1 / (m ||B~_i||_1)
+    tail_map: Optional[np.ndarray]     # baseline: T = I - B~ S W; None with a sweep
     diag: Optional[np.ndarray]         # Jacobi: the diagonal of B
     lower_inv: Optional[np.ndarray]    # Gauss-Seidel: L^-1
 
@@ -154,20 +184,31 @@ class Operator:
             return self.lower_inv @ v
         return (v.T / self.diag).T
 
-    def step(self, x: np.ndarray, r: np.ndarray):
-        """One step from the permuted iterate x and its residual
-        r = rhs - A x; returns the new (x, r)."""
-        sys = self.sys
-        k = sys.b_head.shape[1]
-        head, tail = x[:k], x[k:]
-        c = sys.rhs
+    def advance(self, r: np.ndarray) -> np.ndarray:
+        """M r: the residual one step after the residual r."""
+        if self.tail_map is not None:
+            return self.tail_map @ r
+        u = r
         if self.signs is not None:
-            tail = tail + self.signs @ (r * self.weights)
-            c = c - sys.b_tail @ tail
+            u = r - self.sys.b_tail @ (self.signs @ (r * self.weights))
+        return u - self.sys.b_head @ self.solve_head(u)
+
+    def gain(self, s: np.ndarray) -> np.ndarray:
+        """K s in slot order: the change of the iterate that a step from
+        the residual s makes, [H^-1 u; z] with z = S W s, u = s - B~ z."""
+        if self.signs is None:
+            return self.solve_head(s)
+        z = self.signs @ (s * self.weights)
         if self.sweep is None:
-            return tail, c
-        head = self.solve_head(c - self.off_head @ head)
-        return np.concatenate((head, tail)), c - sys.b_head @ head
+            return z
+        return np.concatenate((self.solve_head(s - self.sys.b_tail @ z), z))
+
+
+def tail_iteration_matrix(b_tail, signs, weights) -> np.ndarray:
+    """I - B~ s(B~) N(B~)^-1 / m, the residual map of one tail update, from
+    the tail B~, its signs s(B~) and the weights 1 / (m ||B~_i||_1).  The
+    tail factor c2 is m times its norm; it involves no head block."""
+    return np.eye(b_tail.shape[0]) - (b_tail @ signs) * weights
 
 
 def prepare(sys: PartitionedSystem, sweep: Optional[str]) -> Operator:
@@ -184,8 +225,13 @@ def prepare(sys: PartitionedSystem, sweep: Optional[str]) -> Operator:
     A tail row counts as zero when its 1-norm is at or below 1e-12 times
     that of its row of A, as rounding leaves it after RREF; the update
     would divide by that norm.  Without a head this means exactly zero.
+
+    Without a sweep the m x m map T is formed, an m x n x m product that
+    costs about m/2 of the steps it replaces; baseline's T has diagonal
+    1 - 1/m, so rho(T) >= 1 - 1/m and a solve runs at least about
+    m ln(||r_0|| / epsilon) steps.  With a sweep M stays factored.
     """
-    signs = weights = off_head = diag = lower_inv = None
+    signs = weights = tail_map = diag = lower_inv = None
     if sys.b_tail.shape[1]:
         norms = row_one_norms(sys.b_tail)
         if np.any(norms <= 1e-12 * (norms + row_one_norms(sys.b_head))):
@@ -194,35 +240,37 @@ def prepare(sys: PartitionedSystem, sweep: Optional[str]) -> Operator:
             raise ZeroRow("matrix has an all-zero row")
         signs = sign_matrix(sys.b_tail)
         weights = 1.0 / (sys.m * norms)
+        if sweep is None:
+            tail_map = tail_iteration_matrix(sys.b_tail, signs, weights)
     if sweep == METHOD_JACOBI:
         diag = np.diag(sys.b_head)
         if np.any(np.abs(diag) <= singularity_threshold(sys.b_head)):
             raise ZeroDiagonal("head block has a zero diagonal entry")
-        off_head = sys.b_head - np.diag(diag)
     elif sweep == METHOD_GS:
         lower = np.tril(sys.b_head)
         if np.any(np.abs(np.diag(lower)) <= singularity_threshold(lower)):
             raise SingularTriangular("head block has a zero diagonal entry")
         lower_inv = lower_triangular_inverse(lower)
-        off_head = sys.b_head - lower
     return Operator(sys=sys, sweep=sweep, signs=signs, weights=weights,
-                    off_head=off_head, diag=diag, lower_inv=lower_inv)
+                    tail_map=tail_map, diag=diag, lower_inv=lower_inv)
 
 
 def _drive(a, b, sys: PartitionedSystem, x0, config: SolverConfig):
     """The one driver loop, behind ``run`` and ``rref.exact_solve``; returns
     the report and the prepared operator (None when none was prepared).
 
-    The iterate stays in permuted column order; it is mapped back to test
-    a carried residual below epsilon on a fresh b - A x, and at the end.
-    Residuals keep the rows of (a, b), so their norms do not depend on the
+    The loop advances the residual alone and gathers the iterate, in
+    permuted column order, at a fresh check and at the end (see the
+    module docstring for the refresh and stagnation rules).  Residuals
+    keep the rows of (a, b), so their norms do not depend on the
     permutation policy.  x0 is tested before the operator is prepared: an
     x0 that already meets epsilon converges in zero iterations even on a
     system the method rejects.
     """
     generalized = config.method in GENERALIZED_METHODS
+    kind = config.residual_norm
     r = b - a @ x0
-    history = [vector_norm(r, config.residual_norm)]
+    history = [vector_norm(r, kind)]
     report = partial(SolveReport, residual_norms=history, config=config,
                      column_perm=sys.column_perm if generalized else None)
     if history[0] < config.epsilon:
@@ -234,25 +282,50 @@ def _drive(a, b, sys: PartitionedSystem, x0, config: SolverConfig):
 
     perm = np.asarray(sys.column_perm, dtype=np.intp)
     x, back = x0[perm], np.argsort(perm)
-    floor = max(history[0], 1e-300)
+    acc = np.zeros_like(r)        # sum of the residuals carried since x was gathered
+    pending = False               # whether acc holds any
+    unit = np.finfo(float).eps / 2
+    n_unit = a.shape[1] * unit
+    b_norm = vector_norm(b, kind)
+    a_norm = None
+    refresh_below = max(config.epsilon, n_unit * b_norm)
+
+    def fresh():
+        nonlocal x, acc, pending, r
+        x = x + op.gain(acc)
+        acc = np.zeros_like(r)
+        pending = False
+        r = b - a @ x[back]
+        return vector_norm(r, kind)
+
+    reference = max(history[0], 1e-300)
     stagnant = 0
     status = STATUS_MAX_ITERATIONS
     for _ in range(config.max_iterations):
-        x, r = op.step(x, r)
-        norm = vector_norm(r, config.residual_norm)
-        if norm < config.epsilon:
-            # converge on a fresh residual, which the carried one can
-            # understate; the step continues from the fresh one
-            r = b - a @ x[back]
-            norm = vector_norm(r, config.residual_norm)
+        acc += r
+        pending = True
+        r = op.advance(r)
+        norm = vector_norm(r, kind)
+        settled = False
+        if norm < refresh_below:
+            norm = fresh()
+            if norm >= config.epsilon:
+                if a_norm is None:
+                    a_norm = matrix_norm(a, kind)
+                scale = a_norm * vector_norm(x, kind) + b_norm
+                refresh_below = max(config.epsilon, n_unit * scale)
+                # at working precision, or x cycling through a few iterates
+                settled = norm <= unit * scale or any(
+                    abs(norm - h) < STAGNATION_REL_CHANGE * h
+                    for h in history[-config.stagnation_window:])
         history.append(norm)
-        if not math.isfinite(norm) or norm > DIVERGENCE_FACTOR * floor:
+        if not math.isfinite(norm) or norm > DIVERGENCE_FACTOR * reference:
             status = STATUS_DIVERGED
             break
         if norm < config.epsilon:
             status = STATUS_CONVERGED
             break
-        if abs(norm - history[-2]) < STAGNATION_REL_CHANGE * max(history[-2], 1e-300):
+        if settled or abs(norm - history[-2]) < STAGNATION_REL_CHANGE * max(history[-2], 1e-300):
             stagnant += 1
             if stagnant >= config.stagnation_window:
                 status = STATUS_STAGNATED
@@ -260,6 +333,11 @@ def _drive(a, b, sys: PartitionedSystem, x0, config: SolverConfig):
         else:
             stagnant = 0
 
+    if pending:
+        # the last entry becomes the fresh residual of the returned x
+        history[-1] = fresh()
+        if history[-1] < config.epsilon:
+            status = STATUS_CONVERGED
     return report(status=status, solution=x[back], iterations=len(history) - 1), op
 
 

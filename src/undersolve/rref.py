@@ -5,6 +5,7 @@ so a generalized iteration on the reduced system restores the head block
 from the tail in one sweep: every iteration lands on an exact solution.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +56,8 @@ def rref(a, tolerance: float = DEFAULT_RREF_TOLERANCE) -> RrefResult:
     Y = M_R^-1 T_R, T_other -= M_other Y, T_R = Y.
     """
     work = as_matrix(a)
-    if not 0.0 <= tolerance < np.inf:
-        raise InvalidInput("tolerance must be nonnegative and finite")
+    if not isinstance(tolerance, numbers.Real) or not 0.0 <= tolerance < np.inf:
+        raise InvalidInput("tolerance must be a nonnegative finite real number")
     m, n = work.shape
     scale = matrix_norm(work, "inf")
     thr = tolerance * (scale if scale > 0 else 1.0)

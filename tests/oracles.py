@@ -81,6 +81,46 @@ def brute_gauss_seidel_step(b_mat, rhs, x):
     return out[:m]
 
 
+def brute_step(a, b, x, perm, head_size, sweep):
+    """One step of any method from x (original column order) on the
+    column order ``perm``: the first ``head_size`` columns are the head.
+    The tail update sees the residual b - A x and the head sweep the
+    right-hand side b - B~ t' of the new tail; ``sweep`` is None (no
+    head, as for baseline), "jacobi" or "gs"."""
+    m = len(a)
+    head, tail = list(perm[:head_size]), list(perm[head_size:])
+    out = list(x)
+    if tail:
+        rhs = [b[i] - sum(a[i][j] * x[j] for j in head) for i in range(m)]
+        new_tail = brute_baseline_step([[a[i][j] for j in tail] for i in range(m)], rhs,
+                                       [x[j] for j in tail])
+        for j, v in zip(tail, new_tail):
+            out[j] = v
+    if sweep is not None:
+        rhs = [b[i] - sum(a[i][j] * out[j] for j in tail) for i in range(m)]
+        sweep_step = brute_jacobi_step if sweep == "jacobi" else brute_gauss_seidel_step
+        new_head = sweep_step([[a[i][j] for j in head] for i in range(m)], rhs,
+                              [x[j] for j in head])
+        for j, v in zip(head, new_head):
+            out[j] = v
+    return out
+
+
+def brute_step_operators(a, perm, head_size, sweep):
+    """(M, K) of one step, as lists of rows: with b = e_j and x = 0, column
+    j of K is the step's new x and column j of M its residual e_j - A x.
+    A step from any x then gives x + K r and the residual M r."""
+    m, n = len(a), len(a[0])
+    k_cols, m_cols = [], []
+    for j in range(m):
+        e = [1.0 if i == j else 0.0 for i in range(m)]
+        x1 = brute_step(a, e, [0.0] * n, perm, head_size, sweep)
+        k_cols.append(x1)
+        m_cols.append([e[i] - sum(a[i][c] * x1[c] for c in range(n)) for i in range(m)])
+    return ([[col[i] for col in m_cols] for i in range(m)],
+            [[col[i] for col in k_cols] for i in range(n)])
+
+
 def rational_rref(rows):
     """Exact Gauss-Jordan elimination over the rationals.
 
@@ -161,6 +201,11 @@ def brute_read_csv_matrix(text: str) -> np.ndarray:
     if not rows:
         raise ParseError("no rows found")
     return as_matrix(rows)
+
+
+def brute_write_csv_matrix(a) -> str:
+    """The CSV matrix writer as it was: one repr per value."""
+    return "\n".join(",".join(repr(v) for v in row) for row in as_matrix(a).tolist()) + "\n"
 
 
 _MM_BANNER = "%%MatrixMarket"

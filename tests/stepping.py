@@ -10,7 +10,8 @@ from undersolve.partition import split_system
 def stepper(sys, sweep):
     """Prepare the operator of ``sys`` and a sweep kind once; returns
     x -> its next iterate.  The step gathers x[column_perm] into slot
-    order, takes the residual there and scatters the new slots back."""
+    order, takes the residual there, adds the operator's gain of that
+    residual and scatters the new slots back."""
     op = prepare(sys, sweep)
     perm = np.asarray(sys.column_perm, dtype=np.intp)
     k = sys.b_head.shape[1]
@@ -19,7 +20,7 @@ def stepper(sys, sweep):
         slots = np.asarray(x, dtype=float)[perm]
         r = sys.rhs - sys.b_head @ slots[:k] - sys.b_tail @ slots[k:]
         new = np.empty(sys.n)
-        new[perm] = op.step(slots, r)[0]
+        new[perm] = slots + op.gain(r)
         return new
 
     return step

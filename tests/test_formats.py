@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from oracles import brute_read_csv_matrix, brute_read_matrix_market
+from oracles import brute_read_csv_matrix, brute_read_matrix_market, brute_write_csv_matrix
 from undersolve.errors import (
     DimensionMismatch,
     InvalidInput,
@@ -55,6 +55,20 @@ def test_csv_roundtrip_random():
         a = rng.uniform(-1e6, 1e6, size=(3, 4)) * rng.uniform(1e-8, 1e8)
         again = read_csv_matrix(write_csv_matrix(a))
         assert np.array_equal(a, again)   # bit-identical
+
+
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308,
+                1e-308, -1e-307, 1.7976931348623157e308, -1.7976931348623157e308, 1e308)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+              elements=st.one_of(st.sampled_from(_EDGE_FLOATS),
+                                 st.floats(allow_nan=False, allow_infinity=False))))
+def test_csv_matrix_writer_matches_the_per_value_writer(a):
+    # "0.0" written without repr for +0.0 only: -0.0, subnormals and
+    # exponents near +-308 come out as repr writes them
+    assert write_csv_matrix(a) == brute_write_csv_matrix(a)
 
 
 def test_csv_vector_roundtrip():

@@ -18,6 +18,7 @@ from undersolve.iterate import (
     METHOD_JACOBI,
     METHODS,
     SQUARE_METHODS,
+    SWEEPS,
     SolverConfig,
     _drive,
     run,
@@ -32,7 +33,7 @@ from undersolve.partition import (
 )
 from undersolve.rref import exact_solve, reduced_system
 
-from oracles import random_partitioned
+from oracles import brute_step, brute_step_operators, random_partitioned
 from stepping import stepper, whole_stepper
 
 
@@ -532,3 +533,150 @@ def test_drive_on_a_column_order_matches_the_reordered_system(seed, m, extra, me
     expected[perm] = reordered.solution
     scale = 1.0 + np.abs(expected).max()
     assert np.abs(permuted.solution - expected).max() <= 1e-12 * scale
+
+
+def _method_case(seed, method, policy, m, extra):
+    """A random system for ``method`` and its partition under ``policy``
+    (the identity order for the methods without a policy)."""
+    rng = np.random.default_rng(seed)
+    a, m, n = random_partitioned(rng, m=m, n=m + extra)
+    if method in SQUARE_METHODS:
+        a = a[:, :m]
+    b = rng.uniform(-5.0, 5.0, size=m)
+    if method in GENERALIZED_METHODS:
+        sys = partition_system(a, b, policy)
+    else:
+        sys = split_system(a, b, np.arange(a.shape[1]), 0 if method == METHOD_BASELINE else m)
+    return rng, a, b, sys
+
+
+_cases = dict(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6), extra=st.integers(1, 6),
+              method=st.sampled_from(METHODS), policy=st.sampled_from(POLICIES))
+
+
+def _prepared(sys, method):
+    """The operator, and the condition number of its head splitting H
+    (1 without a head): applying H^-1 as a formed inverse, as Gauss-Seidel
+    does, rounds in proportion to it, where the oracle substitutes."""
+    try:
+        op = iterate.prepare(sys, SWEEPS[method])
+    except ZeroDiagonal:   # a pivot-columns head may put a zero on the diagonal
+        return None, None
+    if op.sweep is None:
+        return op, 1.0
+    head = np.diag(op.diag) if op.diag is not None else np.tril(sys.b_head)
+    return op, np.linalg.cond(head, np.inf)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_cases)
+def test_advance_matches_the_oracle_residual_operator(seed, m, extra, method, policy):
+    # M r from the loop-written M: each column is the residual one brute
+    # step leaves from x = 0 on the right-hand side e_j
+    rng, a, _, sys = _method_case(seed, method, policy, m, extra)
+    op, cond = _prepared(sys, method)
+    if op is None:
+        return
+    mat, gain = (np.array(o) for o in brute_step_operators(
+        a.tolist(), sys.column_perm, sys.b_head.shape[1], SWEEPS[method]))
+    r = rng.uniform(-5.0, 5.0, size=sys.m)
+    # both sides round at most a few units of |A| |K| |r| per entry
+    bound = 1e-12 * cond * (np.abs(a) @ np.abs(gain) @ np.abs(r) + np.abs(r))
+    assert np.all(np.abs(op.advance(r) - mat @ r) <= bound)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_cases)
+def test_gain_matches_the_brute_step(seed, m, extra, method, policy):
+    # slots + K r, with r = b - A x, is the brute step from x
+    rng, a, b, sys = _method_case(seed, method, policy, m, extra)
+    op, cond = _prepared(sys, method)
+    if op is None:
+        return
+    x = rng.uniform(-2.0, 2.0, size=a.shape[1])
+    head_size = sys.b_head.shape[1]
+    new = stepper(sys, SWEEPS[method])(x)
+    expected = np.array(brute_step(a.tolist(), b.tolist(), x.tolist(), sys.column_perm,
+                                   head_size, SWEEPS[method]))
+    gain = np.array(brute_step_operators(a.tolist(), sys.column_perm, head_size,
+                                         SWEEPS[method])[1])
+    bound = 1e-12 * cond * (np.abs(x) + np.abs(gain) @ (np.abs(b) + np.abs(a) @ np.abs(x)))
+    assert np.all(np.abs(new - expected) <= bound)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6), extra=st.integers(1, 6),
+       method=st.sampled_from(METHODS), policy=st.sampled_from(POLICIES),
+       steps=st.integers(1, 6))
+def test_a_k_step_run_matches_k_brute_steps(seed, m, extra, method, policy, steps):
+    # the driver carries only the residual and gathers x = x0 + K (r_0 +
+    # ... + r_k-1) at the end: the x that k brute steps make one at a time.
+    # The head is dominant with a decreasing diagonal, so every policy
+    # keeps it on the diagonal and the steps stay well conditioned
+    rng = np.random.default_rng(seed)
+    n = m if method in SQUARE_METHODS else m + extra
+    a = rng.uniform(-1.0, 1.0, size=(m, n))
+    a[np.arange(m), np.arange(m)] = 2.0 * m + m - np.arange(m)
+    b = rng.uniform(-5.0, 5.0, size=m)
+    x0 = rng.uniform(-2.0, 2.0, size=n)
+    config = SolverConfig(
+        method=method, epsilon=1e-300, max_iterations=steps,
+        permutation_policy=policy if method in GENERALIZED_METHODS else POLICY_IDENTITY)
+    report = run(a, b, x0, config)
+    if report.status == "max_iterations":
+        assert report.iterations == steps
+    # whatever the status, the last entry is the fresh residual of the solution
+    assert report.residual_norms[-1] == vector_norm(a @ report.solution - b, NORM_ONE)
+    head_size = 0 if method == METHOD_BASELINE else m
+    perm = report.column_perm or tuple(range(n))
+    expected = x0.tolist()
+    for _ in range(report.iterations):
+        expected = brute_step(a.tolist(), b.tolist(), expected, perm, head_size,
+                              SWEEPS[method])
+    expected = np.array(expected)
+    assert np.abs(report.solution - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def _benchmark_system(m, n, rng):
+    """The benchmark's certified system: head diagonal U(1, 2) plus
+    non-negative off-diagonal U(0, 1.8/m); one signed U(0.5, 1.5) tail
+    entry per column, rows assigned round-robin; b = A x*."""
+    head = rng.uniform(0.0, 1.8 / m, size=(m, m))
+    np.fill_diagonal(head, rng.uniform(1.0, 2.0, size=m))
+    cols = np.arange(n - m)
+    tail = np.zeros((m, n - m))
+    tail[cols % m, cols] = rng.uniform(0.5, 1.5, size=n - m) * rng.choice([-1.0, 1.0],
+                                                                          size=n - m)
+    a = np.hstack([head, tail])
+    return a, a @ rng.uniform(-1.0, 1.0, size=n)
+
+
+# iterations and fresh final 1-norm residual of each solve below, as the
+# driver gave them when it still recomputed the residual from x every step;
+# all stagnated but ggs on seed 2, which ran to max_iterations
+_BELOW_FLOOR = {
+    (0, METHOD_BASELINE): (2499, 3.3e-14), (0, METHOD_GJACOBI): (289, 2.8e-15),
+    (0, METHOD_GGS): (1563, 1.9e-15),
+    (1, METHOD_BASELINE): (2051, 9.5e-14), (1, METHOD_GJACOBI): (136, 2.2e-15),
+    (1, METHOD_GGS): (959, 3.2e-15),
+    (2, METHOD_BASELINE): (2357, 5.4e-14), (2, METHOD_GJACOBI): (410, 2.8e-15),
+    (2, METHOD_GGS): (10000, 3.6e-15),
+    (3, METHOD_BASELINE): (2149, 6.1e-14), (3, METHOD_GJACOBI): (600, 3.6e-15),
+    (3, METHOD_GGS): (767, 3.2e-15),
+    (4, METHOD_BASELINE): (2275, 5.1e-14), (4, METHOD_GJACOBI): (181, 2.3e-15),
+    (4, METHOD_GGS): (1394, 3.2e-15),
+}
+
+
+@pytest.mark.parametrize("seed,method", sorted(_BELOW_FLOOR))
+def test_below_the_rounding_floor_the_solve_stagnates(seed, method):
+    # epsilon = 1e-300 is below what b - A x can reach: the carried
+    # recurrence would shrink on past it, so the driver refreshes it below
+    # n u (||A|| ||x|| + ||b||) and stops once x settles at its rounding
+    a, b = _benchmark_system(30, 120, np.random.default_rng(seed))
+    report = run(a, b, None, SolverConfig(method=method, epsilon=1e-300))
+    iterations, residual = _BELOW_FLOOR[seed, method]
+    fresh = vector_norm(a @ report.solution - b, NORM_ONE)
+    assert report.status == "stagnated"
+    assert report.iterations <= 1.1 * iterations
+    assert report.residual_norms[-1] == fresh <= 2.0 * residual

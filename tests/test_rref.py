@@ -176,6 +176,20 @@ def test_negative_tolerance_rejected():
             exact_solve(DEMO_A, DEMO_B, tolerance=tolerance)
 
 
+@pytest.mark.parametrize("tolerance", ["1e-10", None, np.array([1e-10, 1e-10])],
+                         ids=["str", "none", "array"])
+def test_tolerance_of_the_wrong_type_rejected(tolerance):
+    # a typed error, not a TypeError or ValueError from the comparison
+    with pytest.raises(InvalidInput, match="tolerance"):
+        rref(np.eye(2), tolerance=tolerance)
+    with pytest.raises(InvalidInput, match="tolerance"):
+        reduced_system([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]], [1.0, 2.0], tolerance)
+    with pytest.raises(InvalidInput, match="tolerance"):
+        exact_solve(DEMO_A, DEMO_B, tolerance=tolerance)
+    # numpy scalars of a real kind are accepted
+    assert rref(np.eye(2), tolerance=np.float64(1e-10)).rank == 2
+
+
 @pytest.mark.parametrize("method", [METHOD_GJACOBI, METHOD_GGS])
 def test_exact_solve_rejects_a_permutation_policy(method):
     # the exact pipeline partitions on the RREF pivot columns whatever the
