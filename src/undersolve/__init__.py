@@ -9,13 +9,11 @@ exact-solution pipeline through reduced row echelon form.
 from .convergence import ConditionReport, check_conditions, contraction_factor
 from .errors import SolverError
 from .iterate import METHODS, SolveReport, SolverConfig, run
-from .partition import PartitionedSystem, partition_system
 from .rref import RrefResult, exact_solve, rref
 
 __all__ = [
     "ConditionReport",
     "METHODS",
-    "PartitionedSystem",
     "RrefResult",
     "SolveReport",
     "SolverConfig",
@@ -23,7 +21,6 @@ __all__ = [
     "check_conditions",
     "contraction_factor",
     "exact_solve",
-    "partition_system",
     "rref",
     "run",
 ]

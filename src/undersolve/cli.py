@@ -22,7 +22,7 @@ from . import convergence, formats, generate, iterate
 from .errors import Inconsistent, SolverError
 from .rref import reduced_system, solve_reduced
 from .linalg import NORM_INF, NORM_ONE, vector_norm
-from .partition import POLICY_IDENTITY, POLICY_PIVOT_COLUMNS, partition_system
+from .partition import POLICY_IDENTITY, POLICY_PIVOT_COLUMNS
 
 EXIT_OK = 0
 EXIT_UNCERTIFIED = 1
@@ -111,14 +111,14 @@ def cmd_solve(args):
 def cmd_check(args):
     a, b, _ = _load_problem(args)
     policy = POLICY_PIVOT_COLUMNS if args.pivot_columns else POLICY_IDENTITY
-    sys_part = partition_system(a, b, policy)
-    report = convergence.check_conditions(sys_part, args.method)
+    report = convergence.check_conditions(a, b, args.method, policy)
+    m = len(b)
     print(f"method: {args.method}")
     for rec in report.per_norm:
         verdict = "certified" if rec.certified else "uncertified"
         print(f"  norm={rec.norm_kind:<4} c1={rec.c1:.6e} c2={rec.c2:.6e} "
-              f"(bound {sys_part.m}) -> {verdict}")
-    factor = convergence.contraction_factor(report, sys_part.m)
+              f"(bound {m}) -> {verdict}")
+    factor = convergence.contraction_factor(report, m)
     if factor is not None:
         print(f"contraction factor bound: {factor:.6e}")
     print("overall: " + ("certified" if report.overall_certified else "uncertified"))

@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, NotUnderdetermined
 from .iterate import (
     GENERALIZED_METHODS,
     METHOD_GGS,
@@ -21,8 +21,8 @@ from .iterate import (
     prepare,
     tail_iteration_matrix,
 )
-from .linalg import NORM_KINDS, matrix_norm
-from .partition import PartitionedSystem
+from .linalg import NORM_KINDS, as_system, matrix_norm
+from .partition import POLICY_IDENTITY, column_order
 
 
 @dataclass(frozen=True)
@@ -41,27 +41,37 @@ class ConditionReport:
     overall_certified: bool
 
 
-def check_conditions(sys: PartitionedSystem, method: str) -> ConditionReport:
-    """Evaluate both convergence-condition factors in every supported norm.
+def check_conditions(a, b, method: str, policy: str = POLICY_IDENTITY) -> ConditionReport:
+    """Evaluate both convergence-condition factors in every supported norm,
+    on the head and tail of a in the column order ``policy`` picks.
 
-    Raises the same structural errors as ``iterate.prepare``."""
+    Raises, in this order: the errors of ``linalg.as_system``,
+    ``NotUnderdetermined`` unless m < n, the policy's errors,
+    ``InvalidInput`` for a method other than gjacobi and ggs, then the
+    structural errors of ``iterate.prepare``."""
+    a, _ = as_system(a, b)
+    m, n = a.shape
+    if m >= n:
+        raise NotUnderdetermined(
+            f"system must have more unknowns than equations (m={m}, n={n})")
+    perm = column_order(a, policy)
     if method not in GENERALIZED_METHODS:
         raise InvalidInput(f"conditions are defined for {GENERALIZED_METHODS}, got {method!r}")
-    return operator_conditions(prepare(sys, SWEEPS[method]))
+    return operator_conditions(prepare(a, perm, SWEEPS[method]))
 
 
 def operator_conditions(op: Operator) -> ConditionReport:
     """The conditions of a prepared generalized-method operator, derived
     from its invariants; the CLI passes the operator its solve prepared."""
-    m = op.sys.m
+    m = op.b_head.shape[0]
     # each matrix is reduced to its norms and dropped before the next is
     # built: the solve's operator is still alive, so this keeps peak memory
     sign_norms = _norms(op.signs * op.weights)
-    tail_op = tail_iteration_matrix(op.sys.b_tail, op.signs, op.weights)
+    tail_op = tail_iteration_matrix(op.b_tail, op.signs, op.weights)
     tail_norms = _norms(tail_op)
     solved_norms = _norms(op.solve_head(tail_op))
     # c1 = ||I - B H^-1|| = ||(B - H) H^-1||
-    b_head = op.sys.b_head
+    b_head = op.b_head
     if op.diag is not None:
         head_norms = _norms((b_head - np.diag(op.diag)) / op.diag)
     else:

@@ -24,6 +24,7 @@ JSON with sorted keys so identical runs produce byte-identical output;
 floats use shortest round-trip repr, which re-parses bit-identically.
 """
 
+import dataclasses
 import io
 import itertools
 import json
@@ -36,6 +37,7 @@ from .errors import (
     InvalidInput,
     ParseError,
     RaggedRows,
+    SolverError,
     UnsupportedFormat,
 )
 from .iterate import SolveReport, SolverConfig
@@ -379,39 +381,36 @@ def write_report(report: SolveReport) -> str:
         "residual_norms": list(report.residual_norms),
         "solution": list(np.asarray(report.solution, dtype=float)),
         "column_perm": list(report.column_perm) if report.column_perm else None,
-        "config": {
-            "method": report.config.method,
-            "epsilon": report.config.epsilon,
-            "max_iterations": report.config.max_iterations,
-            "residual_norm": report.config.residual_norm,
-            "permutation_policy": report.config.permutation_policy,
-            "stagnation_window": report.config.stagnation_window,
-        },
+        "config": dataclasses.asdict(report.config),
         "conditions": _conditions_to_obj(report.conditions),
     }
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def read_report(text: str) -> SolveReport:
-    obj = json.loads(text)
-    cfg = obj["config"]
-    return SolveReport(
-        status=obj["status"],
-        solution=np.array(obj["solution"], dtype=float),
-        iterations=obj["iterations"],
-        residual_norms=list(obj["residual_norms"]),
-        config=SolverConfig(
-            method=cfg["method"],
-            epsilon=cfg["epsilon"],
-            max_iterations=cfg["max_iterations"],
-            residual_norm=cfg["residual_norm"],
-            permutation_policy=cfg["permutation_policy"],
-            stagnation_window=cfg["stagnation_window"],
-        ),
-        conditions=_conditions_from_obj(obj.get("conditions")),
-        error=obj.get("error"),
-        column_perm=tuple(obj["column_perm"]) if obj.get("column_perm") else None,
-    )
+    """The report ``write_report`` wrote as ``text``.  Text that is not
+    such a report raises ``ParseError``; a config value ``SolverConfig``
+    rejects raises its ``InvalidInput``."""
+    try:
+        obj = json.loads(text)
+        cfg = obj["config"]
+        if sorted(cfg) != sorted(field.name for field in dataclasses.fields(SolverConfig)):
+            raise ParseError("report config must hold exactly the fields of SolverConfig")
+        return SolveReport(
+            status=obj["status"],
+            solution=np.array(obj["solution"], dtype=float),
+            iterations=obj["iterations"],
+            residual_norms=list(obj["residual_norms"]),
+            config=SolverConfig(**cfg),
+            conditions=_conditions_from_obj(obj.get("conditions")),
+            error=obj.get("error"),
+            column_perm=tuple(obj["column_perm"]) if obj.get("column_perm") else None,
+        )
+    except SolverError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        # ValueError covers json.JSONDecodeError and a non-numeric solution
+        raise ParseError(f"malformed solve report: {exc!r}") from None
 
 
 # --------------------------------------------------------- file paths

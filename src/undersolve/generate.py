@@ -31,7 +31,6 @@ from .convergence import check_conditions, tail_iteration_matrix
 from .errors import InvalidInput, NotUnderdetermined, SolverError
 from .iterate import GENERALIZED_METHODS
 from .linalg import NORM_KINDS, matrix_norm, row_one_norms, sign_matrix
-from .partition import partition_system
 
 SNAP_THRESHOLD = 1e-12
 MAX_HALVINGS = 60
@@ -101,8 +100,8 @@ def generate_certified(m: int, n: int, rng: np.random.Generator):
             rng.choice([-1.0, 1.0], size=cols.size)
     a = np.column_stack([head, tail])
     x_star = rng.uniform(-1.0, 1.0, size=n)
-    sys = partition_system(a, a @ x_star)
-    head_certified = [[r.c1 < 1.0 for r in check_conditions(sys, method).per_norm]
+    b = a @ x_star
+    head_certified = [[r.c1 < 1.0 for r in check_conditions(a, b, method).per_norm]
                       for method in GENERALIZED_METHODS]
     off_owner = owner != np.arange(m)[:, None]
     halvings = 0

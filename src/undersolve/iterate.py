@@ -1,10 +1,12 @@
 """Stationary iteration: one prepared operator, one driver that advances
 the residual and gathers the iterate.
 
-Every method is a linear stationary iteration.  In the slot order of the
-partition's ``column_perm`` (head h = x[:k], tail t = x[k:]) one step
-from the residual r = rhs - A x changes the iterate by K r and the
-residual to M r.  With the tail update z = s(B~) W r, W = diag of
+Every method is a linear stationary iteration.  ``prepare`` splits A in
+a column order ``column_perm`` (``partition.column_order``): with a
+sweep the head B is the first m slots; without one (baseline) the head
+is empty and the tail B~ is all of A.  In that slot order (head
+h = x[:k], tail t = x[k:]) one step from the residual r = rhs - A x
+changes the iterate by K r and the residual to M r.  With the tail update z = s(B~) W r, W = diag of
 1 / (m ||B~_i||_1), and the head sweep's H (the diagonal or lower
 triangle of the square head B):
 
@@ -43,12 +45,13 @@ SIAM J. Sci. Comput. 22(3), 2000; Higham & Knight, 1993).  So:
   settles.  A fresh residual of the returned x below epsilon is
   converged, whatever stopped the loop.
 
-``prepare`` computes every per-system invariant once and raises the
-method's structural errors; the resulting ``Operator`` is immutable.  One
-driver loop, behind ``run`` and ``rref.exact_solve``, runs it.  Neither
-computes the convergence conditions (``SolveReport.conditions`` stays
-None); ``convergence.operator_conditions`` derives them from the operator
-that ``run_with_operator`` hands back.
+``prepare`` splits A, computes every per-system invariant once and
+raises the method's structural errors; the resulting ``Operator`` is
+immutable.  One driver loop, behind ``run`` and ``rref.exact_solve``,
+runs it.  Neither computes the convergence conditions
+(``SolveReport.conditions`` stays None);
+``convergence.operator_conditions`` derives them from the operator that
+``run_with_operator`` hands back.
 """
 
 import math
@@ -73,7 +76,7 @@ from .errors import (
 from .linalg import (
     NORM_INF,
     NORM_ONE,
-    as_matrix,
+    as_system,
     as_vector,
     lower_triangular_inverse,
     matrix_norm,
@@ -82,7 +85,7 @@ from .linalg import (
     singularity_threshold,
     vector_norm,
 )
-from .partition import POLICIES, POLICY_IDENTITY, PartitionedSystem, _column_order, split_system
+from .partition import POLICIES, POLICY_IDENTITY, column_order
 
 METHOD_BASELINE = "baseline"
 METHOD_GJACOBI = "gjacobi"
@@ -128,9 +131,12 @@ class SolverConfig:
             raise InvalidInput(f"unknown method: {self.method!r}")
         if not isinstance(self.epsilon, numbers.Real) or not 0.0 < self.epsilon < np.inf:
             raise InvalidInput("epsilon must be positive and finite")
+        # a numpy scalar is stored as the Python number it equals, which
+        # the JSON report can write
+        object.__setattr__(self, "epsilon", float(self.epsilon))
         for name in ("max_iterations", "stagnation_window"):
             try:
-                operator.index(getattr(self, name))
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
             except TypeError:
                 raise InvalidInput(f"{name} must be an integer") from None
         if self.max_iterations < 1:
@@ -160,9 +166,10 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class Operator:
-    """The per-system invariants of one method, computed once by ``prepare``,
-    and its two maps of a residual r: ``advance`` (M r, the residual one
-    step later) and ``gain`` (K r, the step's change of the iterate).
+    """The one prepared system: the head and tail blocks of A and the
+    per-system invariants of one method, computed once by ``prepare``, and
+    its two maps of a residual r: ``advance`` (M r, the residual one step
+    later) and ``gain`` (K r, the step's change of the iterate).
 
     H is the head splitting matrix: the diagonal D for a Jacobi sweep, the
     lower triangle L for a Gauss-Seidel sweep.  ``lower_inv`` is L^-1 as a
@@ -170,7 +177,8 @@ class Operator:
     ``linalg.lower_triangular_inverse`` (recursive 2x2 blocking, about
     2m^3/3 flops, a third of a general inverse).
     """
-    sys: PartitionedSystem
+    b_head: np.ndarray                 # B: the first k slots (k = m, or 0 without a sweep)
+    b_tail: np.ndarray                 # B~: the remaining n - k slots
     sweep: Optional[str]               # None, METHOD_JACOBI or METHOD_GS
     signs: Optional[np.ndarray]        # S = s(B~); None when the tail is empty
     weights: Optional[np.ndarray]      # W = 1 / (m ||B~_i||_1)
@@ -190,8 +198,8 @@ class Operator:
             return self.tail_map @ r
         u = r
         if self.signs is not None:
-            u = r - self.sys.b_tail @ (self.signs @ (r * self.weights))
-        return u - self.sys.b_head @ self.solve_head(u)
+            u = r - self.b_tail @ (self.signs @ (r * self.weights))
+        return u - self.b_head @ self.solve_head(u)
 
     def gain(self, s: np.ndarray) -> np.ndarray:
         """K s in slot order: the change of the iterate that a step from
@@ -201,7 +209,7 @@ class Operator:
         z = self.signs @ (s * self.weights)
         if self.sweep is None:
             return z
-        return np.concatenate((self.solve_head(s - self.sys.b_tail @ z), z))
+        return np.concatenate((self.solve_head(s - self.b_tail @ z), z))
 
 
 def tail_iteration_matrix(b_tail, signs, weights) -> np.ndarray:
@@ -211,9 +219,14 @@ def tail_iteration_matrix(b_tail, signs, weights) -> np.ndarray:
     return np.eye(b_tail.shape[0]) - (b_tail @ signs) * weights
 
 
-def prepare(sys: PartitionedSystem, sweep: Optional[str]) -> Operator:
-    """Build the operator for ``sys`` and a sweep kind (None, METHOD_JACOBI
-    or METHOD_GS).
+def prepare(a, column_perm, sweep: Optional[str]) -> Operator:
+    """Split the m x n matrix a in the column order ``column_perm`` and
+    build the operator for a sweep kind (None, METHOD_JACOBI or
+    METHOD_GS).  With a sweep the head is the first m slots; without one
+    (baseline) the head is empty and the tail is all of a.  Each block is
+    taken from a directly with ``np.take``, so it is C-contiguous;
+    ``a[:, perm]`` would be Fortran-ordered, and a matrix-vector product
+    can round differently on it.
 
     Structural errors are raised in this order: a zero tail row
     (``ZeroRow`` when the head is empty, as for baseline, else
@@ -231,36 +244,41 @@ def prepare(sys: PartitionedSystem, sweep: Optional[str]) -> Operator:
     1 - 1/m, so rho(T) >= 1 - 1/m and a solve runs at least about
     m ln(||r_0|| / epsilon) steps.  With a sweep M stays factored.
     """
+    m = a.shape[0]
+    perm = np.asarray(column_perm, dtype=np.intp)
+    k = 0 if sweep is None else m
+    b_head = np.take(a, perm[:k], axis=1)
+    b_tail = np.take(a, perm[k:], axis=1)
     signs = weights = tail_map = diag = lower_inv = None
-    if sys.b_tail.shape[1]:
-        norms = row_one_norms(sys.b_tail)
-        if np.any(norms <= 1e-12 * (norms + row_one_norms(sys.b_head))):
-            if sys.b_head.shape[1]:
+    if b_tail.shape[1]:
+        norms = row_one_norms(b_tail)
+        if np.any(norms <= 1e-12 * (norms + row_one_norms(b_head))):
+            if b_head.shape[1]:
                 raise ZeroTailRow("tail block has a zero row")
             raise ZeroRow("matrix has an all-zero row")
-        signs = sign_matrix(sys.b_tail)
-        weights = 1.0 / (sys.m * norms)
+        signs = sign_matrix(b_tail)
+        weights = 1.0 / (m * norms)
         if sweep is None:
-            tail_map = tail_iteration_matrix(sys.b_tail, signs, weights)
+            tail_map = tail_iteration_matrix(b_tail, signs, weights)
     if sweep == METHOD_JACOBI:
-        diag = np.diag(sys.b_head)
-        if np.any(np.abs(diag) <= singularity_threshold(sys.b_head)):
+        diag = np.diag(b_head)
+        if np.any(np.abs(diag) <= singularity_threshold(b_head)):
             raise ZeroDiagonal("head block has a zero diagonal entry")
     elif sweep == METHOD_GS:
-        lower = np.tril(sys.b_head)
+        lower = np.tril(b_head)
         if np.any(np.abs(np.diag(lower)) <= singularity_threshold(lower)):
             raise SingularTriangular("head block has a zero diagonal entry")
         lower_inv = lower_triangular_inverse(lower)
-    return Operator(sys=sys, sweep=sweep, signs=signs, weights=weights,
-                    tail_map=tail_map, diag=diag, lower_inv=lower_inv)
+    return Operator(b_head=b_head, b_tail=b_tail, sweep=sweep, signs=signs,
+                    weights=weights, tail_map=tail_map, diag=diag, lower_inv=lower_inv)
 
 
-def _drive(a, b, sys: PartitionedSystem, x0, config: SolverConfig):
+def _drive(a, b, column_perm, x0, config: SolverConfig):
     """The one driver loop, behind ``run`` and ``rref.exact_solve``; returns
     the report and the prepared operator (None when none was prepared).
 
-    The loop advances the residual alone and gathers the iterate, in
-    permuted column order, at a fresh check and at the end (see the
+    The loop advances the residual alone and gathers the iterate, in the
+    slot order of ``column_perm``, at a fresh check and at the end (see the
     module docstring for the refresh and stagnation rules).  Residuals
     keep the rows of (a, b), so their norms do not depend on the
     permutation policy.  x0 is tested before the operator is prepared: an
@@ -268,19 +286,19 @@ def _drive(a, b, sys: PartitionedSystem, x0, config: SolverConfig):
     system the method rejects.
     """
     generalized = config.method in GENERALIZED_METHODS
+    perm = np.asarray(column_perm, dtype=np.intp)
     kind = config.residual_norm
     r = b - a @ x0
     history = [vector_norm(r, kind)]
     report = partial(SolveReport, residual_norms=history, config=config,
-                     column_perm=sys.column_perm if generalized else None)
+                     column_perm=tuple(perm.tolist()) if generalized else None)
     if history[0] < config.epsilon:
         return report(status=STATUS_CONVERGED, solution=x0, iterations=0), None
     try:
-        op = prepare(sys, SWEEPS[config.method])
+        op = prepare(a, perm, SWEEPS[config.method])
     except SolverError as exc:
         return report(status=STATUS_ERROR, solution=x0, iterations=0, error=exc.kind), None
 
-    perm = np.asarray(sys.column_perm, dtype=np.intp)
     x, back = x0[perm], np.argsort(perm)
     acc = np.zeros_like(r)        # sum of the residuals carried since x was gathered
     pending = False               # whether acc holds any
@@ -353,11 +371,8 @@ def run(a, b, x0, config: SolverConfig) -> SolveReport:
 def run_with_operator(a, b, x0, config: SolverConfig):
     """``run``, also returning the operator the solve prepared (None when
     it prepared none: an error, or an x0 that already met epsilon)."""
-    a = as_matrix(a)
-    b = as_vector(b)
+    a, b = as_system(a, b)
     m, n = a.shape
-    if b.shape != (m,):
-        raise DimensionMismatch("rhs length must equal the number of rows")
     x0 = as_vector(x0) if x0 is not None else np.zeros(n)
     if x0.shape != (n,):
         raise DimensionMismatch("x0 length must equal the number of columns")
@@ -367,9 +382,5 @@ def run_with_operator(a, b, x0, config: SolverConfig):
     if config.method in SQUARE_METHODS and m != n:
         raise DimensionMismatch("classical methods require a square matrix")
 
-    # the checks of partition_system are done above and by SolverConfig,
-    # which leaves the identity order to all but the generalized methods;
-    # A is the tail for baseline, the head for the classical methods
-    head_size = 0 if config.method == METHOD_BASELINE else m
-    sys = split_system(a, b, _column_order(a, config.permutation_policy), head_size)
-    return _drive(a, b, sys, x0, config)
+    # SolverConfig leaves the identity order to all but the generalized methods
+    return _drive(a, b, column_order(a, config.permutation_policy), x0, config)

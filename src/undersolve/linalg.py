@@ -39,6 +39,16 @@ def as_vector(data) -> np.ndarray:
     return _require_finite(v, "vector")
 
 
+def as_system(a, b):
+    """Validate and return (a, b) as ``as_matrix`` and ``as_vector`` do,
+    with one rhs entry per row of a."""
+    a = as_matrix(a)
+    b = as_vector(b)
+    if b.shape != (a.shape[0],):
+        raise DimensionMismatch("rhs length must equal the number of rows")
+    return a, b
+
+
 def sign_matrix(a: np.ndarray) -> np.ndarray:
     """Entrywise signs (+1/0/-1) of the transpose of ``a``.
 

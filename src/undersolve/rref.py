@@ -19,8 +19,8 @@ from .iterate import (
     SolverConfig,
     _drive,
 )
-from .linalg import as_matrix, as_vector, matrix_norm
-from .partition import POLICY_IDENTITY, split_system
+from .linalg import as_matrix, as_system, as_vector, matrix_norm
+from .partition import POLICY_IDENTITY
 
 DEFAULT_RREF_TOLERANCE = 1e-10
 
@@ -119,11 +119,8 @@ def reduced_system(a, b, tolerance: float = DEFAULT_RREF_TOLERANCE):
 
     Raises ``DimensionMismatch`` when len(b) != m and
     ``NotUnderdetermined`` unless m < n."""
-    a = as_matrix(a)
-    b = as_vector(b)
+    a, b = as_system(a, b)
     m, n = a.shape
-    if b.shape != (m,):
-        raise DimensionMismatch("rhs length must equal the number of rows")
     if m >= n:
         raise NotUnderdetermined("exact solve requires m < n")
     aug = np.column_stack([a, b])
@@ -177,5 +174,4 @@ def solve_reduced(reduction, x0=None, config: SolverConfig = None):
         ), None
     pivots = np.array(result.pivot_columns, dtype=np.intp)
     order = np.concatenate((pivots, np.setdiff1d(np.arange(n), pivots)))
-    sys = split_system(a_bar, b_bar, order, len(pivots))
-    return _drive(a_bar, b_bar, sys, x0, config)
+    return _drive(a_bar, b_bar, order, x0, config)

@@ -16,10 +16,10 @@ from undersolve.iterate import (
     METHOD_GS,
     METHOD_JACOBI,
     SolverConfig,
+    prepare,
     run,
 )
 from undersolve.linalg import row_one_norms, sign_matrix
-from undersolve.partition import partition_system
 from undersolve.rref import exact_solve, reduced_system, rref
 
 from oracles import (
@@ -32,7 +32,7 @@ from oracles import (
     random_partitioned,
     rational_rref_floats,
 )
-from stepping import stepper, whole_stepper
+from stepping import stepper
 
 REPORT_DIR = Path(__file__).resolve().parent / "reports"
 
@@ -58,15 +58,15 @@ def test_criterion_1_residual_recurrence():
         for _ in range(100):
             a, m, n = random_partitioned(rng)
             b = rng.uniform(-10, 10, size=m)
-            sys = partition_system(a, b)
+            op = prepare(a, range(n), sweep)
             x = rng.uniform(-2, 2, size=n)
-            new = stepper(sys, sweep)(x)
+            new = stepper(a, b, sweep)(x)
             r = a @ x - b
-            head_inv = (np.diag(1.0 / np.diag(sys.b_head)) if use_diag
-                        else np.linalg.inv(np.tril(sys.b_head)))
-            tail_op = np.eye(m) - (sys.b_tail @ sign_matrix(sys.b_tail)) \
-                / row_one_norms(sys.b_tail)[np.newaxis, :] / m
-            predicted = (np.eye(m) - sys.b_head @ head_inv) @ tail_op @ r
+            head_inv = (np.diag(1.0 / np.diag(op.b_head)) if use_diag
+                        else np.linalg.inv(np.tril(op.b_head)))
+            tail_op = np.eye(m) - (op.b_tail @ sign_matrix(op.b_tail)) \
+                / row_one_norms(op.b_tail)[np.newaxis, :] / m
+            predicted = (np.eye(m) - op.b_head @ head_inv) @ tail_op @ r
             actual = a @ new - b
             err = np.abs(actual - predicted).max() / (1 + np.abs(r).max())
             worst = max(worst, err)
@@ -159,7 +159,7 @@ def test_criterion_4_baseline_contrast():
     exact_bound = 1e-10 * (1 + np.abs(b_bar).max())   # criterion 2's bound
 
     # the program matches the oracle step on the judged data itself
-    baseline_step = whole_stepper(a_bar, b_bar, None)
+    baseline_step = stepper(a_bar, b_bar, None)
     z, z_brute = DEMO_X0.copy(), DEMO_X0.tolist()
     for _ in range(10):
         z = baseline_step(z)
@@ -223,9 +223,8 @@ def test_criterion_5_certified_convergence():
         m = int(rng.integers(2, 5))
         n = int(rng.integers(2 * m, 2 * m + 4))
         a, b, _ = generate_certified(m, n, rng)
-        sys = partition_system(a, b)
         for method, sweep in ((METHOD_GJACOBI, METHOD_JACOBI), (METHOD_GGS, METHOD_GS)):
-            cond = check_conditions(sys, method)
+            cond = check_conditions(a, b, method)
             certified = [r for r in cond.per_norm if r.certified]
             assert certified
             for start in range(5):
@@ -234,7 +233,7 @@ def test_criterion_5_certified_convergence():
                     method=method, epsilon=1e-8, max_iterations=10000))
                 assert report.status == "converged"
             # per-step ratio bound in each certifying norm
-            step = stepper(sys, sweep)
+            step = stepper(a, b, sweep)
             for rec in certified:
                 bound = rec.c1 * rec.c2 / m + 1e-9
                 vn = vec_norm[rec.norm_kind]
@@ -276,7 +275,7 @@ def test_criterion_6_oracle_equivalence():
         b = rng.uniform(-5, 5, size=m)
         z = rng.uniform(-2, 2, size=n)
         expected = np.array(brute_baseline_step(a.tolist(), b.tolist(), z.tolist()))
-        assert np.abs(whole_stepper(a, b, None)(z) - expected).max() <= 1e-12
+        assert np.abs(stepper(a, b, None)(z) - expected).max() <= 1e-12
     for _ in range(200):
         m = int(rng.integers(1, 6))
         b_mat = rng.uniform(-5, 5, size=(m, m))
@@ -286,7 +285,7 @@ def test_criterion_6_oracle_equivalence():
         ej = np.array(brute_jacobi_step(b_mat.tolist(), rhs.tolist(), x.tolist()))
         eg = np.array(brute_gauss_seidel_step(b_mat.tolist(), rhs.tolist(), x.tolist()))
         for sweep, expected in ((METHOD_JACOBI, ej), (METHOD_GS, eg)):
-            step = whole_stepper(b_mat, rhs, sweep)
+            step = stepper(b_mat, rhs, sweep)
             assert np.abs(step(x) - expected).max() <= 1e-12
     dt = _elapsed(t0)
     assert dt < 5.0
@@ -299,22 +298,21 @@ def test_criterion_7_fixed_points():
     rng = np.random.default_rng(107)
     for _ in range(100):
         a, m, n = random_partitioned(rng, lo=2, hi=6)
-        sys0 = partition_system(a, np.zeros(m))
+        op = prepare(a, range(n), METHOD_JACOBI)
         head = rng.uniform(-2, 2, size=m)
         tail = rng.uniform(-2, 2, size=n - m)
-        b = sys0.b_head @ head + sys0.b_tail @ tail
+        b = op.b_head @ head + op.b_tail @ tail
         x_full = np.concatenate([head, tail])
-        sys = partition_system(a, b)
         for sweep in (METHOD_JACOBI, METHOD_GS):
-            out = stepper(sys, sweep)(x_full)
+            out = stepper(a, b, sweep)(x_full)
             assert np.abs(out[:m] - head).max() <= 1e-12
             assert np.abs(out[m:] - tail).max() <= 1e-12
-        assert np.abs(whole_stepper(a, b, None)(x_full) - x_full).max() <= 1e-12
+        assert np.abs(stepper(a, b, None)(x_full) - x_full).max() <= 1e-12
         b_sq = a[:, :m]
         x_sq = rng.uniform(-2, 2, size=m)
         rhs = b_sq @ x_sq
         for sweep in (METHOD_JACOBI, METHOD_GS):
-            step = whole_stepper(b_sq, rhs, sweep)
+            step = stepper(b_sq, rhs, sweep)
             assert np.abs(step(x_sq) - x_sq).max() <= 1e-12
     dt = _elapsed(t0)
     print(f"PASS criterion 7: exact solutions are fixed points of all five "

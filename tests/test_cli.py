@@ -9,10 +9,8 @@ import pytest
 
 from undersolve import convergence, formats, iterate
 from undersolve.cli import main
-from undersolve.convergence import check_conditions
 from undersolve.demo import DEMO_A, DEMO_B, DEMO_X0
-from undersolve.iterate import GENERALIZED_METHODS
-from undersolve.partition import split_system
+from undersolve.iterate import GENERALIZED_METHODS, SWEEPS
 from undersolve.rref import reduced_system
 
 DATA = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "data")
@@ -313,15 +311,16 @@ def _json_reports(path):
 
 
 def _assert_conditions_of_partition(obj, a, b):
-    """A JSON report's conditions equal check_conditions on the report's
-    own partition of (a, b) to 12 digits, and are null unless a
-    generalized method iterated without error.  Returns whether they are
-    present."""
+    """A JSON report's conditions equal those of the operator prepared on
+    the report's own column order of (a, b) to 12 digits, and are null
+    unless a generalized method iterated without error.  Returns whether
+    they are present."""
     method = obj["config"]["method"]
     if method not in GENERALIZED_METHODS or obj["error"] is not None or obj["iterations"] == 0:
         assert obj["conditions"] is None
         return False
-    expected = check_conditions(split_system(a, b, obj["column_perm"], a.shape[0]), method)
+    expected = convergence.operator_conditions(
+        iterate.prepare(a, obj["column_perm"], SWEEPS[method]))
     got = formats._conditions_from_obj(obj["conditions"])
     assert (got.method, got.overall_certified) == (method, expected.overall_certified)
     for rec, exp in zip(got.per_norm, expected.per_norm, strict=True):
@@ -362,9 +361,9 @@ def test_json_conditions_reuse_the_solve_operator(monkeypatch, tmp_path):
     # prepared, so each generalized solve prepares once
     prepared = []
 
-    def counting_prepare(sys_part, sweep, _prepare=iterate.prepare):
+    def counting_prepare(a, column_perm, sweep, _prepare=iterate.prepare):
         prepared.append(sweep)
-        return _prepare(sys_part, sweep)
+        return _prepare(a, column_perm, sweep)
 
     monkeypatch.setattr(iterate, "prepare", counting_prepare)
     monkeypatch.setattr(convergence, "prepare", counting_prepare)

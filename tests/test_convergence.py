@@ -10,9 +10,15 @@ from undersolve.convergence import (
     contraction_factor,
 )
 from undersolve.demo import DEMO_A, DEMO_B
-from undersolve.iterate import METHOD_GGS, METHOD_GJACOBI
+from undersolve.errors import (
+    DimensionMismatch,
+    InvalidInput,
+    NotUnderdetermined,
+    RankDeficient,
+    ZeroDiagonal,
+)
+from undersolve.iterate import METHOD_GGS, METHOD_GJACOBI, METHOD_JACOBI, prepare
 from undersolve.linalg import NORM_FRO, matrix_norm, row_one_norms, sign_matrix
-from undersolve.partition import partition_system
 from undersolve.rref import reduced_system
 
 from oracles import random_partitioned
@@ -21,9 +27,8 @@ from oracles import random_partitioned
 def test_identity_head_gives_zero_c1():
     rng = np.random.default_rng(1)
     a = np.column_stack([np.eye(3), rng.uniform(1, 2, size=(3, 2))])
-    sys = partition_system(a, np.zeros(3))
     for method in (METHOD_GJACOBI, METHOD_GGS):
-        report = check_conditions(sys, method)
+        report = check_conditions(a, np.zeros(3), method)
         for rec in report.per_norm:
             assert rec.c1 == 0.0
             assert rec.c2 >= 0.0
@@ -31,8 +36,7 @@ def test_identity_head_gives_zero_c1():
 
 def test_single_ones_column_uncertified():
     a = np.column_stack([np.eye(2), np.array([[1.0], [1.0]])])
-    sys = partition_system(a, np.zeros(2))
-    report = check_conditions(sys, METHOD_GJACOBI)
+    report = check_conditions(a, np.zeros(2), METHOD_GJACOBI)
     by_norm = {r.norm_kind: r for r in report.per_norm}
     assert by_norm["one"].c2 == 2.0
     assert not by_norm["one"].certified
@@ -40,8 +44,7 @@ def test_single_ones_column_uncertified():
 
 def test_reduced_demo_report_emitted():
     _, a_bar, b_bar = reduced_system(DEMO_A, DEMO_B)
-    sys = partition_system(a_bar, b_bar)
-    report = check_conditions(sys, METHOD_GJACOBI)
+    report = check_conditions(a_bar, b_bar, METHOD_GJACOBI)
     # outcome recorded, not asserted: conditions are sufficient only
     assert isinstance(report.overall_certified, bool)
     assert all(r.c1 == 0.0 for r in report.per_norm)
@@ -51,10 +54,10 @@ def test_certification_predicate_scaling_equivalence():
     rng = np.random.default_rng(21)
     for _ in range(30):
         a, m, n = random_partitioned(rng)
-        sys = partition_system(a, np.zeros(m))
-        report = check_conditions(sys, METHOD_GJACOBI)
-        tail_product = (sys.b_tail @ sign_matrix(sys.b_tail)) \
-            / row_one_norms(sys.b_tail)[np.newaxis, :]
+        report = check_conditions(a, np.zeros(m), METHOD_GJACOBI)
+        op = prepare(a, range(n), METHOD_JACOBI)
+        tail_product = (op.b_tail @ sign_matrix(op.b_tail)) \
+            / row_one_norms(op.b_tail)[np.newaxis, :]
         for rec in report.per_norm:
             scaled = matrix_norm(np.eye(m) - tail_product / m, rec.norm_kind)
             assert abs(rec.c2 / m - scaled) <= 1e-12 * (1 + scaled)
@@ -69,7 +72,7 @@ def test_frobenius_tail_factor_never_certifies(seed, m, extra, method):
     # sums to the row's 1-norm, so c2 >= sqrt(m) (m - 1), which is m or more
     # for every m >= 3
     a, m, n = random_partitioned(np.random.default_rng(seed), m=m, n=m + extra)
-    report = check_conditions(partition_system(a, np.zeros(m)), method)
+    report = check_conditions(a, np.zeros(m), method)
     fro = next(r for r in report.per_norm if r.norm_kind == NORM_FRO)
     assert fro.c2 >= np.sqrt(m) * (m - 1) * (1 - 1e-12)
     assert not fro.certified
@@ -91,9 +94,8 @@ def test_contraction_factor():
 def test_cauchy_bound_present_and_finite():
     rng = np.random.default_rng(25)
     a, m, n = random_partitioned(rng)
-    sys = partition_system(a, np.zeros(m))
     for method in (METHOD_GJACOBI, METHOD_GGS):
-        report = check_conditions(sys, method)
+        report = check_conditions(a, np.zeros(m), method)
         for rec in report.per_norm:
             assert np.isfinite(rec.cauchy_bound)
             assert rec.cauchy_bound >= 0.0
@@ -101,6 +103,23 @@ def test_cauchy_bound_present_and_finite():
 
 def test_rejects_non_generalized_method():
     a = np.column_stack([np.eye(2), np.ones((2, 1))])
-    sys = partition_system(a, np.zeros(2))
     with pytest.raises(ValueError):
-        check_conditions(sys, "baseline")
+        check_conditions(a, np.zeros(2), "baseline")
+
+
+@pytest.mark.parametrize("a,b,method,policy,error,match", [
+    ([[1.0, 2.0, 3.0]], [1.0, 2.0], "baseline", "bogus", DimensionMismatch, "rhs length"),
+    (np.eye(2), [1.0, 2.0], "baseline", "bogus", NotUnderdetermined, "more unknowns"),
+    ([[1.0, 2.0, 3.0]], [1.0], "baseline", "bogus", InvalidInput, "permutation policy"),
+    ([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]], [1.0, 2.0], "baseline", "pivot-columns",
+     RankDeficient, "rank"),
+    ([[0.0, 2.0, 1.0], [3.0, 4.0, 5.0]], [1.0, 2.0], "baseline", "identity",
+     InvalidInput, "conditions are defined"),
+    ([[0.0, 2.0, 1.0], [3.0, 4.0, 5.0]], [1.0, 2.0], "gjacobi", "identity",
+     ZeroDiagonal, "diagonal"),
+])
+def test_check_conditions_raises_in_order(a, b, method, policy, error, match):
+    # (a, b), then m < n, then the policy, then the method, then the
+    # operator's structure: each row breaks every later check too
+    with pytest.raises(error, match=match):
+        check_conditions(a, b, method, policy)

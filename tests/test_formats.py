@@ -1,3 +1,4 @@
+import json
 import os
 import tracemalloc
 import warnings
@@ -237,6 +238,28 @@ def test_report_roundtrip():
     assert again.config == report.config
     # serialization is deterministic: write(read(write(r))) == write(r)
     assert write_report(again) == text
+
+
+def _edited_config(edit):
+    """The text of a valid report whose config ``edit`` changed in place."""
+    report = run(np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]]), np.array([3.0, 2.0]), None,
+                 SolverConfig())
+    obj = json.loads(write_report(report))
+    edit(obj["config"])
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("make_text", [
+    pytest.param(lambda: "{}", id="no-config"),
+    pytest.param(lambda: "[]", id="not-an-object"),
+    pytest.param(lambda: "{", id="not-json"),
+    pytest.param(lambda: _edited_config(lambda cfg: cfg.pop("epsilon")), id="missing-config-key"),
+    pytest.param(lambda: _edited_config(lambda cfg: cfg.update(tolerance=1e-10)),
+                 id="extra-config-key"),
+])
+def test_read_report_malformed_text_is_a_parse_error(make_text):
+    with pytest.raises(ParseError, match="report"):
+        read_report(make_text())
 
 
 def test_load_matrix_file_closes_the_file(tmp_path):

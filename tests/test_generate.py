@@ -10,7 +10,6 @@ from undersolve.convergence import check_conditions, tail_iteration_matrix
 from undersolve.generate import SNAP_THRESHOLD, _tail_lower_bounds, generate_certified
 from undersolve.iterate import GENERALIZED_METHODS
 from undersolve.linalg import NORM_KINDS, matrix_norm, row_one_norms, sign_matrix
-from undersolve.partition import partition_system
 
 # sha256 of the bytes of (A, b, x*) from generate_certified(m, n,
 # default_rng(seed)), recorded when the generator re-partitioned the system
@@ -37,8 +36,7 @@ def test_generate_certified_output_pinned(m, n, seed):
     a, b, x_star = generate_certified(m, n, np.random.default_rng(seed))
     digest = hashlib.sha256(a.tobytes() + b.tobytes() + x_star.tobytes()).hexdigest()
     assert digest == PINNED[(m, n, seed)]
-    sys = partition_system(a, b)
-    assert all(check_conditions(sys, method).overall_certified
+    assert all(check_conditions(a, b, method).overall_certified
                for method in GENERALIZED_METHODS)
 
 
@@ -47,7 +45,7 @@ def test_generate_certified_checks_each_method_once(monkeypatch):
     original = convergence.check_conditions
 
     def counting(*args):
-        calls.append(args[1])
+        calls.append(args[2])
         return original(*args)
 
     monkeypatch.setattr(convergence, "check_conditions", counting)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from undersolve import convergence, iterate, partition
+from undersolve import convergence, formats, iterate, linalg, partition
 from undersolve import rref as rref_module
 from undersolve.demo import DEMO_A, DEMO_B, DEMO_X0
 from undersolve.errors import DimensionMismatch, InvalidInput, ZeroDiagonal, ZeroRow, ZeroTailRow
@@ -24,21 +24,15 @@ from undersolve.iterate import (
     run,
 )
 from undersolve.linalg import NORM_INF, NORM_ONE, row_one_norms, sign_matrix, vector_norm
-from undersolve.partition import (
-    POLICIES,
-    POLICY_IDENTITY,
-    POLICY_PIVOT_COLUMNS,
-    partition_system,
-    split_system,
-)
+from undersolve.partition import POLICIES, POLICY_IDENTITY, POLICY_PIVOT_COLUMNS, column_order
 from undersolve.rref import exact_solve, reduced_system
 
 from oracles import brute_step, brute_step_operators, random_partitioned
-from stepping import stepper, whole_stepper
+from stepping import stepper
 
 
 def test_baseline_one_row():
-    z = whole_stepper(np.array([[1.0, 1.0]]), np.array([2.0]), None)(np.zeros(2))
+    z = stepper(np.array([[1.0, 1.0]]), np.array([2.0]), None)(np.zeros(2))
     assert z.tolist() == [1.0, 1.0]
 
 
@@ -47,18 +41,16 @@ def test_baseline_fixed_point():
     a = rng.uniform(-5, 5, size=(3, 5))
     x = rng.uniform(-1, 1, size=5)
     b = a @ x
-    assert np.abs(whole_stepper(a, b, None)(x) - x).max() <= 1e-12
+    assert np.abs(stepper(a, b, None)(x) - x).max() <= 1e-12
 
 
 def test_baseline_zero_row():
     with pytest.raises(ZeroRow):
-        whole_stepper(np.array([[0.0, 0.0], [1.0, 2.0]]), np.array([1.0, 1.0]),
-                      None)(np.zeros(2))
+        stepper(np.array([[0.0, 0.0], [1.0, 2.0]]), np.array([1.0, 1.0]), None)(np.zeros(2))
 
 
 def test_gjacobi_hand_example():
-    sys = partition_system([[1, 0, 2], [0, 1, 1]], [3, 2])
-    x1 = stepper(sys, METHOD_JACOBI)(np.zeros(3))
+    x1 = stepper([[1, 0, 2], [0, 1, 1]], [3, 2], METHOD_JACOBI)(np.zeros(3))
     assert x1[2:].tolist() == [1.75]
     assert x1[:2].tolist() == [-0.5, 0.25]
     assert np.allclose(np.array([[1, 0, 2], [0, 1, 1]]) @ x1, [3, 2])
@@ -68,19 +60,18 @@ def test_gjacobi_fixed_point():
     rng = np.random.default_rng(4)
     for _ in range(20):
         a, m, n = random_partitioned(rng, lo=2, hi=6)
-        sys = partition_system(a, np.zeros(m))
+        op = iterate.prepare(a, range(n), METHOD_JACOBI)
         head = rng.uniform(-1, 1, size=m)
         tail = rng.uniform(-1, 1, size=n - m)
-        b = sys.b_head @ head + sys.b_tail @ tail
-        sys = partition_system(a, b)
-        x1 = stepper(sys, METHOD_JACOBI)(np.concatenate([head, tail]))
+        b = op.b_head @ head + op.b_tail @ tail
+        x1 = stepper(a, b, METHOD_JACOBI)(np.concatenate([head, tail]))
         assert np.abs(x1[:m] - head).max() <= 1e-12
         assert np.abs(x1[m:] - tail).max() <= 1e-12
 
 
 def test_gjacobi_exact_each_step_on_reduced_demo():
     _, a_bar, b_bar = reduced_system(DEMO_A, DEMO_B)
-    step = stepper(partition_system(a_bar, b_bar), METHOD_JACOBI)
+    step = stepper(a_bar, b_bar, METHOD_JACOBI)
     x = DEMO_X0
     for _ in range(5):
         x = step(x)
@@ -89,27 +80,26 @@ def test_gjacobi_exact_each_step_on_reduced_demo():
 
 def test_gjacobi_zero_tail_row():
     a = np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 5.0]])
-    sys = partition_system(a, [1.0, 2.0])
     with pytest.raises(ZeroTailRow):
-        stepper(sys, METHOD_JACOBI)(np.zeros(3))
+        stepper(a, [1.0, 2.0], METHOD_JACOBI)(np.zeros(3))
 
 
 def test_gjacobi_zero_diagonal():
     a = np.array([[0.0, 2.0, 1.0], [3.0, 4.0, 5.0]])
-    sys = partition_system(a, [1.0, 2.0])
     with pytest.raises(ZeroDiagonal):
-        stepper(sys, METHOD_JACOBI)(np.zeros(3))
+        stepper(a, [1.0, 2.0], METHOD_JACOBI)(np.zeros(3))
 
 
 def test_ggs_hand_example():
     a = np.column_stack([np.array([[2.0, 0.0], [1.0, 4.0]]), np.array([[1.0], [1.0]])])
-    sys = partition_system(a, [4.0, 9.0])
-    x1 = stepper(sys, METHOD_GS)(np.zeros(3))
+    b = np.array([4.0, 9.0])
+    op = iterate.prepare(a, range(3), METHOD_GS)
+    x1 = stepper(a, b, METHOD_GS)(np.zeros(3))
     assert x1[2:].tolist() == [6.5]
     assert x1[:2].tolist() == [-1.25, 0.9375]
     # oracle: dense solve of L head = b_hat
-    b_hat = sys.rhs - sys.b_tail @ x1[2:]
-    assert np.allclose(x1[:2], np.linalg.solve(np.tril(sys.b_head), b_hat))
+    b_hat = b - op.b_tail @ x1[2:]
+    assert np.allclose(x1[:2], np.linalg.solve(np.tril(op.b_head), b_hat))
 
 
 def test_ggs_prepare_inverts_no_large_block(monkeypatch):
@@ -119,14 +109,13 @@ def test_ggs_prepare_inverts_no_large_block(monkeypatch):
     m = 300
     head = np.tril(rng.uniform(-1.0, 1.0, size=(m, m)), -1) + np.diag(rng.uniform(m, 2 * m, size=m))
     a = np.hstack([head, rng.uniform(-1.0, 1.0, size=(m, 2 * m))])
-    sys = partition_system(a, np.zeros(m))
     shapes = []
     for name in ("inv", "solve"):
         def record(mat, *args, original=getattr(np.linalg, name), **kwargs):
             shapes.append(np.shape(mat))
             return original(mat, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, record)
-    op = iterate.prepare(sys, METHOD_GS)
+    op = iterate.prepare(a, range(3 * m), METHOD_GS)
     assert all(max(shape) <= 64 for shape in shapes)
     assert np.abs(op.lower_inv @ head - np.eye(m)).max() <= 1e-12
 
@@ -135,10 +124,9 @@ def test_ggs_matches_gjacobi_for_identity_head():
     rng = np.random.default_rng(6)
     a = np.column_stack([np.eye(3), rng.uniform(-2, 2, size=(3, 2))])
     b = rng.uniform(-3, 3, size=3)
-    sys = partition_system(a, b)
     x0 = np.concatenate([rng.uniform(-1, 1, size=3), rng.uniform(-1, 1, size=2)])
-    xj = stepper(sys, METHOD_JACOBI)(x0)
-    xg = stepper(sys, METHOD_GS)(x0)
+    xj = stepper(a, b, METHOD_JACOBI)(x0)
+    xg = stepper(a, b, METHOD_GS)(x0)
     assert np.array_equal(xj, xg)
 
 
@@ -148,34 +136,33 @@ def test_ggs_fixed_point():
     head = rng.uniform(-1, 1, size=m)
     tail = rng.uniform(-1, 1, size=n - m)
     b = a[:, :m] @ head + a[:, m:] @ tail
-    sys = partition_system(a, b)
-    x1 = stepper(sys, METHOD_GS)(np.concatenate([head, tail]))
+    x1 = stepper(a, b, METHOD_GS)(np.concatenate([head, tail]))
     assert np.abs(x1[:m] - head).max() <= 1e-12
     assert np.abs(x1[m:] - tail).max() <= 1e-12
 
 
 def test_classical_jacobi():
-    x1 = whole_stepper(np.array([[4.0, 1.0], [1.0, 3.0]]),
-                       np.array([1.0, 2.0]), METHOD_JACOBI)(np.zeros(2))
+    x1 = stepper(np.array([[4.0, 1.0], [1.0, 3.0]]),
+                 np.array([1.0, 2.0]), METHOD_JACOBI)(np.zeros(2))
     assert np.allclose(x1, [0.25, 2.0 / 3.0])
     # diagonal matrix solves in one step
     d = np.diag([2.0, 5.0])
-    assert whole_stepper(d, np.array([4.0, 10.0]), METHOD_JACOBI)(np.zeros(2)).tolist() == [2, 2]
+    assert stepper(d, np.array([4.0, 10.0]), METHOD_JACOBI)(np.zeros(2)).tolist() == [2, 2]
     # fixed point
     b_mat = np.array([[3.0, 1.0], [1.0, 4.0]])
     x = np.array([1.0, -2.0])
-    assert np.abs(whole_stepper(b_mat, b_mat @ x, METHOD_JACOBI)(x) - x).max() <= 1e-12
+    assert np.abs(stepper(b_mat, b_mat @ x, METHOD_JACOBI)(x) - x).max() <= 1e-12
 
 
 def test_classical_gauss_seidel():
     b_mat = np.array([[2.0, 1.0], [1.0, 3.0]])
-    x1 = whole_stepper(b_mat, np.array([3.0, 5.0]), METHOD_GS)(np.zeros(2))
+    x1 = stepper(b_mat, np.array([3.0, 5.0]), METHOD_GS)(np.zeros(2))
     # forward substitution by hand: x1[0]=3/2, x1[1]=(5-1.5)/3
     assert np.allclose(x1, [1.5, 3.5 / 3.0])
     d = np.diag([2.0, 5.0])
-    assert whole_stepper(d, np.array([4.0, 10.0]), METHOD_GS)(np.zeros(2)).tolist() == [2, 2]
+    assert stepper(d, np.array([4.0, 10.0]), METHOD_GS)(np.zeros(2)).tolist() == [2, 2]
     x = np.array([1.0, -2.0])
-    assert np.abs(whole_stepper(b_mat, b_mat @ x, METHOD_GS)(x) - x).max() <= 1e-12
+    assert np.abs(stepper(b_mat, b_mat @ x, METHOD_GS)(x) - x).max() <= 1e-12
 
 
 def test_weighted_residual_identity():
@@ -185,11 +172,12 @@ def test_weighted_residual_identity():
         a, m, n = random_partitioned(rng)
         x = rng.uniform(-2, 2, size=n)
         b = rng.uniform(-5, 5, size=m)
-        sys = partition_system(a, b)
-        slots = x[list(sys.column_perm)]
-        norms = row_one_norms(sys.b_tail)
-        b_tilde = b - sys.b_head @ slots[:m]
-        d = (b_tilde - sys.b_tail @ slots[m:]) / (m * norms)
+        perm = column_order(a, POLICY_IDENTITY)
+        op = iterate.prepare(a, perm, METHOD_JACOBI)
+        slots = x[list(perm)]
+        norms = row_one_norms(op.b_tail)
+        b_tilde = b - op.b_head @ slots[:m]
+        d = (b_tilde - op.b_tail @ slots[m:]) / (m * norms)
         expected = (b - a @ x) / (m * norms)
         assert np.abs(d - expected).max() <= 1e-12 * (1 + np.abs(expected).max())
 
@@ -203,15 +191,15 @@ def test_residual_recurrence(sweep, splitting):
     for _ in range(30):
         a, m, n = random_partitioned(rng)
         b = rng.uniform(-5, 5, size=m)
-        sys = partition_system(a, b)
+        op = iterate.prepare(a, range(n), sweep)
         x = rng.uniform(-2, 2, size=n)
-        new = stepper(sys, sweep)(x)
+        new = stepper(a, b, sweep)(x)
         r = a @ x - b
-        head_inv = (np.diag(1.0 / np.diag(sys.b_head)) if splitting == "diag"
-                    else np.linalg.inv(np.tril(sys.b_head)))
-        tail_op = np.eye(m) - (sys.b_tail @ sign_matrix(sys.b_tail)) \
-            / row_one_norms(sys.b_tail)[np.newaxis, :] / m
-        predicted = (np.eye(m) - sys.b_head @ head_inv) @ tail_op @ r
+        head_inv = (np.diag(1.0 / np.diag(op.b_head)) if splitting == "diag"
+                    else np.linalg.inv(np.tril(op.b_head)))
+        tail_op = np.eye(m) - (op.b_tail @ sign_matrix(op.b_tail)) \
+            / row_one_norms(op.b_tail)[np.newaxis, :] / m
+        predicted = (np.eye(m) - op.b_head @ head_inv) @ tail_op @ r
         actual = a @ new - b
         assert np.abs(actual - predicted).max() <= 1e-10 * (1 + np.abs(r).max())
 
@@ -299,8 +287,14 @@ def test_config_rejects_a_value_of_the_wrong_type(field, value):
     # here, not a TypeError from range() or a comparison inside a solve
     with pytest.raises(InvalidInput, match=field):
         SolverConfig(**{field: value})
-    # numpy scalars of the right kind are accepted
-    SolverConfig(**{field: np.int64(3) if field != "epsilon" else np.float64(1e-8)})
+    # numpy scalars of the right kind are accepted and stored as the Python
+    # numbers they equal, which the JSON report writes and reads back
+    kind = float if field == "epsilon" else int
+    for right in ((np.float64(1e-8), np.float32(1e-8)) if kind is float else (np.int64(3),)):
+        config = SolverConfig(**{field: right})
+        assert type(getattr(config, field)) is kind
+        report = run([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]], [3.0, 2.0], None, config)
+        assert formats.read_report(formats.write_report(report)).config == config
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -311,7 +305,7 @@ def test_config_rejects_a_policy_it_would_ignore(method):
         a, b = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 7.0]]), np.array([1.0, 1.0])
         report = run(a, b, None, SolverConfig(method=method,
                                               permutation_policy=POLICY_PIVOT_COLUMNS))
-        expected = tuple(partition_system(a, b, POLICY_PIVOT_COLUMNS).column_perm)
+        expected = tuple(column_order(a, POLICY_PIVOT_COLUMNS).tolist())
         assert report.column_perm == expected != (0, 1, 2)
     else:
         with pytest.raises(InvalidInput, match="needs a generalized method"):
@@ -476,9 +470,10 @@ def test_solve_pays_only_for_its_loop(method, monkeypatch):
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("method", list(GENERALIZED_METHODS))
 def test_generalized_run_validates_a_once(method, policy, monkeypatch):
-    # run checks its input once and partitions the checked matrix: no
-    # second validating copy of A in partition_system
-    counts = _count_calls(monkeypatch, (iterate, partition, rref_module), ("as_matrix",))
+    # run checks its input once and splits the checked matrix: no second
+    # validating copy of A
+    counts = _count_calls(monkeypatch, (iterate, linalg, partition, rref_module),
+                          ("as_matrix",))
     rng = np.random.default_rng(18)
     a, m, n = random_partitioned(rng, m=4, n=9)
     report = run(a, rng.uniform(-5.0, 5.0, size=m), None,
@@ -524,9 +519,8 @@ def test_drive_on_a_column_order_matches_the_reordered_system(seed, m, extra, me
     b = rng.uniform(-5.0, 5.0, size=m)
     x0 = rng.uniform(-2.0, 2.0, size=n)
     config = SolverConfig(method=method, epsilon=1e-300, max_iterations=max_iterations)
-    permuted, _ = _drive(a, b, split_system(a, b, perm, m), x0, config)
-    reordered, _ = _drive(a[:, perm], b, split_system(a[:, perm], b, range(n), m), x0[perm],
-                          config)
+    permuted, _ = _drive(a, b, perm, x0, config)
+    reordered, _ = _drive(a[:, perm], b, range(n), x0[perm], config)
     assert permuted.status == reordered.status
     assert permuted.iterations == reordered.iterations
     expected = np.empty(n)
@@ -536,35 +530,32 @@ def test_drive_on_a_column_order_matches_the_reordered_system(seed, m, extra, me
 
 
 def _method_case(seed, method, policy, m, extra):
-    """A random system for ``method`` and its partition under ``policy``
+    """A random system for ``method`` and its column order under ``policy``
     (the identity order for the methods without a policy)."""
     rng = np.random.default_rng(seed)
     a, m, n = random_partitioned(rng, m=m, n=m + extra)
     if method in SQUARE_METHODS:
         a = a[:, :m]
     b = rng.uniform(-5.0, 5.0, size=m)
-    if method in GENERALIZED_METHODS:
-        sys = partition_system(a, b, policy)
-    else:
-        sys = split_system(a, b, np.arange(a.shape[1]), 0 if method == METHOD_BASELINE else m)
-    return rng, a, b, sys
+    perm = column_order(a, policy if method in GENERALIZED_METHODS else POLICY_IDENTITY)
+    return rng, a, b, perm
 
 
 _cases = dict(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6), extra=st.integers(1, 6),
               method=st.sampled_from(METHODS), policy=st.sampled_from(POLICIES))
 
 
-def _prepared(sys, method):
+def _prepared(a, perm, method):
     """The operator, and the condition number of its head splitting H
     (1 without a head): applying H^-1 as a formed inverse, as Gauss-Seidel
     does, rounds in proportion to it, where the oracle substitutes."""
     try:
-        op = iterate.prepare(sys, SWEEPS[method])
+        op = iterate.prepare(a, perm, SWEEPS[method])
     except ZeroDiagonal:   # a pivot-columns head may put a zero on the diagonal
         return None, None
     if op.sweep is None:
         return op, 1.0
-    head = np.diag(op.diag) if op.diag is not None else np.tril(sys.b_head)
+    head = np.diag(op.diag) if op.diag is not None else np.tril(op.b_head)
     return op, np.linalg.cond(head, np.inf)
 
 
@@ -573,13 +564,13 @@ def _prepared(sys, method):
 def test_advance_matches_the_oracle_residual_operator(seed, m, extra, method, policy):
     # M r from the loop-written M: each column is the residual one brute
     # step leaves from x = 0 on the right-hand side e_j
-    rng, a, _, sys = _method_case(seed, method, policy, m, extra)
-    op, cond = _prepared(sys, method)
+    rng, a, _, perm = _method_case(seed, method, policy, m, extra)
+    op, cond = _prepared(a, perm, method)
     if op is None:
         return
     mat, gain = (np.array(o) for o in brute_step_operators(
-        a.tolist(), sys.column_perm, sys.b_head.shape[1], SWEEPS[method]))
-    r = rng.uniform(-5.0, 5.0, size=sys.m)
+        a.tolist(), tuple(perm.tolist()), op.b_head.shape[1], SWEEPS[method]))
+    r = rng.uniform(-5.0, 5.0, size=a.shape[0])
     # both sides round at most a few units of |A| |K| |r| per entry
     bound = 1e-12 * cond * (np.abs(a) @ np.abs(gain) @ np.abs(r) + np.abs(r))
     assert np.all(np.abs(op.advance(r) - mat @ r) <= bound)
@@ -589,16 +580,16 @@ def test_advance_matches_the_oracle_residual_operator(seed, m, extra, method, po
 @given(**_cases)
 def test_gain_matches_the_brute_step(seed, m, extra, method, policy):
     # slots + K r, with r = b - A x, is the brute step from x
-    rng, a, b, sys = _method_case(seed, method, policy, m, extra)
-    op, cond = _prepared(sys, method)
+    rng, a, b, perm = _method_case(seed, method, policy, m, extra)
+    op, cond = _prepared(a, perm, method)
     if op is None:
         return
     x = rng.uniform(-2.0, 2.0, size=a.shape[1])
-    head_size = sys.b_head.shape[1]
-    new = stepper(sys, SWEEPS[method])(x)
-    expected = np.array(brute_step(a.tolist(), b.tolist(), x.tolist(), sys.column_perm,
+    head_size = op.b_head.shape[1]
+    new = stepper(a, b, SWEEPS[method], perm)(x)
+    expected = np.array(brute_step(a.tolist(), b.tolist(), x.tolist(), tuple(perm.tolist()),
                                    head_size, SWEEPS[method]))
-    gain = np.array(brute_step_operators(a.tolist(), sys.column_perm, head_size,
+    gain = np.array(brute_step_operators(a.tolist(), tuple(perm.tolist()), head_size,
                                          SWEEPS[method])[1])
     bound = 1e-12 * cond * (np.abs(x) + np.abs(gain) @ (np.abs(b) + np.abs(a) @ np.abs(x)))
     assert np.all(np.abs(new - expected) <= bound)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from undersolve.demo import DEMO_A, DEMO_B, DEMO_X0
 from undersolve.errors import DimensionMismatch, InvalidInput, SolverError
 from undersolve.iterate import METHOD_GGS, METHOD_GJACOBI, METHOD_JACOBI, SolverConfig
-from undersolve.partition import POLICY_PIVOT_COLUMNS, partition_system
+from undersolve.partition import POLICY_PIVOT_COLUMNS
 from undersolve.rref import exact_solve, reduced_system, rref
 
 from oracles import rational_rref_floats
@@ -153,7 +153,7 @@ def test_exact_solve_rank_deficient_consistent():
 
 def test_successive_iterates_differ_until_fixed():
     _, a_bar, b_bar = reduced_system(DEMO_A, DEMO_B)
-    step = stepper(partition_system(a_bar, b_bar), METHOD_JACOBI)
+    step = stepper(a_bar, b_bar, METHOD_JACOBI)
     prev = DEMO_X0
     for _ in range(3):
         cur = step(prev)
