@@ -129,11 +129,15 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise InvalidInput(f"unknown method: {self.method!r}")
-        if not isinstance(self.epsilon, numbers.Real) or not 0.0 < self.epsilon < np.inf:
+        try:
+            epsilon = float(self.epsilon) if isinstance(self.epsilon, numbers.Real) else np.nan
+        except OverflowError:     # an integer beyond the float range
+            epsilon = np.inf
+        if not 0.0 < epsilon < np.inf:
             raise InvalidInput("epsilon must be positive and finite")
         # a numpy scalar is stored as the Python number it equals, which
         # the JSON report can write
-        object.__setattr__(self, "epsilon", float(self.epsilon))
+        object.__setattr__(self, "epsilon", epsilon)
         for name in ("max_iterations", "stagnation_window"):
             try:
                 object.__setattr__(self, name, operator.index(getattr(self, name)))
@@ -220,7 +224,8 @@ def tail_iteration_matrix(b_tail, signs, weights) -> np.ndarray:
 
 
 def prepare(a, column_perm, sweep: Optional[str]) -> Operator:
-    """Split the m x n matrix a in the column order ``column_perm`` and
+    """Split the m x n matrix a in the column order ``column_perm`` (an
+    integer array, or any sequence of column indices that slices) and
     build the operator for a sweep kind (None, METHOD_JACOBI or
     METHOD_GS).  With a sweep the head is the first m slots; without one
     (baseline) the head is empty and the tail is all of a.  Each block is
@@ -245,10 +250,9 @@ def prepare(a, column_perm, sweep: Optional[str]) -> Operator:
     m ln(||r_0|| / epsilon) steps.  With a sweep M stays factored.
     """
     m = a.shape[0]
-    perm = np.asarray(column_perm, dtype=np.intp)
     k = 0 if sweep is None else m
-    b_head = np.take(a, perm[:k], axis=1)
-    b_tail = np.take(a, perm[k:], axis=1)
+    b_head = np.take(a, column_perm[:k], axis=1)
+    b_tail = np.take(a, column_perm[k:], axis=1)
     signs = weights = tail_map = diag = lower_inv = None
     if b_tail.shape[1]:
         norms = row_one_norms(b_tail)

@@ -281,10 +281,12 @@ def test_run_error_kinds(method, a, kind):
     ("stagnation_window", 2.5),
     ("epsilon", "1e-8"),
     ("epsilon", None),
+    ("epsilon", 10**400),
 ])
 def test_config_rejects_a_value_of_the_wrong_type(field, value):
-    # a count must be an integer and epsilon a real number: a typed error
-    # here, not a TypeError from range() or a comparison inside a solve
+    # a count must be an integer and epsilon a real number with a finite
+    # float value: a typed error here, not a TypeError from range() or a
+    # comparison inside a solve, nor an OverflowError from float()
     with pytest.raises(InvalidInput, match=field):
         SolverConfig(**{field: value})
     # numpy scalars of the right kind are accepted and stored as the Python
