@@ -40,7 +40,7 @@ from .errors import (
     SolverError,
     UnsupportedFormat,
 )
-from .iterate import SolveReport, SolverConfig
+from .iterate import STATUS_ERROR, STATUSES, SolveReport, SolverConfig
 from .convergence import ConditionReport, NormConditionRecord
 from .linalg import _require_finite, as_matrix, as_vector
 
@@ -387,20 +387,42 @@ def write_report(report: SolveReport) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _check_outcome(status, iterations, norms, error):
+    """Raise ``ParseError`` unless a report's outcome fields are values a
+    solve gives: one of the five statuses; a list of numbers as
+    ``residual_norms``, empty only on an error report (an inconsistent
+    reduction measures no residual); ``iterations`` an int that counts the
+    norms after the first; an error kind only on an error report."""
+    if status not in STATUSES:
+        raise ParseError(f"report status {status!r} is not one of {', '.join(STATUSES)}")
+    if not isinstance(norms, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in norms):
+        raise ParseError("report residual_norms must be a list of numbers")
+    if not norms and status != STATUS_ERROR:
+        raise ParseError("report residual_norms must hold the first norm of a solve")
+    if type(iterations) is not int or iterations != max(len(norms) - 1, 0):
+        raise ParseError(f"report iterations {iterations!r} must be an int equal to "
+                         "the number of residual norms after the first")
+    if error is not None and (status != STATUS_ERROR or not isinstance(error, str)):
+        raise ParseError(f"report error {error!r} may only name the kind of an error report")
+
+
 def read_report(text: str) -> SolveReport:
     """The report ``write_report`` wrote as ``text``.  Text that is not
-    such a report raises ``ParseError``; a config value ``SolverConfig``
-    rejects raises its ``InvalidInput``."""
+    such a report raises ``ParseError`` (see ``_check_outcome`` for the
+    outcome fields); a config value ``SolverConfig`` rejects raises its
+    ``InvalidInput``."""
     try:
         obj = json.loads(text)
         cfg = obj["config"]
         if sorted(cfg) != sorted(field.name for field in dataclasses.fields(SolverConfig)):
             raise ParseError("report config must hold exactly the fields of SolverConfig")
+        _check_outcome(obj["status"], obj["iterations"], obj["residual_norms"], obj.get("error"))
         return SolveReport(
             status=obj["status"],
             solution=np.array(obj["solution"], dtype=float),
             iterations=obj["iterations"],
-            residual_norms=list(obj["residual_norms"]),
+            residual_norms=obj["residual_norms"],
             config=SolverConfig(**cfg),
             conditions=_conditions_from_obj(obj.get("conditions")),
             error=obj.get("error"),

@@ -18,12 +18,25 @@ triangle of the square head B):
   sweep; M is applied factored, as above;
 * ``jacobi`` / ``gs``: the sweep alone (the head is A, so u = r).
 
-The driver loop carries only the residual: ``acc += r; r = op.advance(r)``.
-The iterate is gathered as x = x_start + K acc (``op.gain``), by
-linearity the same x the steps would have made one at a time, only when
-a fresh b - A x is taken and at the end.  Entries of ``residual_norms``
-between fresh checks are the norms of that recurrence; a fresh check
-replaces the carried residual, and the last entry is always a fresh one.
+The loop of ``_drive`` carries only the residual, in blocks of steps.
+With M factored a block is one step, r' = ``op.advance(r)``.
+Baseline's block is the next 64 residuals T r, ..., T^64 r (fewer when
+fewer iterations are left), made by recursive doubling from T, T^2, T^4,
+... T^32: one matrix-vector product and six gemms, the flops of 64
+matrix-vector products.  The powers are squared inside the solve, only
+as far as a block needs them: at most five m x m matrices beyond T,
+about 5 m^3 multiply-adds once.  One reduction gives a block's norms.
+Its leading plain steps, those that neither check, stop nor stagnate,
+are committed at once (``acc += r + ...``); the first other step runs
+through the step's checks, and the rest of the block is thrown away.
+After such a step the next block is no longer than the steps that pass
+took, and the length doubles back to 64 over blocks with no such step.
+The iterate is
+gathered as x = x_start + K acc (``op.gain``), by linearity the same x
+the steps would have made one at a time, only when a fresh b - A x is
+taken and at the end.  Entries of ``residual_norms`` between fresh
+checks are the norms of that recurrence; a fresh check replaces the
+carried residual, and the last entry is always a fresh one.
 
 The recurrence drifts from the true residual by rounding, and below the
 rounding floor of x it keeps shrinking while b - A x does not (the
@@ -113,6 +126,9 @@ STATUS_STAGNATED = "stagnated"
 STATUS_DIVERGED = "diverged"
 STATUS_ERROR = "error"
 
+STATUSES = (STATUS_CONVERGED, STATUS_MAX_ITERATIONS, STATUS_STAGNATED, STATUS_DIVERGED,
+            STATUS_ERROR)
+
 DIVERGENCE_FACTOR = 1e12
 STAGNATION_REL_CHANGE = 1e-14
 
@@ -129,6 +145,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise InvalidInput(f"unknown method: {self.method!r}")
+        for name in ("epsilon", "max_iterations", "stagnation_window"):
+            # bool is an int and a numbers.Real, but True is no count or tolerance
+            if isinstance(getattr(self, name), bool):
+                raise InvalidInput(f"{name} must be a number, not a boolean")
         try:
             epsilon = float(self.epsilon) if isinstance(self.epsilon, numbers.Real) else np.nan
         except OverflowError:     # an integer beyond the float range
@@ -247,7 +267,10 @@ def prepare(a, column_perm, sweep: Optional[str]) -> Operator:
     Without a sweep the m x m map T is formed, an m x n x m product that
     costs about m/2 of the steps it replaces; baseline's T has diagonal
     1 - 1/m, so rho(T) >= 1 - 1/m and a solve runs at least about
-    m ln(||r_0|| / epsilon) steps.  With a sweep M stays factored.
+    m ln(||r_0|| / epsilon) steps, at 2 m^2 flops each.  The solve squares
+    T up to five times more for its blocks of steps, 2 m^3 flops each,
+    which those steps outweigh once m ln(||r_0|| / epsilon) exceeds 5 m.
+    With a sweep M stays factored.
     """
     m = a.shape[0]
     k = 0 if sweep is None else m
@@ -275,6 +298,42 @@ def prepare(a, column_perm, sweep: Optional[str]) -> Operator:
         lower_inv = lower_triangular_inverse(lower)
     return Operator(b_head=b_head, b_tail=b_tail, sweep=sweep, signs=signs,
                     weights=weights, tail_map=tail_map, diag=diag, lower_inv=lower_inv)
+
+
+_BLOCK = 64     # the most residuals one pass of the solve loop advances with a formed T
+
+
+def _residual_block(powers, r, k):
+    """T r, T^2 r, ..., T^k r as the rows of a k x m array, by recursive
+    doubling: rows [h, 2h) are rows [0, h) times (T^h)^T, one gemm on a
+    transposed view.  ``powers`` holds T, T^2, T^4, ...; each new power is
+    the square of the last, appended in place only when k needs it."""
+    rows = np.empty((k, r.size))
+    rows[0] = powers[0] @ r
+    for j in range((k - 1).bit_length()):
+        h = 1 << j
+        if j == len(powers):
+            powers.append(powers[-1] @ powers[-1])
+        np.matmul(rows[:min(h, k - h)], powers[j].T, out=rows[h:min(2 * h, k)])
+    return rows
+
+
+def _row_norms(block, kind):
+    """``vector_norm`` of every row of a block of residuals."""
+    if kind == NORM_ONE:
+        return np.abs(block).sum(axis=1)
+    return np.abs(block).max(axis=1)
+
+
+def _plain_steps(norms, before, refresh_below, ceiling):
+    """How many leading steps of a block, with residual norms ``norms``
+    (``before`` the norm of the residual they start from), are plain: not
+    below ``refresh_below`` (so no fresh check and no convergence), finite
+    and at most ``ceiling`` (no divergence), and not stagnant."""
+    prev = np.concatenate(([before], norms[:-1]))
+    plain = (np.isfinite(norms) & (norms >= refresh_below) & (norms <= ceiling)
+             & (np.abs(norms - prev) >= STAGNATION_REL_CHANGE * np.maximum(prev, 1e-300)))
+    return len(norms) if plain.all() else int(plain.argmin())
 
 
 def _drive(a, b, column_perm, x0, config: SolverConfig):
@@ -321,13 +380,38 @@ def _drive(a, b, column_perm, x0, config: SolverConfig):
         return vector_norm(r, kind)
 
     reference = max(history[0], 1e-300)
+    ceiling = DIVERGENCE_FACTOR * reference
+    powers = [op.tail_map]        # baseline: T, T^2, T^4, ..., squared as blocks need them
+    size = _BLOCK                 # baseline: the length of the next block
     stagnant = 0
     status = STATUS_MAX_ITERATIONS
-    for _ in range(config.max_iterations):
+    while (left := config.max_iterations + 1 - len(history)) > 0:
+        if op.tail_map is None:
+            block, plain = op.advance(r)[np.newaxis], 0
+            norms = _row_norms(block, kind)
+        else:
+            # rows after the first event may overflow; they are thrown away
+            with np.errstate(over="ignore", invalid="ignore"):
+                block = _residual_block(powers, r, min(size, left))
+                norms = _row_norms(block, kind)
+                plain = _plain_steps(norms, history[-1], refresh_below, ceiling)
+        if plain:
+            # neither checked nor stopped: commit the plain steps in bulk
+            history.extend(norms[:plain].tolist())
+            acc += r
+            acc += block[:plain - 1].sum(axis=0)
+            r, pending, stagnant = block[plain - 1], True, 0
+            if plain == len(block):
+                size = min(2 * size, _BLOCK)
+                continue
+        # the first step of the block that may check or stop.  The rest of
+        # the block is thrown away, so the next block is no longer than the
+        # steps this pass took: below the rounding floor, where every step
+        # is a fresh check, a block is one step
+        size = plain + 1
         acc += r
         pending = True
-        r = op.advance(r)
-        norm = vector_norm(r, kind)
+        r, norm = block[plain], float(norms[plain])
         settled = False
         if norm < refresh_below:
             norm = fresh()
@@ -341,7 +425,7 @@ def _drive(a, b, column_perm, x0, config: SolverConfig):
                     abs(norm - h) < STAGNATION_REL_CHANGE * h
                     for h in history[-config.stagnation_window:])
         history.append(norm)
-        if not math.isfinite(norm) or norm > DIVERGENCE_FACTOR * reference:
+        if not math.isfinite(norm) or norm > ceiling:
             status = STATUS_DIVERGED
             break
         if norm < config.epsilon:

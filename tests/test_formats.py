@@ -30,6 +30,7 @@ from undersolve.formats import (
     write_report,
 )
 from undersolve.iterate import SolverConfig, run
+from undersolve.rref import exact_solve
 
 
 def test_csv_parse_simple():
@@ -240,13 +241,20 @@ def test_report_roundtrip():
     assert write_report(again) == text
 
 
-def _edited_config(edit):
-    """The text of a valid report whose config ``edit`` changed in place."""
+def _edited_report(edit):
+    """The text of a valid report (converged after one iteration or more) that
+    ``edit`` changed in place."""
     report = run(np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]]), np.array([3.0, 2.0]), None,
                  SolverConfig())
     obj = json.loads(write_report(report))
-    edit(obj["config"])
+    assert obj["status"] == "converged" and obj["iterations"] >= 1
+    edit(obj)
     return json.dumps(obj)
+
+
+def _edited_config(edit):
+    """The text of a valid report whose config ``edit`` changed in place."""
+    return _edited_report(lambda obj: edit(obj["config"]))
 
 
 @pytest.mark.parametrize("make_text", [
@@ -260,6 +268,64 @@ def _edited_config(edit):
 def test_read_report_malformed_text_is_a_parse_error(make_text):
     with pytest.raises(ParseError, match="report"):
         read_report(make_text())
+
+
+def _with(**fields):
+    return lambda obj: obj.update(fields)
+
+
+def _first_norms(count, **fields):
+    """Keep the first ``count`` residual norms and set ``fields``."""
+    return lambda obj: obj.update(residual_norms=obj["residual_norms"][:count], **fields)
+
+
+@pytest.mark.parametrize("edit,field", [
+    pytest.param(_with(status="bogus"), "status", id="unknown-status"),
+    pytest.param(_with(status=None), "status", id="null-status"),
+    pytest.param(_with(iterations="seven"), "iterations", id="iterations-a-string"),
+    pytest.param(_first_norms(2, iterations=1.0), "iterations", id="iterations-a-float"),
+    pytest.param(_first_norms(2, iterations=True), "iterations", id="iterations-a-bool"),
+    pytest.param(_first_norms(2, iterations=2), "iterations", id="iterations-one-too-many"),
+    pytest.param(_first_norms(2, iterations=0), "iterations", id="iterations-one-too-few"),
+    pytest.param(_first_norms(0, iterations=0), "residual_norms", id="no-norms-converged"),
+    pytest.param(_first_norms(0, iterations=-1, status="error", error="inconsistent"),
+                 "iterations", id="no-norms-negative-iterations"),
+    pytest.param(_with(residual_norms="ab"), "residual_norms", id="norms-a-string"),
+    pytest.param(_with(residual_norms=["a", "b"], iterations=1), "residual_norms",
+                 id="norms-of-strings"),
+    pytest.param(_with(residual_norms=[1.0, True], iterations=1), "residual_norms",
+                 id="norms-with-a-bool"),
+    pytest.param(_with(residual_norms={"0": 1.0}), "residual_norms", id="norms-an-object"),
+    pytest.param(_with(error="zero_row"), "error", id="error-on-a-converged-report"),
+    pytest.param(_with(status="error", error=7), "error", id="error-not-a-kind"),
+])
+def test_read_report_rejects_an_outcome_no_solve_gives(edit, field):
+    with pytest.raises(ParseError, match=f"report {field}"):
+        read_report(_edited_report(edit))
+
+
+def test_read_report_takes_back_every_status_write_report_writes():
+    # the five statuses, plus the inconsistent reduction's error report,
+    # which holds no residual norm at all, read back to the bytes written
+    a = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]])
+    rng = np.random.default_rng(3)
+    below_floor = rng.uniform(-1.0, 1.0, size=(4, 8)) + np.eye(4, 8) * 8.0
+    reports = [
+        run(a, np.array([3.0, 2.0]), None, SolverConfig(method="baseline", max_iterations=70)),
+        run(below_floor, rng.uniform(-1.0, 1.0, size=4), None, SolverConfig(epsilon=1e-300)),
+        run(a, np.array([3.0, 2.0]), None, SolverConfig()),
+        run(np.array([[1.0, 10.0], [10.0, 1.0]]), np.ones(2), None,
+            SolverConfig(method="jacobi")),
+        run(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]), np.ones(2), None,
+            SolverConfig(method="baseline")),
+        exact_solve([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]], [1.0, 2.0]),
+    ]
+    assert [r.status for r in reports] == [
+        "max_iterations", "stagnated", "converged", "diverged", "error", "error"]
+    assert reports[-1].residual_norms == []
+    for report in reports:
+        text = write_report(report)
+        assert write_report(read_report(text)) == text
 
 
 def test_load_matrix_file_closes_the_file(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from undersolve import convergence, formats, iterate, linalg, partition
+from undersolve import convergence, formats, generate, iterate, linalg, partition
 from undersolve import rref as rref_module
 from undersolve.demo import DEMO_A, DEMO_B, DEMO_X0
 from undersolve.errors import DimensionMismatch, InvalidInput, ZeroDiagonal, ZeroRow, ZeroTailRow
@@ -282,6 +282,10 @@ def test_run_error_kinds(method, a, kind):
     ("epsilon", "1e-8"),
     ("epsilon", None),
     ("epsilon", 10**400),
+    ("epsilon", True),
+    ("max_iterations", True),
+    ("stagnation_window", True),
+    ("stagnation_window", False),
 ])
 def test_config_rejects_a_value_of_the_wrong_type(field, value):
     # a count must be an integer and epsilon a real number with a finite
@@ -630,6 +634,126 @@ def test_a_k_step_run_matches_k_brute_steps(seed, m, extra, method, policy, step
     assert np.abs(report.solution - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6), extra=st.integers(1, 6),
+       norm=st.sampled_from((NORM_ONE, NORM_INF)), max_iterations=st.integers(1, 200))
+def test_a_baseline_run_across_blocks_matches_its_brute_steps(seed, m, extra, norm,
+                                                              max_iterations):
+    # baseline advances its residual a block of steps per pass of the loop;
+    # a run that ends anywhere in or across blocks is still the x that its
+    # steps make one at a time
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1.0, 1.0, size=(m, m + extra))
+    a[np.arange(m), np.arange(m)] = 2.0 * m + m - np.arange(m)
+    b = rng.uniform(-5.0, 5.0, size=m)
+    x0 = rng.uniform(-2.0, 2.0, size=m + extra)
+    report = run(a, b, x0, SolverConfig(method=METHOD_BASELINE, epsilon=1e-300,
+                                        max_iterations=max_iterations, residual_norm=norm))
+    assert report.iterations == len(report.residual_norms) - 1 <= max_iterations
+    assert report.residual_norms[-1] == vector_norm(a @ report.solution - b, norm)
+    expected = x0.tolist()
+    for _ in range(report.iterations):
+        expected = brute_step(a.tolist(), b.tolist(), expected, tuple(range(m + extra)), 0,
+                              None)
+    expected = np.array(expected)
+    assert np.abs(report.solution - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def _step_at_a_time(a, b, x0, config):
+    """The status and carried norms of a baseline solve that advances
+    r <- T r one step at a time from r = b - A x0, stopping at the first
+    norm below epsilon (converged), above 1e12 ||r0|| (diverged), after
+    ``stagnation_window`` steps in a row within a relative 1e-14 of the
+    norm before (stagnated) or at max_iterations; none of it refreshed."""
+    tail_map = iterate.prepare(a, np.arange(a.shape[1]), None).tail_map
+    r = b - a @ x0
+    norms = [vector_norm(r, config.residual_norm)]
+    stagnant = 0
+    while len(norms) <= config.max_iterations:
+        r = tail_map @ r
+        norms.append(vector_norm(r, config.residual_norm))
+        if not norms[-1] <= iterate.DIVERGENCE_FACTOR * norms[0]:
+            return "diverged", norms
+        if norms[-1] < config.epsilon:
+            return "converged", norms
+        stagnant = stagnant + 1 if abs(norms[-1] - norms[-2]) < 1e-14 * norms[-2] else 0
+        if stagnant == config.stagnation_window:
+            return "stagnated", norms
+    return "max_iterations", norms
+
+
+def _reduced_demo():
+    _, a_bar, b_bar = reduced_system(DEMO_A, DEMO_B)
+    return a_bar, b_bar, np.array(DEMO_X0, dtype=float)
+
+
+def _benchmark_start(seed):
+    a, b = _benchmark_system(30, 120, np.random.default_rng(seed))
+    return a, b, np.zeros(120)
+
+
+def _certified_50x200():
+    # the system ``gen --certified --rows 50 --cols 200 --seed 0`` writes
+    a, b, _ = generate.generate_certified(50, 200, np.random.default_rng(0))
+    return a, b, np.zeros(200)
+
+
+def _overflowing_after_divergence():
+    # rho(T) = 1.33 and ||r0|| near 1e295: the solve diverges at step 98,
+    # where ||r|| passes 1e307, and the 29 rows of its block after that
+    # step overflow to inf
+    a = np.array([[5.0, -6793.0, -5.0, 7803.0, 25.0],
+                  [-10000.0, 8.0, -17.0, -6.0, -3204.0],
+                  [-63.0, -2.0, -8817.0, 4.0, -22.0]])
+    return a, np.array([1.0, -2.0, 3.0]) * 1e294, np.zeros(5)
+
+
+def _stagnating():
+    # T has an eigenvalue 1 to rounding: the norm settles above epsilon,
+    # and the first stagnant step lands in the middle of a block
+    a = np.array([[1e8, 1.0, -1.0, 2.0], [1.0, -1e-8, 1e-8, 1.0], [1.0, 1.0, -1.0, 3.0]])
+    return a, np.array([1.0, 2.0, 3.0]), np.zeros(4)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("norm", (NORM_ONE, NORM_INF))
+@pytest.mark.parametrize("system,status", [
+    pytest.param(_stagnating, "stagnated", id="stagnating"),
+    pytest.param(_reduced_demo, "converged", id="reduced-demo"),
+    pytest.param(partial(_benchmark_start, 0), "converged", id="benchmark-30x120"),
+    # rho(T) > 1: the norm passes 1e12 ||r0|| in the middle of a block
+    pytest.param(_certified_50x200, "diverged", id="certified-50x200"),
+    pytest.param(_overflowing_after_divergence, "diverged", id="overflow-after-divergence"),
+])
+def test_block_residuals_match_the_step_at_a_time_recurrence(system, status, norm):
+    # rows of a block come from T^2, T^4, ... T^32; their norms are the
+    # recurrence's to rounding, and the block stops at the same step
+    a, b, x0 = system()
+    config = SolverConfig(method=METHOD_BASELINE, residual_norm=norm)
+    expected_status, expected = _step_at_a_time(a, b, x0, config)
+    report = run(a, b, x0, config)
+    assert report.status == expected_status == status
+    assert report.iterations == len(expected) - 1
+    carried, expected = np.array(report.residual_norms[:-1]), np.array(expected[:-1])
+    assert np.all(np.abs(carried - expected) <= 1e-10 * expected)
+    if system is _certified_50x200 and norm == NORM_ONE:
+        assert report.iterations == 1044   # 16 blocks of 64 steps and 20 more
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("max_iterations", (63, 64, 65))
+def test_max_iterations_lands_inside_or_on_a_block(max_iterations):
+    a, b, x0 = _reduced_demo()
+    report = run(a, b, x0, SolverConfig(method=METHOD_BASELINE,
+                                        max_iterations=max_iterations))
+    assert report.status == "max_iterations"
+    assert report.iterations == len(report.residual_norms) - 1 == max_iterations
+    status, expected = _step_at_a_time(a, b, x0, report.config)
+    assert status == "max_iterations"
+    assert np.all(np.abs(np.array(report.residual_norms[:-1]) - expected[:-1])
+                  <= 1e-10 * np.array(expected[:-1]))
+
+
 def _benchmark_system(m, n, rng):
     """The benchmark's certified system: head diagonal U(1, 2) plus
     non-negative off-diagonal U(0, 1.8/m); one signed U(0.5, 1.5) tail
@@ -673,3 +797,43 @@ def test_below_the_rounding_floor_the_solve_stagnates(seed, method):
     assert report.status == "stagnated"
     assert report.iterations <= 1.1 * iterations
     assert report.residual_norms[-1] == fresh <= 2.0 * residual
+
+
+@pytest.mark.parametrize("epsilon", (1e-8, 1e-300))
+@pytest.mark.parametrize("seed", (0, 1, 2))
+def test_baseline_blocks_throw_little_away(seed, epsilon, monkeypatch):
+    # a step that checks or stops throws away the rest of its block; the
+    # next block is no longer than the steps that pass took, so below the
+    # rounding floor, where every step is a fresh check, a 64-step block
+    # is not formed for every step
+    rows = []
+    block = iterate._residual_block
+    monkeypatch.setattr(iterate, "_residual_block",
+                        lambda powers, r, k: rows.append(k) or block(powers, r, k))
+    a, b = _benchmark_system(30, 120, np.random.default_rng(seed))
+    report = run(a, b, None, SolverConfig(method=METHOD_BASELINE, epsilon=epsilon))
+    assert report.status == ("converged" if epsilon == 1e-8 else "stagnated")
+    assert report.iterations <= sum(rows) <= 2 * report.iterations + iterate._BLOCK
+
+
+def test_a_step_run_through_the_checks_early_changes_nothing(monkeypatch):
+    # the checks handle a plain step as the bulk commit does: report the
+    # first step of the first block as not plain, and the solve is the same
+    # to rounding, while the next blocks start at one step and double back
+    # to 64
+    a, b, x0 = _reduced_demo()
+    config = SolverConfig(method=METHOD_BASELINE)
+    expected = run(a, b, x0, config)
+    sizes = []
+    block, plain_steps = iterate._residual_block, iterate._plain_steps
+    monkeypatch.setattr(iterate, "_residual_block",
+                        lambda powers, r, k: sizes.append(k) or block(powers, r, k))
+    monkeypatch.setattr(iterate, "_plain_steps",
+                        lambda *args: plain_steps(*args) if len(sizes) > 1 else 0)
+    report = run(a, b, x0, config)
+    assert (report.status, report.iterations) == (expected.status, expected.iterations)
+    assert np.allclose(report.residual_norms[:-1], expected.residual_norms[:-1], rtol=1e-10,
+                       atol=0.0)
+    assert np.abs(report.solution - expected.solution).max() <= 1e-12 * np.abs(
+        expected.solution).max()
+    assert sizes[:9] == [64, 1, 2, 4, 8, 16, 32, 64, 64]
