@@ -5,7 +5,8 @@ Subcommands: solve, check, rref, compare, gen.  Exit codes: 0 converged
 max-iterations or stagnated, 3 diverged or inconsistent, 4 every input or
 validation error: an unreadable or malformed file, NaN/Inf entries, a
 duplicate Matrix Market coordinate, mismatched lengths or shapes, a bad
-``--eps``/``--max-iter``, or an unknown method.
+``--eps``/``--max-iter``, an unknown method, or an unwritable output
+path.
 
 The library makes every validation decision; the CLI loads files, calls
 it, and turns a ``SolverError`` into exit code 4 in one place, ``main``.
@@ -13,7 +14,6 @@ it, and turns a ``SolverError`` into exit code 4 in one place, ``main``.
 
 import argparse
 import dataclasses
-import json
 import sys
 
 import numpy as np
@@ -87,8 +87,11 @@ def _print_summary(report):
 
 
 def _write_text(path, text):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}")
 
 
 def _with_conditions(report, op):
@@ -116,15 +119,14 @@ def cmd_check(args):
     print(f"method: {args.method}")
     for rec in report.per_norm:
         verdict = "certified" if rec.certified else "uncertified"
-        print(f"  norm={rec.norm_kind:<4} c1={rec.c1:.6e} c2={rec.c2:.6e} "
+        print(f"  norm={rec.norm:<4} c1={rec.c1:.6e} c2={rec.c2:.6e} "
               f"(bound {m}) -> {verdict}")
     factor = convergence.contraction_factor(report, m)
     if factor is not None:
         print(f"contraction factor bound: {factor:.6e}")
     print("overall: " + ("certified" if report.overall_certified else "uncertified"))
     if args.json:
-        obj = formats._conditions_to_obj(report)
-        _write_text(args.json, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+        _write_text(args.json, formats.write_report(report))
     return EXIT_OK if report.overall_certified else EXIT_UNCERTIFIED
 
 
@@ -168,8 +170,7 @@ def cmd_compare(args):
         print(f"{report.config.method:<10} {report.status:<16} {report.iterations:>10} "
               f"{final:>18.6e}")
     if args.json:
-        obj = [json.loads(formats.write_report(rep)) for rep in reports]
-        _write_text(args.json, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+        _write_text(args.json, formats.write_report(reports))
     return EXIT_OK
 
 

@@ -27,7 +27,7 @@ from .partition import POLICY_IDENTITY, column_order
 
 @dataclass(frozen=True)
 class NormConditionRecord:
-    norm_kind: str
+    norm: str
     c1: float          # ||I - B D^-1|| (Jacobi) or ||I - B L^-1|| (Gauss-Seidel)
     c2: float          # ||m I - tail * s(tail) * N(tail)^-1||
     certified: bool    # c1 < 1 and c2 < m, strictly, in this norm
@@ -78,7 +78,7 @@ def operator_conditions(op: Operator) -> ConditionReport:
         head_norms = _norms((b_head - np.tril(b_head)) @ op.lower_inv)
     records = tuple(
         NormConditionRecord(
-            norm_kind=kind,
+            norm=kind,
             c1=c1,
             c2=m * tail,
             certified=bool(c1 < 1.0 and m * tail < m),

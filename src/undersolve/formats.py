@@ -19,9 +19,10 @@ differently from ``str.splitlines`` (non-ASCII text, \\f or \\v line
 breaks, an inline '% note' numpy would drop), goes to a per-line reader
 that names the error kind, message and line the readers have always
 given, or reads the rare forms only Python's ``float`` accepts.  Results
-and errors are the same either way.  Reports serialize to
-JSON with sorted keys so identical runs produce byte-identical output;
-floats use shortest round-trip repr, which re-parses bit-identically.
+and errors are the same either way.  ``write_report``, the one JSON
+writer, writes a report's dataclass fields with sorted keys, so identical
+runs give byte-identical output; floats use shortest round-trip repr,
+which re-parses bit-identically.
 """
 
 import dataclasses
@@ -40,9 +41,9 @@ from .errors import (
     SolverError,
     UnsupportedFormat,
 )
-from .iterate import STATUS_ERROR, STATUSES, SolveReport, SolverConfig
+from .iterate import GENERALIZED_METHODS, STATUS_ERROR, STATUSES, SolveReport, SolverConfig
 from .convergence import ConditionReport, NormConditionRecord
-from .linalg import _require_finite, as_matrix, as_vector
+from .linalg import NORM_KINDS, _require_finite, as_matrix, as_vector
 
 
 def _reject_digit_groups(numbered_lines):
@@ -335,56 +336,26 @@ def write_matrix_market(a, form: str = "coordinate") -> str:
 
 # ------------------------------------------------------------ reports
 
-def _conditions_to_obj(report: ConditionReport):
-    if report is None:
-        return None
-    return {
-        "method": report.method,
-        "overall_certified": report.overall_certified,
-        "per_norm": [
-            {
-                "norm": r.norm_kind,
-                "c1": r.c1,
-                "c2": r.c2,
-                "certified": r.certified,
-                "cauchy_bound": r.cauchy_bound,
-            }
-            for r in report.per_norm
-        ],
-    }
+def _fields(value):
+    """The JSON value of a report part json cannot write itself: a
+    dataclass as its fields by name, an ndarray as a list."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {field.name: getattr(value, field.name) for field in dataclasses.fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise InvalidInput(f"a report holds no {type(value).__name__}")
 
 
-def _conditions_from_obj(obj):
-    if obj is None:
-        return None
-    return ConditionReport(
-        method=obj["method"],
-        per_norm=tuple(
-            NormConditionRecord(
-                norm_kind=r["norm"],
-                c1=r["c1"],
-                c2=r["c2"],
-                certified=r["certified"],
-                cauchy_bound=r["cauchy_bound"],
-            )
-            for r in obj["per_norm"]
-        ),
-        overall_certified=obj["overall_certified"],
-    )
+def write_report(value) -> str:
+    """The JSON text of a ``SolveReport``, a ``ConditionReport`` or a list
+    of either: every JSON output the CLI writes."""
+    return json.dumps(value, default=_fields, sort_keys=True, indent=2) + "\n"
 
 
-def write_report(report: SolveReport) -> str:
-    obj = {
-        "status": report.status,
-        "error": report.error,
-        "iterations": report.iterations,
-        "residual_norms": list(report.residual_norms),
-        "solution": list(np.asarray(report.solution, dtype=float)),
-        "column_perm": list(report.column_perm) if report.column_perm else None,
-        "config": dataclasses.asdict(report.config),
-        "conditions": _conditions_to_obj(report.conditions),
-    }
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _numbers(values) -> bool:
+    """Whether ``values`` is a list of numbers (a bool is none)."""
+    return isinstance(values, list) and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
 
 
 def _check_outcome(status, iterations, norms, error):
@@ -395,8 +366,7 @@ def _check_outcome(status, iterations, norms, error):
     norms after the first; an error kind only on an error report."""
     if status not in STATUSES:
         raise ParseError(f"report status {status!r} is not one of {', '.join(STATUSES)}")
-    if not isinstance(norms, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in norms):
+    if not _numbers(norms):
         raise ParseError("report residual_norms must be a list of numbers")
     if not norms and status != STATUS_ERROR:
         raise ParseError("report residual_norms must hold the first norm of a solve")
@@ -407,31 +377,55 @@ def _check_outcome(status, iterations, norms, error):
         raise ParseError(f"report error {error!r} may only name the kind of an error report")
 
 
+def _solution(values, perm):
+    """The solution and column order of a report, as a solve gives them: a
+    flat list of finite numbers, and null or a permutation of its indices."""
+    if not _numbers(values) or not np.isfinite(np.array(values, dtype=float)).all():
+        raise ParseError("report solution must be a list of finite numbers")
+    if perm is not None and not (isinstance(perm, list) and all(type(i) is int for i in perm)
+                                 and sorted(perm) == list(range(len(values)))):
+        raise ParseError("report column_perm must be null or a permutation of range(n)")
+    return np.array(values, dtype=float), None if perm is None else tuple(perm)
+
+
+def _conditions(obj, method):
+    """The conditions of a report of ``method``, or None for null: those of
+    a generalized method, with one record per norm of ``NORM_KINDS`` in
+    that order, numbers as c1, c2 and the Cauchy bound, a bool as
+    ``certified``, and certified overall when a norm certifies."""
+    if obj is None:
+        return None
+    report = ConditionReport(**dict(
+        obj, per_norm=tuple(NormConditionRecord(**r) for r in obj["per_norm"])))
+    records = report.per_norm
+    if (report.method not in GENERALIZED_METHODS or report.method != method
+            or tuple(r.norm for r in records) != NORM_KINDS
+            or not all(_numbers([r.c1, r.c2, r.cauchy_bound]) for r in records)
+            or not all(isinstance(r.certified, bool) for r in records)
+            or report.overall_certified is not any(r.certified for r in records)):
+        raise ParseError(f"report conditions {obj!r} are not those of a {method} solve")
+    return report
+
+
 def read_report(text: str) -> SolveReport:
     """The report ``write_report`` wrote as ``text``.  Text that is not
-    such a report raises ``ParseError`` (see ``_check_outcome`` for the
-    outcome fields); a config value ``SolverConfig`` rejects raises its
-    ``InvalidInput``."""
+    such a report raises ``ParseError`` (see ``_check_outcome``,
+    ``_solution`` and ``_conditions`` for the values a solve gives); a
+    config value ``SolverConfig`` rejects raises its ``InvalidInput``."""
     try:
         obj = json.loads(text)
         cfg = obj["config"]
         if sorted(cfg) != sorted(field.name for field in dataclasses.fields(SolverConfig)):
             raise ParseError("report config must hold exactly the fields of SolverConfig")
         _check_outcome(obj["status"], obj["iterations"], obj["residual_norms"], obj.get("error"))
-        return SolveReport(
-            status=obj["status"],
-            solution=np.array(obj["solution"], dtype=float),
-            iterations=obj["iterations"],
-            residual_norms=obj["residual_norms"],
-            config=SolverConfig(**cfg),
-            conditions=_conditions_from_obj(obj.get("conditions")),
-            error=obj.get("error"),
-            column_perm=tuple(obj["column_perm"]) if obj.get("column_perm") else None,
-        )
+        solution, perm = _solution(obj["solution"], obj.get("column_perm"))
+        config = SolverConfig(**cfg)
+        return SolveReport(**dict(obj, solution=solution, column_perm=perm, config=config,
+                                  conditions=_conditions(obj.get("conditions"), config.method)))
     except SolverError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
-        # ValueError covers json.JSONDecodeError and a non-numeric solution
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # ValueError covers json.JSONDecodeError, OverflowError a huge integer
         raise ParseError(f"malformed solve report: {exc!r}") from None
 
 

@@ -5,10 +5,12 @@ builds one that passes the sufficient convergence conditions for both
 generalized methods: a diagonally dominant head block and a tail block
 whose rows it drives toward disjoint supports by repeatedly halving (and
 eventually zeroing) the off-support entries until the tail-factor bound
-certifies.  The head block never changes, so its factor c1 is evaluated
-once per method, through ``check_conditions``; each halving round
-re-evaluates only the tail factor c2, once for both methods, on the tail
-block alone.
+certifies.  Each round evaluates only the tail factor c2, once for both
+methods: the head factor c1 < 1 holds by construction.  The head's
+diagonal is at least 3/4 and its other entries at most 1/(4m) in size, so
+c1 = ||(B - D) D^-1|| < 1/3 (Jacobi) in every norm; for Gauss-Seidel,
+B = L + U with ||U|| < 1/4 and ||L^-1|| <= 2 in the 1- and infinity-norm,
+so c1 <= ||U|| ||L^-1|| < 1/2, and ||U||_F ||L^-1||_2 < 0.36.
 
 Halving rarely certifies before the off-support entries snap to 0.  For
 k != i, entry (i, k) of the tail factor's matrix I - B~ s(B~) N^-1 / m
@@ -27,9 +29,8 @@ without the filter and the output is the same.
 
 import numpy as np
 
-from .convergence import check_conditions, tail_iteration_matrix
+from .convergence import tail_iteration_matrix
 from .errors import InvalidInput, NotUnderdetermined, SolverError
-from .iterate import GENERALIZED_METHODS
 from .linalg import NORM_KINDS, matrix_norm, row_one_norms, sign_matrix
 
 SNAP_THRESHOLD = 1e-12
@@ -66,17 +67,15 @@ def _tail_lower_bounds(tail, signs, weights):
     return np.abs(col0).sum(), np.abs(row0).sum(), np.sqrt(diag @ diag)
 
 
-def _certifies(tail, head_certified):
-    """Whether every method certifies: the tail factor c2 < m holds in a
-    norm in which that method's head factor c1 < 1 holds."""
+def _certifies(tail):
+    """Whether both methods certify: the tail factor c2 < m holds in some
+    norm (the head factor c1 < 1 holds in all of them)."""
     m = tail.shape[0]
     signs, weights = sign_matrix(tail), 1.0 / (m * row_one_norms(tail))
     if min(_tail_lower_bounds(tail, signs, weights)) >= 1.0 + BOUND_MARGIN:
         return False
     tail_op = tail_iteration_matrix(tail, signs, weights)
-    tail_certified = [m * matrix_norm(tail_op, kind) < m for kind in NORM_KINDS]
-    return all(any(h and t for h, t in zip(head, tail_certified))
-               for head in head_certified)
+    return any(m * matrix_norm(tail_op, kind) < m for kind in NORM_KINDS)
 
 
 def generate_certified(m: int, n: int, rng: np.random.Generator):
@@ -98,14 +97,10 @@ def generate_certified(m: int, n: int, rng: np.random.Generator):
         cols = np.flatnonzero(owner == i)
         tail[i, cols] = rng.uniform(0.5, 1.5, size=cols.size) * \
             rng.choice([-1.0, 1.0], size=cols.size)
-    a = np.column_stack([head, tail])
     x_star = rng.uniform(-1.0, 1.0, size=n)
-    b = a @ x_star
-    head_certified = [[r.c1 < 1.0 for r in check_conditions(a, b, method).per_norm]
-                      for method in GENERALIZED_METHODS]
     off_owner = owner != np.arange(m)[:, None]
     halvings = 0
-    while not _certifies(tail, head_certified):
+    while not _certifies(tail):
         if halvings == MAX_HALVINGS:
             raise SolverError("failed to certify a generated system")
         np.multiply(tail, 0.5, out=tail, where=off_owner)

@@ -236,7 +236,7 @@ def test_criterion_5_certified_convergence():
             step = stepper(a, b, sweep)
             for rec in certified:
                 bound = rec.c1 * rec.c2 / m + 1e-9
-                vn = vec_norm[rec.norm_kind]
+                vn = vec_norm[rec.norm]
                 x = rng.uniform(-5, 5, size=n)
                 r_prev = vn(a @ x - b)
                 floor = 1e-10 * (1 + np.abs(b).max())

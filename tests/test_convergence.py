@@ -37,7 +37,7 @@ def test_identity_head_gives_zero_c1():
 def test_single_ones_column_uncertified():
     a = np.column_stack([np.eye(2), np.array([[1.0], [1.0]])])
     report = check_conditions(a, np.zeros(2), METHOD_GJACOBI)
-    by_norm = {r.norm_kind: r for r in report.per_norm}
+    by_norm = {r.norm: r for r in report.per_norm}
     assert by_norm["one"].c2 == 2.0
     assert not by_norm["one"].certified
 
@@ -59,7 +59,7 @@ def test_certification_predicate_scaling_equivalence():
         tail_product = (op.b_tail @ sign_matrix(op.b_tail)) \
             / row_one_norms(op.b_tail)[np.newaxis, :]
         for rec in report.per_norm:
-            scaled = matrix_norm(np.eye(m) - tail_product / m, rec.norm_kind)
+            scaled = matrix_norm(np.eye(m) - tail_product / m, rec.norm)
             assert abs(rec.c2 / m - scaled) <= 1e-12 * (1 + scaled)
             assert (rec.c2 < m) == (scaled < 1.0)
 
@@ -73,7 +73,7 @@ def test_frobenius_tail_factor_never_certifies(seed, m, extra, method):
     # for every m >= 3
     a, m, n = random_partitioned(np.random.default_rng(seed), m=m, n=m + extra)
     report = check_conditions(a, np.zeros(m), method)
-    fro = next(r for r in report.per_norm if r.norm_kind == NORM_FRO)
+    fro = next(r for r in report.per_norm if r.norm == NORM_FRO)
     assert fro.c2 >= np.sqrt(m) * (m - 1) * (1 - 1e-12)
     assert not fro.certified
 

@@ -1,5 +1,6 @@
 import json
 import os
+import textwrap
 import tracemalloc
 import warnings
 
@@ -29,7 +30,9 @@ from undersolve.formats import (
     write_matrix_market,
     write_report,
 )
-from undersolve.iterate import SolverConfig, run
+from undersolve.convergence import ConditionReport, NormConditionRecord
+from undersolve.iterate import SolveReport, SolverConfig, run
+from undersolve.linalg import NORM_KINDS
 from undersolve.rref import exact_solve
 
 
@@ -264,6 +267,11 @@ def _edited_config(edit):
     pytest.param(lambda: _edited_config(lambda cfg: cfg.pop("epsilon")), id="missing-config-key"),
     pytest.param(lambda: _edited_config(lambda cfg: cfg.update(tolerance=1e-10)),
                  id="extra-config-key"),
+    pytest.param(lambda: _edited_report(_with(elapsed=1.0)), id="extra-report-key"),
+    pytest.param(lambda: _edited_report(_conditions(lambda c: c["per_norm"][0].update(
+        norm_kind="one"))), id="extra-record-key"),
+    pytest.param(lambda: _edited_report(_conditions(lambda c: c["per_norm"][2].pop("c2"))),
+                 id="missing-record-key"),
 ])
 def test_read_report_malformed_text_is_a_parse_error(make_text):
     with pytest.raises(ParseError, match="report"):
@@ -272,6 +280,25 @@ def test_read_report_malformed_text_is_a_parse_error(make_text):
 
 def _with(**fields):
     return lambda obj: obj.update(fields)
+
+
+def _conditions(edit):
+    """Give the report the conditions a gjacobi solve of it could give, then
+    let ``edit`` change them in place."""
+    def apply(obj):
+        conditions = {"method": "gjacobi", "overall_certified": True, "per_norm": [
+            {"norm": norm, "c1": 0.5, "c2": 1.5, "certified": norm == "one",
+             "cauchy_bound": 2} for norm in NORM_KINDS]}
+        edit(conditions)
+        obj["conditions"] = conditions
+    return apply
+
+
+def test_read_report_takes_conditions_a_solve_gives():
+    report = read_report(_edited_report(_conditions(lambda c: None)))
+    assert report.conditions.overall_certified is True
+    assert [r.norm for r in report.conditions.per_norm] == list(NORM_KINDS)
+    assert report.column_perm == (0, 1, 2)
 
 
 def _first_norms(count, **fields):
@@ -298,6 +325,32 @@ def _first_norms(count, **fields):
     pytest.param(_with(residual_norms={"0": 1.0}), "residual_norms", id="norms-an-object"),
     pytest.param(_with(error="zero_row"), "error", id="error-on-a-converged-report"),
     pytest.param(_with(status="error", error=7), "error", id="error-not-a-kind"),
+    pytest.param(_with(solution=[[1.0, 2.0], [3.0, 4.0]]), "solution", id="solution-2x2"),
+    pytest.param(_with(solution=["nan"]), "solution", id="solution-a-nan-string"),
+    pytest.param(_with(solution=[float("nan"), 0.0, 1.0]), "solution", id="solution-nan"),
+    pytest.param(_with(solution=[1.0, True, 0.0]), "solution", id="solution-with-a-bool"),
+    pytest.param(_with(column_perm=["a", "b"]), "column_perm", id="perm-of-strings"),
+    pytest.param(_with(column_perm=[0, 0, 1]), "column_perm", id="perm-repeats"),
+    pytest.param(_with(column_perm=[1, 0]), "column_perm", id="perm-too-short"),
+    pytest.param(_with(column_perm=[True, 0, 2]), "column_perm", id="perm-with-a-bool"),
+    pytest.param(_with(conditions={
+        "method": 42, "overall_certified": "maybe", "per_norm": [
+            {"norm": "bogus", "c1": "x", "c2": None, "certified": "yes", "cauchy_bound": []}]}),
+        "conditions", id="conditions-no-solve-gives"),
+    pytest.param(_conditions(lambda c: c.update(method="ggs")), "conditions",
+                 id="conditions-of-another-method"),
+    pytest.param(_conditions(lambda c: c["per_norm"].reverse()), "conditions",
+                 id="conditions-norms-out-of-order"),
+    pytest.param(_conditions(lambda c: c["per_norm"].pop()), "conditions",
+                 id="conditions-a-norm-missing"),
+    pytest.param(_conditions(lambda c: c["per_norm"][1].update(c2="1.5")), "conditions",
+                 id="conditions-c2-a-string"),
+    pytest.param(_conditions(lambda c: c["per_norm"][0].update(c1=True)), "conditions",
+                 id="conditions-c1-a-bool"),
+    pytest.param(_conditions(lambda c: c["per_norm"][0].update(certified=1)), "conditions",
+                 id="conditions-certified-an-int"),
+    pytest.param(_conditions(lambda c: c.update(overall_certified=False)), "conditions",
+                 id="conditions-overall-not-any"),
 ])
 def test_read_report_rejects_an_outcome_no_solve_gives(edit, field):
     with pytest.raises(ParseError, match=f"report {field}"):
@@ -326,6 +379,155 @@ def test_read_report_takes_back_every_status_write_report_writes():
     for report in reports:
         text = write_report(report)
         assert write_report(read_report(text)) == text
+
+
+# hand-built reports of fixed floats: the writer's bytes, pinned without a
+# solve (a solver-computed digest would move with the BLAS kernel)
+GOLDEN_CONDITIONS = ConditionReport(
+    method="ggs",
+    per_norm=(NormConditionRecord("one", 0.25, 1.5, True, 0.75),
+              NormConditionRecord("inf", 0.1, 2.5, False, 1.0 / 3.0),
+              NormConditionRecord("fro", 1.0000000000000002, 3e-17, False, 12345678.9)),
+    overall_certified=True)
+GOLDEN_CONVERGED = SolveReport(
+    status="converged", solution=np.array([0.5, -0.0, 1e16, -2.5e-300]), iterations=2,
+    residual_norms=[2.0, 0.015625, 7e-09],
+    config=SolverConfig(method="ggs", epsilon=1e-08, max_iterations=50,
+                        permutation_policy="pivot-columns"),
+    conditions=GOLDEN_CONDITIONS, column_perm=(2, 0, 3, 1))
+GOLDEN_ERROR = SolveReport(
+    status="error", solution=np.zeros(3), iterations=0, residual_norms=[],
+    config=SolverConfig(), error="inconsistent")
+GOLDEN_CONVERGED_TEXT = """\
+{
+  "column_perm": [
+    2,
+    0,
+    3,
+    1
+  ],
+  "conditions": {
+    "method": "ggs",
+    "overall_certified": true,
+    "per_norm": [
+      {
+        "c1": 0.25,
+        "c2": 1.5,
+        "cauchy_bound": 0.75,
+        "certified": true,
+        "norm": "one"
+      },
+      {
+        "c1": 0.1,
+        "c2": 2.5,
+        "cauchy_bound": 0.3333333333333333,
+        "certified": false,
+        "norm": "inf"
+      },
+      {
+        "c1": 1.0000000000000002,
+        "c2": 3e-17,
+        "cauchy_bound": 12345678.9,
+        "certified": false,
+        "norm": "fro"
+      }
+    ]
+  },
+  "config": {
+    "epsilon": 1e-08,
+    "max_iterations": 50,
+    "method": "ggs",
+    "permutation_policy": "pivot-columns",
+    "residual_norm": "one",
+    "stagnation_window": 10
+  },
+  "error": null,
+  "iterations": 2,
+  "residual_norms": [
+    2.0,
+    0.015625,
+    7e-09
+  ],
+  "solution": [
+    0.5,
+    -0.0,
+    1e+16,
+    -2.5e-300
+  ],
+  "status": "converged"
+}
+"""
+GOLDEN_ERROR_TEXT = """\
+{
+  "column_perm": null,
+  "conditions": null,
+  "config": {
+    "epsilon": 1e-08,
+    "max_iterations": 10000,
+    "method": "gjacobi",
+    "permutation_policy": "identity",
+    "residual_norm": "one",
+    "stagnation_window": 10
+  },
+  "error": "inconsistent",
+  "iterations": 0,
+  "residual_norms": [],
+  "solution": [
+    0.0,
+    0.0,
+    0.0
+  ],
+  "status": "error"
+}
+"""
+GOLDEN_CONDITIONS_TEXT = """\
+{
+  "method": "ggs",
+  "overall_certified": true,
+  "per_norm": [
+    {
+      "c1": 0.25,
+      "c2": 1.5,
+      "cauchy_bound": 0.75,
+      "certified": true,
+      "norm": "one"
+    },
+    {
+      "c1": 0.1,
+      "c2": 2.5,
+      "cauchy_bound": 0.3333333333333333,
+      "certified": false,
+      "norm": "inf"
+    },
+    {
+      "c1": 1.0000000000000002,
+      "c2": 3e-17,
+      "cauchy_bound": 12345678.9,
+      "certified": false,
+      "norm": "fro"
+    }
+  ]
+}
+"""
+
+
+def test_write_report_bytes_are_pinned():
+    assert write_report(GOLDEN_CONVERGED) == GOLDEN_CONVERGED_TEXT
+    assert write_report(GOLDEN_ERROR) == GOLDEN_ERROR_TEXT
+    assert write_report(GOLDEN_CONDITIONS) == GOLDEN_CONDITIONS_TEXT
+    # a list indents each report one level inside its brackets
+    items = (textwrap.indent(t.rstrip("\n"), "  ")
+             for t in (GOLDEN_CONVERGED_TEXT, GOLDEN_ERROR_TEXT))
+    assert write_report([GOLDEN_CONVERGED, GOLDEN_ERROR]) == "[\n" + ",\n".join(items) + "\n]\n"
+    for text in (GOLDEN_CONVERGED_TEXT, GOLDEN_ERROR_TEXT):
+        assert write_report(read_report(text)) == text
+
+
+@pytest.mark.parametrize("value", [object(), np.int64(1), {1.0, 2.0}],
+                         ids=["object", "numpy-int", "set"])
+def test_write_report_rejects_a_value_no_report_holds(value):
+    with pytest.raises(InvalidInput, match="a report holds no"):
+        write_report([value])
 
 
 def test_load_matrix_file_closes_the_file(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from undersolve import convergence, generate
 from undersolve.convergence import check_conditions, tail_iteration_matrix
@@ -40,18 +41,31 @@ def test_generate_certified_output_pinned(m, n, seed):
                for method in GENERALIZED_METHODS)
 
 
-def test_generate_certified_checks_each_method_once(monkeypatch):
+def test_generate_certified_runs_no_condition_check(monkeypatch):
+    # c1 < 1 holds by construction (see the next test); only c2 is evaluated
     calls = []
-    original = convergence.check_conditions
+    for name in ("check_conditions", "operator_conditions"):
+        def counting(*args, _name=name, _original=getattr(convergence, name)):
+            calls.append(_name)
+            return _original(*args)
 
-    def counting(*args):
-        calls.append(args[2])
-        return original(*args)
-
-    monkeypatch.setattr(convergence, "check_conditions", counting)
-    monkeypatch.setattr(generate, "check_conditions", counting, raising=False)
+        monkeypatch.setattr(convergence, name, counting)
+        monkeypatch.setattr(generate, name, counting, raising=False)
     generate_certified(30, 120, np.random.default_rng(0))
-    assert len(calls) <= 2
+    assert calls == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), m=st.integers(1, 40))
+def test_generated_heads_have_c1_below_one_half(data, m):
+    # a head as generate_certified draws it: a diagonal in [1, 2] plus noise
+    # in [-0.5, 0.5] / (2m); c1 < 1/3 (Jacobi) and < 1/2 (Gauss-Seidel)
+    diag = data.draw(arrays(float, m, elements=st.floats(1.0, 2.0)))
+    noise = data.draw(arrays(float, (m, m), elements=st.floats(-0.5, 0.5)))
+    a = np.column_stack([np.diag(diag) + noise / (2 * m), np.eye(m)])
+    for method in GENERALIZED_METHODS:
+        for rec in check_conditions(a, np.zeros(m), method).per_norm:
+            assert rec.c1 < 0.5, (method, rec.norm, rec.c1)
 
 
 def test_generate_certified_skips_doomed_rounds(monkeypatch):
