@@ -3,13 +3,13 @@
 Subcommands: solve, check, rref, compare, gen.  Exit codes: 0 converged
 (or certified / generated), 1 uncertified (``check`` only), 2
 max-iterations or stagnated, 3 diverged or inconsistent, 4 every input or
-validation error: an unreadable or malformed file, NaN/Inf entries, a
+validation error: a usage error (a missing or unknown option or method, a
+mistyped value), an unreadable or malformed file, NaN/Inf entries, a
 duplicate Matrix Market coordinate, mismatched lengths or shapes, a bad
-``--eps``/``--max-iter``, an unknown method, or an unwritable output
-path.
+``--eps``, ``--max-iter`` or ``--seed``, or an unwritable output path.
 
-The library makes every validation decision; the CLI loads files, calls
-it, and turns a ``SolverError`` into exit code 4 in one place, ``main``.
+The library makes every validation decision, ``SolverConfig`` every default;
+the CLI loads files, calls it, and exits 4 in one place, ``main``.
 """
 
 import argparse
@@ -22,7 +22,7 @@ from . import convergence, formats, generate, iterate
 from .errors import Inconsistent, SolverError
 from .rref import reduced_system, solve_reduced
 from .linalg import NORM_INF, NORM_ONE, vector_norm
-from .partition import POLICY_IDENTITY, POLICY_PIVOT_COLUMNS
+from .partition import POLICY_PIVOT_COLUMNS
 
 EXIT_OK = 0
 EXIT_UNCERTIFIED = 1
@@ -41,6 +41,13 @@ STATUS_EXIT = {
 
 class CliError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 4, as input errors do; argparse's 2 is "not converged"."""
+
+    def error(self, message):
+        raise CliError(message)
 
 
 def _exit_code(report):
@@ -68,14 +75,10 @@ def _load_problem(args):
 
 
 def _config(args, method):
-    return iterate.SolverConfig(
-        method=method,
-        epsilon=args.eps,
-        max_iterations=args.max_iter,
-        residual_norm=NORM_INF if getattr(args, "norm", "one") == "inf" else NORM_ONE,
-        permutation_policy=(POLICY_PIVOT_COLUMNS if getattr(args, "pivot_columns", False)
-                            else POLICY_IDENTITY),
-    )
+    """The options, named as ``SolverConfig`` fields; a field no option sets keeps its default."""
+    fields = {field.name for field in dataclasses.fields(iterate.SolverConfig)}
+    settings = {name: value for name, value in vars(args).items() if name in fields}
+    return iterate.SolverConfig(**dict(settings, method=method))
 
 
 def _print_summary(report):
@@ -113,8 +116,7 @@ def cmd_solve(args):
 
 def cmd_check(args):
     a, b, _ = _load_problem(args)
-    policy = POLICY_PIVOT_COLUMNS if args.pivot_columns else POLICY_IDENTITY
-    report = convergence.check_conditions(a, b, args.method, policy)
+    report = convergence.check_conditions(a, b, args.method, args.permutation_policy)
     m = len(b)
     print(f"method: {args.method}")
     for rec in report.per_norm:
@@ -175,6 +177,8 @@ def cmd_compare(args):
 
 
 def cmd_gen(args):
+    if args.seed < 0:
+        raise CliError(f"--seed must be nonnegative, not {args.seed}")
     make = generate.generate_certified if args.certified else generate.generate_system
     a, b, x_star = make(args.rows, args.cols, np.random.default_rng(args.seed))
     prefix = args.out_prefix
@@ -186,7 +190,8 @@ def cmd_gen(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    defaults = iterate.SolverConfig
+    parser = _Parser(
         prog="undersolve",
         description="Stationary iterative solvers for underdetermined linear systems")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -199,30 +204,32 @@ def build_parser():
         p.add_argument("--json", help="write machine-readable output to this path")
 
     def add_stopping(p):
-        p.add_argument("--eps", type=float, default=1e-8)
-        p.add_argument("--max-iter", type=int, default=10000)
+        p.add_argument("--eps", dest="epsilon", type=float, default=defaults.epsilon)
+        p.add_argument("--max-iter", dest="max_iterations", type=int,
+                       default=defaults.max_iterations)
 
     p = sub.add_parser("solve", help="run one iterative method")
     add_common(p)
     p.add_argument("--method", required=True, choices=list(iterate.METHODS))
     add_stopping(p)
-    p.add_argument("--norm", choices=["one", "inf"], default="one")
-    p.add_argument("--pivot-columns", action="store_true",
+    p.add_argument("--norm", dest="residual_norm", choices=[NORM_ONE, NORM_INF],
+                   default=defaults.residual_norm)
+    p.add_argument("--pivot-columns", dest="permutation_policy", action="store_const",
+                   const=POLICY_PIVOT_COLUMNS, default=defaults.permutation_policy,
                    help="permute columns to secure a nonsingular head block "
                         "(gjacobi and ggs only)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("check", help="evaluate sufficient convergence conditions")
     add_common(p, x0=False)
-    p.add_argument("--method", choices=list(iterate.GENERALIZED_METHODS),
-                   default=iterate.METHOD_GJACOBI)
-    p.add_argument("--pivot-columns", action="store_true")
+    p.add_argument("--method", choices=list(iterate.GENERALIZED_METHODS), default=defaults.method)
+    p.add_argument("--pivot-columns", dest="permutation_policy", action="store_const",
+                   const=POLICY_PIVOT_COLUMNS, default=defaults.permutation_policy)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("rref", help="reduce to row echelon form and solve exactly")
     add_common(p)
-    p.add_argument("--method", choices=list(iterate.GENERALIZED_METHODS),
-                   default=iterate.METHOD_GJACOBI)
+    p.add_argument("--method", choices=list(iterate.GENERALIZED_METHODS), default=defaults.method)
     add_stopping(p)
     p.set_defaults(func=cmd_rref)
 
@@ -245,8 +252,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (CliError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,8 +9,8 @@ class SolverError(Exception):
 
 class InvalidInput(SolverError, ValueError):
     """An argument the library rejects before doing any work: a NaN or Inf
-    entry, an out-of-range setting (epsilon, max_iterations, tolerance), or
-    an unknown method, norm or policy name.  It is also a ``ValueError``,
+    entry, an out-of-range setting (epsilon or max_iterations), or an
+    unknown method, norm or policy name.  It is also a ``ValueError``,
     so callers that catch that keep working."""
 
     kind = "invalid_input"

@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    Inconsistent,
     InvalidInput,
     ParseError,
     RaggedRows,
@@ -377,11 +378,16 @@ def _check_outcome(status, iterations, norms, error):
         raise ParseError(f"report error {error!r} may only name the kind of an error report")
 
 
-def _solution(values, perm):
-    """The solution and column order of a report, as a solve gives them: a
-    flat list of finite numbers, and null or a permutation of its indices."""
+def _solution(values, perm, method, error):
+    """The solution and column order of a report of ``method``, as a solve gives
+    them: a flat list of finite numbers, and a permutation of its indices for a
+    generalized method (null on an inconsistent exact solve), else null."""
     if not _numbers(values) or not np.isfinite(np.array(values, dtype=float)).all():
         raise ParseError("report solution must be a list of finite numbers")
+    ordered = method in GENERALIZED_METHODS
+    if ((ordered and perm is None and error != Inconsistent.kind)
+            or (not ordered and perm is not None)):
+        raise ParseError(f"report column_perm is not that of a {method} solve")
     if perm is not None and not (isinstance(perm, list) and all(type(i) is int for i in perm)
                                  and sorted(perm) == list(range(len(values)))):
         raise ParseError("report column_perm must be null or a permutation of range(n)")
@@ -418,8 +424,9 @@ def read_report(text: str) -> SolveReport:
         if sorted(cfg) != sorted(field.name for field in dataclasses.fields(SolverConfig)):
             raise ParseError("report config must hold exactly the fields of SolverConfig")
         _check_outcome(obj["status"], obj["iterations"], obj["residual_norms"], obj.get("error"))
-        solution, perm = _solution(obj["solution"], obj.get("column_perm"))
         config = SolverConfig(**cfg)
+        solution, perm = _solution(obj["solution"], obj.get("column_perm"), config.method,
+                                   obj.get("error"))
         return SolveReport(**dict(obj, solution=solution, column_perm=perm, config=config,
                                   conditions=_conditions(obj.get("conditions"), config.method)))
     except SolverError:

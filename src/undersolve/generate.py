@@ -19,12 +19,12 @@ B~[i, j] sign(B~[k, j]) / (m ||B~_k||_1): an owned entry, never halved,
 times the sign of an off-support entry of row k, which does not depend on
 scale.  These terms keep their size until that entry is zeroed.  Each
 round therefore first computes three lower bounds on the factor's norms
-(row 0 and column 0 by one matrix-vector product each, the diagonal by
-one ``einsum``) and skips the full matrix product when all three are at
-least 1 + ``BOUND_MARGIN``.  The filter is exact: a bound that large
-means the full evaluation, which rounds differently by far less than the
-margin, finds c2 >= m in that norm too, so every round ends as it would
-without the filter and the output is the same.
+(row 0 and column 0 by one matrix-vector product each; the diagonal's
+entries are all 1 - 1/m) and skips the full matrix product when all
+three are at least 1 + ``BOUND_MARGIN``.  The filter is exact: a bound
+that large means the full evaluation, which rounds differently by far
+less than the margin, finds c2 >= m in that norm too, so every round
+ends as it would without the filter and the output is the same.
 """
 
 import numpy as np
@@ -58,13 +58,14 @@ def _tail_lower_bounds(tail, signs, weights):
     """Lower bounds on the one-, infinity- and Frobenius-norm of
     ``tail_iteration_matrix(tail, signs, weights)``, in ``NORM_KINDS``
     order: the 1-norm of its column 0, the 1-norm of its row 0 and the
-    2-norm of its diagonal, without forming the matrix."""
+    2-norm of its diagonal, without forming the matrix.  Each diagonal
+    entry is 1 - 1/m, as B~[i, j] sign(B~[i, j]) sums to ||B~_i||_1."""
+    m = tail.shape[0]
     col0 = (tail @ signs[:, 0]) * -weights[0]
     col0[0] += 1.0
     row0 = (tail[0] @ signs) * -weights
     row0[0] += 1.0
-    diag = 1.0 - np.einsum("ij,ji->i", tail, signs) * weights
-    return np.abs(col0).sum(), np.abs(row0).sum(), np.sqrt(diag @ diag)
+    return np.abs(col0).sum(), np.abs(row0).sum(), (m - 1) / np.sqrt(m)
 
 
 def _certifies(tail):

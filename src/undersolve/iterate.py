@@ -49,11 +49,11 @@ SIAM J. Sci. Comput. 22(3), 2000; Higham & Knight, 1993).  So:
   the residual's norm, u the unit roundoff.  tau starts from ||b||
   alone; ||A|| is computed at the first fresh check that fails.  Only a
   fresh residual below epsilon converges;
-* **stagnation rule**: ``stagnation_window`` consecutive stagnant steps.
+* **stagnation rule**: ``STAGNATION_WINDOW`` (10) consecutive stagnant steps.
   A step is stagnant when its norm is within a relative 1e-14 of the one
   before; a fresh check that fails is also stagnant when the residual is
   at working precision, ||r|| <= u (||A|| ||x|| + ||b||), or repeats one
-  of the last ``stagnation_window`` norms (x cycling at its rounding).
+  of the last ``STAGNATION_WINDOW`` norms (x cycling at its rounding).
   Below the floor every step is a fresh check, so this fires once x
   settles.  A fresh residual of the returned x below epsilon is
   converged, whatever stopped the loop.
@@ -131,6 +131,7 @@ STATUSES = (STATUS_CONVERGED, STATUS_MAX_ITERATIONS, STATUS_STAGNATED, STATUS_DI
 
 DIVERGENCE_FACTOR = 1e12
 STAGNATION_REL_CHANGE = 1e-14
+STAGNATION_WINDOW = 10
 
 
 @dataclass(frozen=True)
@@ -140,12 +141,11 @@ class SolverConfig:
     max_iterations: int = 10000
     residual_norm: str = NORM_ONE
     permutation_policy: str = POLICY_IDENTITY
-    stagnation_window: int = 10
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise InvalidInput(f"unknown method: {self.method!r}")
-        for name in ("epsilon", "max_iterations", "stagnation_window"):
+        for name in ("epsilon", "max_iterations"):
             # bool is an int and a numbers.Real, but True is no count or tolerance
             if isinstance(getattr(self, name), bool):
                 raise InvalidInput(f"{name} must be a number, not a boolean")
@@ -158,17 +158,14 @@ class SolverConfig:
         # a numpy scalar is stored as the Python number it equals, which
         # the JSON report can write
         object.__setattr__(self, "epsilon", epsilon)
-        for name in ("max_iterations", "stagnation_window"):
-            try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise InvalidInput(f"{name} must be an integer") from None
+        try:
+            object.__setattr__(self, "max_iterations", operator.index(self.max_iterations))
+        except TypeError:
+            raise InvalidInput("max_iterations must be an integer") from None
         if self.max_iterations < 1:
             raise InvalidInput("max_iterations must be at least 1")
         if self.residual_norm not in (NORM_ONE, NORM_INF):
             raise InvalidInput("residual norm must be 'one' or 'inf'")
-        if self.stagnation_window < 2:
-            raise InvalidInput("stagnation_window must be at least 2")
         if self.permutation_policy not in POLICIES:
             raise InvalidInput(f"unknown permutation policy: {self.permutation_policy!r}")
         if self.permutation_policy != POLICY_IDENTITY and self.method not in GENERALIZED_METHODS:
@@ -423,7 +420,7 @@ def _drive(a, b, column_perm, x0, config: SolverConfig):
                 # at working precision, or x cycling through a few iterates
                 settled = norm <= unit * scale or any(
                     abs(norm - h) < STAGNATION_REL_CHANGE * h
-                    for h in history[-config.stagnation_window:])
+                    for h in history[-STAGNATION_WINDOW:])
         history.append(norm)
         if not math.isfinite(norm) or norm > ceiling:
             status = STATUS_DIVERGED
@@ -433,7 +430,7 @@ def _drive(a, b, column_perm, x0, config: SolverConfig):
             break
         if settled or abs(norm - history[-2]) < STAGNATION_REL_CHANGE * max(history[-2], 1e-300):
             stagnant += 1
-            if stagnant >= config.stagnation_window:
+            if stagnant >= STAGNATION_WINDOW:
                 status = STATUS_STAGNATED
                 break
         else:

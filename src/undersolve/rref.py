@@ -5,24 +5,16 @@ so a generalized iteration on the reduced system restores the head block
 from the tail in one sweep: every iteration lands on an exact solution.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, Inconsistent, InvalidInput, NotUnderdetermined
-from .iterate import (
-    GENERALIZED_METHODS,
-    METHOD_GJACOBI,
-    STATUS_ERROR,
-    SolveReport,
-    SolverConfig,
-    _drive,
-)
+from .iterate import GENERALIZED_METHODS, STATUS_ERROR, SolveReport, SolverConfig, _drive
 from .linalg import as_matrix, as_system, as_vector, matrix_norm
 from .partition import POLICY_IDENTITY
 
-DEFAULT_RREF_TOLERANCE = 1e-10
+RREF_TOLERANCE = 1e-10
 
 # columns per Gauss-Jordan panel; the trailing columns are updated once per panel
 _PANEL_WIDTH = 32
@@ -36,16 +28,16 @@ class RrefResult:
     consistent: bool   # meaningful for augmented input: no pivot in last column
 
 
-def rref(a, tolerance: float = DEFAULT_RREF_TOLERANCE) -> RrefResult:
+def rref(a) -> RrefResult:
     """Blocked Gauss-Jordan elimination with partial row pivoting.
 
     The zero threshold is fixed once from the input, before elimination:
-    thr = tolerance * ||a||_inf, where a is [A b] in the exact pipeline
-    (tolerance itself for a zero matrix).  MATLAB's ``rref`` fixes
-    ``tol = max(size(A)) * eps * norm(A, inf)`` the same way.  Pivot
-    candidates at or below thr are snapped to exact zero; pivot entries
-    are set to exactly 1 and the rest of each pivot column to exactly 0
-    by assignment.
+    thr = ``RREF_TOLERANCE`` * ||a||_inf, where a is [A b] in the exact
+    pipeline (``RREF_TOLERANCE`` itself for a zero matrix).  MATLAB's
+    ``rref`` fixes ``tol = max(size(A)) * eps * norm(A, inf)`` the same
+    way.  Pivot candidates at or below thr are snapped to exact zero; pivot
+    entries are set to exactly 1 and the rest of each pivot column to
+    exactly 0 by assignment.
 
     The elimination is right-looking and blocked, as LAPACK ``dgetrf``
     (Golub & Van Loan, Matrix Computations, ch. 3).  A panel of columns is
@@ -56,11 +48,8 @@ def rref(a, tolerance: float = DEFAULT_RREF_TOLERANCE) -> RrefResult:
     Y = M_R^-1 T_R, T_other -= M_other Y, T_R = Y.
     """
     work = as_matrix(a)
-    if not isinstance(tolerance, numbers.Real) or not 0.0 <= tolerance < np.inf:
-        raise InvalidInput("tolerance must be a nonnegative finite real number")
     m, n = work.shape
-    scale = matrix_norm(work, "inf")
-    thr = tolerance * (scale if scale > 0 else 1.0)
+    thr = RREF_TOLERANCE * (matrix_norm(work, "inf") or 1.0)
     pivots = []
     row = 0
     for start in range(0, n, _PANEL_WIDTH):
@@ -113,7 +102,7 @@ def rref(a, tolerance: float = DEFAULT_RREF_TOLERANCE) -> RrefResult:
     )
 
 
-def reduced_system(a, b, tolerance: float = DEFAULT_RREF_TOLERANCE):
+def reduced_system(a, b):
     """RREF of the augmented [a b]; returns (result, a_bar, b_bar) with
     zero rows dropped.  a_bar keeps a's original column order.
 
@@ -123,16 +112,14 @@ def reduced_system(a, b, tolerance: float = DEFAULT_RREF_TOLERANCE):
     m, n = a.shape
     if m >= n:
         raise NotUnderdetermined("exact solve requires m < n")
-    aug = np.column_stack([a, b])
-    result = rref(aug, tolerance)
+    result = rref(np.column_stack([a, b]))
     r = result.rank if result.consistent else result.rank - 1
     a_bar = result.matrix[:r, :-1].copy()
     b_bar = result.matrix[:r, -1].copy()
     return result, a_bar, b_bar
 
 
-def exact_solve(a, b, x0=None, config: SolverConfig = None,
-                tolerance: float = DEFAULT_RREF_TOLERANCE) -> SolveReport:
+def exact_solve(a, b, x0=None, config: SolverConfig = None) -> SolveReport:
     """Reduce (a, b) to RREF and run a generalized method on the reduced
     system, whose pivot-led head block is the identity.
 
@@ -142,7 +129,7 @@ def exact_solve(a, b, x0=None, config: SolverConfig = None,
     the pivot columns, so a ``permutation_policy`` other than
     ``identity`` raises ``InvalidInput``.
     """
-    return solve_reduced(reduced_system(a, b, tolerance), x0, config)[0]
+    return solve_reduced(reduced_system(a, b), x0, config)[0]
 
 
 def solve_reduced(reduction, x0=None, config: SolverConfig = None):
@@ -154,7 +141,7 @@ def solve_reduced(reduction, x0=None, config: SolverConfig = None):
     result, a_bar, b_bar = reduction
     n = a_bar.shape[1]
     if config is None:
-        config = SolverConfig(method=METHOD_GJACOBI)
+        config = SolverConfig()
     if config.method not in GENERALIZED_METHODS:
         raise InvalidInput("exact solve supports the generalized methods only")
     if config.permutation_policy != POLICY_IDENTITY:

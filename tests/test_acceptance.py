@@ -89,8 +89,7 @@ def test_criterion_2_exact_solution_each_iteration():
         b = a @ x_star
         _, a_bar, b_bar = reduced_system(a, b)
         config = SolverConfig(method=METHOD_GJACOBI, epsilon=1e-300,
-                              max_iterations=4, residual_norm="inf",
-                              stagnation_window=100)
+                              max_iterations=4, residual_norm="inf")
         report = exact_solve(a, b, None, config)
         assert report.error is None
         bound = 1e-10 * (1 + np.abs(b_bar).max())

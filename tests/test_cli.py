@@ -273,6 +273,19 @@ INPUT_ERROR_CASES = {
         "--out-prefix", str(tmp / "gen")],
     "gen-negative-rows": lambda demo, tmp: [
         "gen", "--rows", "-1", "--cols", "5", "--out-prefix", str(tmp / "gen")],
+    "gen-negative-seed": lambda demo, tmp: [
+        "gen", "--rows", "3", "--cols", "8", "--seed", "-1", "--out-prefix", str(tmp / "gen")],
+    # usage errors are input errors too; argparse's own exit 2 means "not converged"
+    "solve-eps-not-a-number": lambda demo, tmp: [
+        "solve", "--method", "gjacobi", "--matrix", demo["A"], "--rhs", demo["b"],
+        "--eps", "abc"],
+    "solve-max-iter-not-an-integer": lambda demo, tmp: [
+        "solve", "--method", "gjacobi", "--matrix", demo["A"], "--rhs", demo["b"],
+        "--max-iter", "1.5"],
+    "solve-unknown-method": lambda demo, tmp: [
+        "solve", "--method", "nope", "--matrix", demo["A"], "--rhs", demo["b"]],
+    "solve-missing-rhs": lambda demo, tmp: [
+        "solve", "--method", "gjacobi", "--matrix", demo["A"]],
     # --pivot-columns would be ignored by the non-generalized methods
     **{f"solve-{method}-pivot-columns": lambda demo, tmp, method=method: [
         "solve", "--method", method, "--pivot-columns", "--matrix", demo["A"],
@@ -291,6 +304,14 @@ def test_input_errors_exit_4(case, demo_files, tmp_path, capsys):
     assert "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]], ids=["top", "solve"])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 0
+    assert "usage: undersolve" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [

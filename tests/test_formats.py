@@ -267,6 +267,8 @@ def _edited_config(edit):
     pytest.param(lambda: _edited_config(lambda cfg: cfg.pop("epsilon")), id="missing-config-key"),
     pytest.param(lambda: _edited_config(lambda cfg: cfg.update(tolerance=1e-10)),
                  id="extra-config-key"),
+    pytest.param(lambda: _edited_config(lambda cfg: cfg.update(stagnation_window=10)),
+                 id="stagnation-window-config-key"),
     pytest.param(lambda: _edited_report(_with(elapsed=1.0)), id="extra-report-key"),
     pytest.param(lambda: _edited_report(_conditions(lambda c: c["per_norm"][0].update(
         norm_kind="one"))), id="extra-record-key"),
@@ -333,6 +335,13 @@ def _first_norms(count, **fields):
     pytest.param(_with(column_perm=[0, 0, 1]), "column_perm", id="perm-repeats"),
     pytest.param(_with(column_perm=[1, 0]), "column_perm", id="perm-too-short"),
     pytest.param(_with(column_perm=[True, 0, 2]), "column_perm", id="perm-with-a-bool"),
+    # a baseline solve orders no columns; a generalized one always does,
+    # unless an exact solve finds the system inconsistent first
+    pytest.param(lambda obj: obj.update(column_perm=[2, 1, 0],
+                                        config=dict(obj["config"], method="baseline")),
+                 "column_perm", id="perm-on-a-baseline-report"),
+    pytest.param(_with(status="max_iterations", column_perm=None), "column_perm",
+                 id="null-perm-on-a-gjacobi-report"),
     pytest.param(_with(conditions={
         "method": 42, "overall_certified": "maybe", "per_norm": [
             {"norm": "bogus", "c1": "x", "c2": None, "certified": "yes", "cauchy_bound": []}]}),
@@ -438,8 +447,7 @@ GOLDEN_CONVERGED_TEXT = """\
     "max_iterations": 50,
     "method": "ggs",
     "permutation_policy": "pivot-columns",
-    "residual_norm": "one",
-    "stagnation_window": 10
+    "residual_norm": "one"
   },
   "error": null,
   "iterations": 2,
@@ -466,8 +474,7 @@ GOLDEN_ERROR_TEXT = """\
     "max_iterations": 10000,
     "method": "gjacobi",
     "permutation_policy": "identity",
-    "residual_norm": "one",
-    "stagnation_window": 10
+    "residual_norm": "one"
   },
   "error": "inconsistent",
   "iterations": 0,

@@ -98,5 +98,9 @@ def test_tail_lower_bounds_are_sound(seed, m, extra, halvings):
     tail[~owned & (np.abs(tail) < SNAP_THRESHOLD)] = 0.0
     signs, weights = sign_matrix(tail), 1.0 / (m * row_one_norms(tail))
     tail_op = tail_iteration_matrix(tail, signs, weights)
-    for kind, bound in zip(NORM_KINDS, _tail_lower_bounds(tail, signs, weights)):
+    bounds = _tail_lower_bounds(tail, signs, weights)
+    for kind, bound in zip(NORM_KINDS, bounds):
         assert bound <= matrix_norm(tail_op, kind) + 1e-12
+    # the Frobenius bound is the 2-norm of the diagonal, (m - 1)/sqrt(m);
+    # at m = 1 the diagonal is 0 up to rounding
+    assert bounds[2] == pytest.approx(np.linalg.norm(np.diag(tail_op)), rel=1e-12, abs=1e-15)

@@ -278,14 +278,11 @@ def test_run_error_kinds(method, a, kind):
 @pytest.mark.parametrize("field,value", [
     ("max_iterations", 2.5),
     ("max_iterations", "10"),
-    ("stagnation_window", 2.5),
     ("epsilon", "1e-8"),
     ("epsilon", None),
     ("epsilon", 10**400),
     ("epsilon", True),
     ("max_iterations", True),
-    ("stagnation_window", True),
-    ("stagnation_window", False),
 ])
 def test_config_rejects_a_value_of_the_wrong_type(field, value):
     # a count must be an integer and epsilon a real number with a finite
@@ -663,7 +660,7 @@ def _step_at_a_time(a, b, x0, config):
     """The status and carried norms of a baseline solve that advances
     r <- T r one step at a time from r = b - A x0, stopping at the first
     norm below epsilon (converged), above 1e12 ||r0|| (diverged), after
-    ``stagnation_window`` steps in a row within a relative 1e-14 of the
+    ``STAGNATION_WINDOW`` steps in a row within a relative 1e-14 of the
     norm before (stagnated) or at max_iterations; none of it refreshed."""
     tail_map = iterate.prepare(a, np.arange(a.shape[1]), None).tail_map
     r = b - a @ x0
@@ -677,7 +674,7 @@ def _step_at_a_time(a, b, x0, config):
         if norms[-1] < config.epsilon:
             return "converged", norms
         stagnant = stagnant + 1 if abs(norms[-1] - norms[-2]) < 1e-14 * norms[-2] else 0
-        if stagnant == config.stagnation_window:
+        if stagnant == iterate.STAGNATION_WINDOW:
             return "stagnated", norms
     return "max_iterations", norms
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from undersolve.demo import DEMO_A, DEMO_B, DEMO_X0
-from undersolve.errors import DimensionMismatch, InvalidInput, SolverError
+from undersolve.errors import DimensionMismatch, InvalidInput
 from undersolve.iterate import METHOD_GGS, METHOD_GJACOBI, METHOD_JACOBI, SolverConfig
 from undersolve.partition import POLICY_PIVOT_COLUMNS
 from undersolve.rref import exact_solve, reduced_system, rref
@@ -161,33 +161,6 @@ def test_successive_iterates_differ_until_fixed():
         if d_norm > 1e-12:
             assert np.abs(cur - prev).sum() > 0.0
         prev = cur
-
-
-def test_negative_tolerance_rejected():
-    # a tolerance of inf would snap all of [A b] to zero and report a
-    # wrong solution as converged; nan would snap nothing
-    for tolerance in (-1.0, float("nan"), float("inf"), float("-inf")):
-        with pytest.raises(ValueError) as err:
-            rref(np.eye(2), tolerance=tolerance)
-        assert isinstance(err.value, SolverError)
-        with pytest.raises(InvalidInput):
-            reduced_system([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]], [1.0, 2.0], tolerance)
-        with pytest.raises(InvalidInput):
-            exact_solve(DEMO_A, DEMO_B, tolerance=tolerance)
-
-
-@pytest.mark.parametrize("tolerance", ["1e-10", None, np.array([1e-10, 1e-10])],
-                         ids=["str", "none", "array"])
-def test_tolerance_of_the_wrong_type_rejected(tolerance):
-    # a typed error, not a TypeError or ValueError from the comparison
-    with pytest.raises(InvalidInput, match="tolerance"):
-        rref(np.eye(2), tolerance=tolerance)
-    with pytest.raises(InvalidInput, match="tolerance"):
-        reduced_system([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]], [1.0, 2.0], tolerance)
-    with pytest.raises(InvalidInput, match="tolerance"):
-        exact_solve(DEMO_A, DEMO_B, tolerance=tolerance)
-    # numpy scalars of a real kind are accepted
-    assert rref(np.eye(2), tolerance=np.float64(1e-10)).rank == 2
 
 
 @pytest.mark.parametrize("method", [METHOD_GJACOBI, METHOD_GGS])
