@@ -208,23 +208,25 @@ def build_parser():
         p.add_argument("--max-iter", dest="max_iterations", type=int,
                        default=defaults.max_iterations)
 
+    def add_policy(p):
+        p.add_argument("--pivot-columns", dest="permutation_policy", action="store_const",
+                       const=POLICY_PIVOT_COLUMNS, default=defaults.permutation_policy,
+                       help="partition on the RREF pivot columns of A (A's own head when "
+                            "its leading columns are independent; gjacobi and ggs only)")
+
     p = sub.add_parser("solve", help="run one iterative method")
     add_common(p)
     p.add_argument("--method", required=True, choices=list(iterate.METHODS))
     add_stopping(p)
     p.add_argument("--norm", dest="residual_norm", choices=[NORM_ONE, NORM_INF],
                    default=defaults.residual_norm)
-    p.add_argument("--pivot-columns", dest="permutation_policy", action="store_const",
-                   const=POLICY_PIVOT_COLUMNS, default=defaults.permutation_policy,
-                   help="permute columns to secure a nonsingular head block "
-                        "(gjacobi and ggs only)")
+    add_policy(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("check", help="evaluate sufficient convergence conditions")
     add_common(p, x0=False)
     p.add_argument("--method", choices=list(iterate.GENERALIZED_METHODS), default=defaults.method)
-    p.add_argument("--pivot-columns", dest="permutation_policy", action="store_const",
-                   const=POLICY_PIVOT_COLUMNS, default=defaults.permutation_policy)
+    add_policy(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("rref", help="reduce to row echelon form and solve exactly")

@@ -46,9 +46,10 @@ def check_conditions(a, b, method: str, policy: str = POLICY_IDENTITY) -> Condit
     on the head and tail of a in the column order ``policy`` picks.
 
     Raises, in this order: the errors of ``linalg.as_system``,
-    ``NotUnderdetermined`` unless m < n, the policy's errors,
-    ``InvalidInput`` for a method other than gjacobi and ggs, then the
-    structural errors of ``iterate.prepare``."""
+    ``NotUnderdetermined`` unless m < n, ``InvalidInput`` for an unknown
+    policy and ``RankDeficient`` when the pivot-columns policy finds
+    rank(a) < m, ``InvalidInput`` for a method other than gjacobi and ggs,
+    then the structural errors of ``iterate.prepare``."""
     a, _ = as_system(a, b)
     m, n = a.shape
     if m >= n:

@@ -7,12 +7,15 @@ block B~.  That split is a column order and nothing else:
 the tail.  Iterates are full vectors in original column order; a solve
 gathers x[column_perm] into slot order and scatters its result back, so
 residuals are always measured in original order.
+
+The pivot-columns policy heads the order with the pivot columns of A's
+RREF, the partition ``rref.exact_solve`` uses: A's own head whenever its
+leading m columns are independent.
 """
 
 import numpy as np
 
 from .errors import InvalidInput, RankDeficient
-from .linalg import singularity_threshold
 
 POLICY_IDENTITY = "identity"
 POLICY_PIVOT_COLUMNS = "pivot-columns"
@@ -20,33 +23,24 @@ POLICY_PIVOT_COLUMNS = "pivot-columns"
 POLICIES = (POLICY_IDENTITY, POLICY_PIVOT_COLUMNS)
 
 
-def _pivot_column_order(a: np.ndarray) -> list:
-    """Select m independent columns by Gaussian elimination with column
-    pivoting; returns them (in selection order) followed by the rest."""
-    m, n = a.shape
-    work = a.copy()
-    thr = singularity_threshold(a)
-    remaining = list(range(n))
-    chosen = []
-    for i in range(m):
-        sub = np.abs(work[i:, remaining])
-        flat = int(np.argmax(sub))
-        ri, ci = divmod(flat, len(remaining))
-        if sub[ri, ci] <= thr:
-            raise RankDeficient(
-                "no nonsingular square head exists: rank < number of rows")
-        col = remaining.pop(ci)
-        chosen.append(col)
-        if ri != 0:
-            work[[i, i + ri]] = work[[i + ri, i]]
-        work[i + 1:] -= np.outer(work[i + 1:, col] / work[i, col], work[i])
-    return chosen + remaining
+def head_first(head, n: int) -> np.ndarray:
+    """The slot order of n columns: ``head``, then the rest ascending."""
+    head = np.asarray(head, dtype=np.intp)
+    return np.concatenate((head, np.setdiff1d(np.arange(n), head)))
 
 
 def column_order(a: np.ndarray, policy: str) -> np.ndarray:
-    """The slot -> original column order that ``policy`` picks for a."""
+    """The slot -> original column order that ``policy`` picks for a.
+
+    Pivot columns raise ``RankDeficient`` when rank(a) < m, as decided by
+    ``rref.rref``'s zero threshold."""
     if policy == POLICY_IDENTITY:
         return np.arange(a.shape[1])
     if policy == POLICY_PIVOT_COLUMNS:
-        return np.array(_pivot_column_order(a), dtype=np.intp)
+        from .rref import rref   # here, not at the top: rref imports iterate, which imports this
+        result = rref(a)
+        if result.rank < a.shape[0]:
+            raise RankDeficient(
+                "no nonsingular square head exists: rank < number of rows")
+        return head_first(result.pivot_columns, a.shape[1])
     raise InvalidInput(f"unknown permutation policy: {policy!r}")

@@ -12,7 +12,7 @@ import numpy as np
 from .errors import DimensionMismatch, Inconsistent, InvalidInput, NotUnderdetermined
 from .iterate import GENERALIZED_METHODS, STATUS_ERROR, SolveReport, SolverConfig, _drive
 from .linalg import as_matrix, as_system, as_vector, matrix_norm
-from .partition import POLICY_IDENTITY
+from .partition import POLICY_IDENTITY, head_first
 
 RREF_TOLERANCE = 1e-10
 
@@ -145,8 +145,9 @@ def solve_reduced(reduction, x0=None, config: SolverConfig = None):
     if config.method not in GENERALIZED_METHODS:
         raise InvalidInput("exact solve supports the generalized methods only")
     if config.permutation_policy != POLICY_IDENTITY:
-        raise InvalidInput("exact solve partitions on the RREF pivot columns; "
-                           f"permutation policy {config.permutation_policy!r} does not apply")
+        raise InvalidInput("exact solve always partitions on the pivot columns of its "
+                           "reduced system and takes no permutation policy, "
+                           f"got {config.permutation_policy!r}")
     x0 = as_vector(x0) if x0 is not None else np.zeros(n)
     if x0.shape != (n,):
         raise DimensionMismatch("x0 length must equal the number of columns")
@@ -159,6 +160,4 @@ def solve_reduced(reduction, x0=None, config: SolverConfig = None):
             config=config,
             error=Inconsistent.kind,
         ), None
-    pivots = np.array(result.pivot_columns, dtype=np.intp)
-    order = np.concatenate((pivots, np.setdiff1d(np.arange(n), pivots)))
-    return _drive(a_bar, b_bar, order, x0, config)
+    return _drive(a_bar, b_bar, head_first(result.pivot_columns, n), x0, config)

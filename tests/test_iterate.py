@@ -305,7 +305,7 @@ def test_config_rejects_a_policy_it_would_ignore(method):
     with pytest.raises(InvalidInput, match="unknown permutation policy"):
         SolverConfig(method=method, permutation_policy="bogus")
     if method in GENERALIZED_METHODS:
-        a, b = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 7.0]]), np.array([1.0, 1.0])
+        a, b = np.array([[1.0, 2.0, 5.0], [2.0, 4.0, 7.0]]), np.array([1.0, 1.0])
         report = run(a, b, None, SolverConfig(method=method,
                                               permutation_policy=POLICY_PIVOT_COLUMNS))
         expected = tuple(column_order(a, POLICY_PIVOT_COLUMNS).tolist())

@@ -1,19 +1,25 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from undersolve.convergence import check_conditions
 from undersolve.demo import DEMO_A, DEMO_B
 from undersolve.errors import NotUnderdetermined, RankDeficient
-from undersolve.iterate import METHOD_GGS, METHOD_GS, METHOD_JACOBI, prepare
-from undersolve.linalg import singularity_threshold
-from undersolve.partition import (
-    POLICY_IDENTITY,
-    POLICY_PIVOT_COLUMNS,
-    _pivot_column_order,
-    column_order,
+from undersolve.generate import generate_certified
+from undersolve.iterate import (
+    GENERALIZED_METHODS,
+    METHOD_GGS,
+    METHOD_GS,
+    METHOD_JACOBI,
+    SolverConfig,
+    prepare,
+    run,
 )
+from undersolve.partition import POLICY_IDENTITY, POLICY_PIVOT_COLUMNS, column_order, head_first
+from undersolve.rref import exact_solve
+
+from oracles import rational_rref
 
 
 def test_identity_policy_leading_block():
@@ -52,34 +58,57 @@ def test_pivot_columns_random_full_rank():
         assert sign != 0 and np.isfinite(logdet)
 
 
-def _row_loop_pivot_column_order(a):
-    """Reference: the pivot-column selection with one row update at a time."""
+def test_head_first():
+    assert head_first((3, 0), 5).tolist() == [3, 0, 1, 2, 4]
+    assert head_first((), 3).tolist() == [0, 1, 2]
+    assert head_first((0, 1), 2).dtype == np.intp
+
+
+def _exact_rank(rows):
+    return len(rational_rref(rows)[1])
+
+
+@st.composite
+def _planted_systems(draw):
+    """A small integer system of full row rank with dependent columns
+    planted in it: each planted column is twice an earlier one, or zero."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(m + 1, m + 6))
+    a = np.array(draw(st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+                               min_size=m, max_size=m)), dtype=float)
+    for j in draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True)):
+        a[:, j] = 2 * a[:, draw(st.integers(0, j - 1))] if j else 0.0
+    assume(_exact_rank(a.tolist()) == m)
+    x = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=float)
+    return a, a @ x
+
+
+@settings(max_examples=200, deadline=None)
+@given(_planted_systems(), st.sampled_from(GENERALIZED_METHODS))
+def test_pivot_columns_are_the_exact_solve_partition(system, method):
+    # one meaning of "pivot columns": the policy partitions A as the RREF
+    # pipeline does, on the exact pivots, and keeps A's own order when its
+    # leading columns are independent
+    a, b = system
     m, n = a.shape
-    work = a.copy()
-    remaining = list(range(n))
-    chosen = []
-    for i in range(m):
-        sub = np.abs(work[i:, remaining])
-        ri, ci = divmod(int(np.argmax(sub)), len(remaining))
-        assert sub[ri, ci] > singularity_threshold(a)
-        col = remaining.pop(ci)
-        chosen.append(col)
-        if ri != 0:
-            work[[i, i + ri]] = work[[i + ri, i]]
-        for r in range(i + 1, m):
-            factor = work[r, col] / work[i, col]
-            work[r] -= factor * work[i]
-    return chosen + remaining
+    config = SolverConfig(method=method, max_iterations=1)
+    perm = run(a, b, None, SolverConfig(method=method, max_iterations=1,
+                                        permutation_policy=POLICY_PIVOT_COLUMNS)).column_perm
+    assert perm == exact_solve(a, b, None, config).column_perm
+    assert list(perm[:m]) == rational_rref(a.tolist())[1]
+    assert _exact_rank(a[:, list(perm[:m])].tolist()) == m
+    if _exact_rank(a[:, :m].tolist()) == m:
+        assert perm == tuple(range(n))
 
 
-def test_pivot_column_order_matches_row_loop():
-    # the elimination updates all rows below the pivot at once, with the
-    # same arithmetic per entry as the row loop, so the orders are equal
-    rng = np.random.default_rng(29)
-    for m, n in ((3, 8), (5, 9), (12, 40), (40, 130), (60, 240)):
-        for scale in (1.0, 1e-6, 1e6):
-            a = rng.standard_normal((m, n)) * scale
-            assert _pivot_column_order(a) == _row_loop_pivot_column_order(a)
+@pytest.mark.parametrize("method", GENERALIZED_METHODS)
+def test_pivot_columns_keep_the_generated_head(method):
+    # the head generate_certified draws is diagonally dominant, so its
+    # columns are independent and the pivot columns are A's own order
+    a, b, _ = generate_certified(50, 200, np.random.default_rng(0))
+    report = run(a, b, None, SolverConfig(method=method, permutation_policy=POLICY_PIVOT_COLUMNS))
+    assert report.status == "converged"
+    assert report.column_perm == tuple(range(200))
 
 
 def test_pivot_columns_rank_deficient():
@@ -106,13 +135,18 @@ def test_not_underdetermined():
 @st.composite
 def _permutations(draw):
     """(perm, n): a uniformly drawn permutation, or the pivot-columns
-    policy's permutation of a random full-rank matrix."""
+    policy's permutation of a random full-rank matrix whose leading
+    column j is dependent on the columns before it (zero for j = 0), so
+    that the order is not the identity."""
     n = draw(st.integers(2, 12))
     if draw(st.booleans()):
         return tuple(draw(st.permutations(range(n)))), n
     m = draw(st.integers(1, n - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return tuple(column_order(rng.uniform(-5, 5, size=(m, n)), POLICY_PIVOT_COLUMNS).tolist()), n
+    a = rng.uniform(-5, 5, size=(m, n))
+    j = draw(st.integers(0, m - 1))
+    a[:, j] = 2 * a[:, :j].sum(axis=1)
+    return tuple(column_order(a, POLICY_PIVOT_COLUMNS).tolist()), n
 
 
 # every finite float up to a cap that keeps each row's 1-norm finite

@@ -165,8 +165,9 @@ def test_successive_iterates_differ_until_fixed():
 
 @pytest.mark.parametrize("method", [METHOD_GJACOBI, METHOD_GGS])
 def test_exact_solve_rejects_a_permutation_policy(method):
-    # the exact pipeline partitions on the RREF pivot columns whatever the
-    # policy, so a report naming another policy would misstate the solve
+    # the exact pipeline always partitions on the pivot columns of its
+    # reduced system, not of A, so a report naming a policy would misstate
+    # the solve
     config = SolverConfig(method=method, permutation_policy=POLICY_PIVOT_COLUMNS)
     with pytest.raises(InvalidInput, match="pivot columns"):
         exact_solve(DEMO_A, DEMO_B, DEMO_X0, config)
