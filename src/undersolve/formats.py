@@ -11,23 +11,24 @@ line is checked before anything is allocated: a matrix larger than one
 numpy array can hold, or more coordinate entries than it has cells, is a
 ``ParseError`` on that line.
 
-Each reader parses a file's numbers with one ``np.loadtxt`` call and
-validates them as arrays (index range, duplicates, entry count,
-finiteness); only the Matrix Market header, the size line and lines
-holding a '%' are visited in Python.  Text numpy rejects, or splits
-differently from ``str.splitlines`` (non-ASCII text, \\f or \\v line
-breaks, an inline '% note' numpy would drop), goes to a per-line reader
-that names the error kind, message and line the readers have always
-given, or reads the rare forms only Python's ``float`` accepts.  Results
-and errors are the same either way.  ``write_report``, the one JSON
+Each reader splits its text into lines once, with ``str.splitlines``.
+Where the text is ASCII with no underscore, those lines go to one
+``np.loadtxt`` call, and the numbers are validated as arrays (index
+range, duplicates, entry count, finiteness); only the Matrix Market
+header and size line are visited in Python.  Lines numpy rejects (a
+non-numeric token, or any '%' after the Matrix Market size line, a
+comment line or an inline note) go to a per-line loop over the same
+lines.  It names the error kind, message and line the readers have
+always given, or reads the rare forms only Python's ``float`` accepts.
+Results and errors are the same either way.  Files are read as UTF-8,
+with or without a byte-order mark; bytes that are not UTF-8 are a
+``ParseError`` naming the line.  ``write_report``, the one JSON
 writer, writes a report's dataclass fields with sorted keys, so identical
 runs give byte-identical output; floats use shortest round-trip repr,
 which re-parses bit-identically.
 """
 
 import dataclasses
-import io
-import itertools
 import json
 import warnings
 
@@ -53,28 +54,15 @@ def _reject_digit_groups(numbered_lines):
             raise ParseError(f"digit-group underscore in {line.strip()!r}", line=no)
 
 
-def _plain(text: str) -> bool:
-    """Whether ``text`` is in the common form the numpy parse reads as the
-    per-line readers do: ASCII (numpy reads no non-ASCII digit), no
-    digit-group underscore (the per-line readers name its line), and no
-    line boundary but \\n and \\r\\n (numpy reads \\v, \\f and \\x1c-\\x1e as
-    whitespace within a line)."""
-    return (text.isascii() and "_" not in text
-            and not any(c in text for c in "\v\f\x1c\x1d\x1e")
-            and ("\r" not in text or text.count("\r") == text.count("\r\n")))
-
-
-def _loadtxt(text: str, skip_lines: int = 0, **options):
-    """``np.loadtxt`` of the ASCII ``text`` after its first ``skip_lines``
-    lines, or None where numpy rejects the text or finds no data in it.
-    numpy reads the text's bytes: a str stream would hold four bytes per
-    character."""
+def _loadtxt(lines, **options):
+    """``np.loadtxt`` of ``lines``, or None where numpy rejects them or
+    finds no data in them."""
     with warnings.catch_warnings():
-        # any warning rejects the text: "input contained no data", or an
+        # any warning rejects the lines: "input contained no data", or an
         # index parsed through float by numpy releases that still allow it
         warnings.simplefilter("error")
         try:
-            return np.loadtxt(io.BytesIO(text.encode("ascii")), skiprows=skip_lines, **options)
+            return np.loadtxt(lines, comments=None, **options)
         except (ValueError, Warning):
             return None
 
@@ -82,23 +70,20 @@ def _loadtxt(text: str, skip_lines: int = 0, **options):
 # ---------------------------------------------------------------- CSV
 
 def read_csv_matrix(text: str) -> np.ndarray:
-    if _plain(text):
-        mat = _loadtxt(text, delimiter=",", comments=None, ndmin=2)
+    lines = text.splitlines()
+    if text.isascii() and "_" not in text:
+        mat = _loadtxt(lines, delimiter=",", ndmin=2)
         if mat is not None:
             return _require_finite(mat, "matrix")
-    return _read_csv_lines(text)
-
-
-def _read_csv_lines(text: str) -> np.ndarray:
-    """One Python step per line: names the error in text numpy rejects, and
-    reads the rare forms that only ``float`` and ``str.splitlines`` accept
-    (a line of blanks, a non-ASCII digit, a \\f line break)."""
+    # one Python step per line: names the error in lines numpy rejects, and
+    # reads the rare forms only float accepts (a line of blanks, a
+    # non-ASCII digit)
     if "_" in text:
-        _reject_digit_groups(enumerate(text.splitlines(), start=1))
+        _reject_digit_groups(enumerate(lines, start=1))
     rows = []
     width = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip().rstrip("\r")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
         if not line:
             continue
         tokens = [t.strip() for t in line.split(",")]
@@ -157,17 +142,9 @@ _MM_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 _MAX_ENTRIES = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
 
-def read_matrix_market(text: str) -> np.ndarray:
-    if _plain(text):
-        mat = _read_matrix_market_numpy(text)
-        if mat is not None:
-            return mat
-    return _read_matrix_market_lines(text)
-
-
 def _mm_form(header_line: str) -> str:
     """The storage form named by a valid header line."""
-    header = header_line.rstrip("\r").split()
+    header = header_line.split()
     if len(header) != 5 or header[0] != MM_BANNER:
         raise ParseError("malformed MatrixMarket header", line=1)
     _, obj, form, field, symmetry = [h.lower() for h in header]
@@ -205,77 +182,35 @@ def _mm_size(size_line: str, size_no: int, form: str):
     return m, n, count
 
 
-def _lines(text: str):
-    """(line number, line, offset of the next line) for each \\n-ended line,
-    produced on demand."""
-    start = 0
-    for no in itertools.count(1):
-        end = text.find("\n", start)
-        if end < 0:
-            yield no, text[start:], len(text)
-            return
-        yield no, text[start:end], end + 1
-        start = end + 1
-
-
-def _inline_comment(text: str, start: int) -> bool:
-    """Whether a line of ``text[start:]`` holds data before a '%'.  numpy
-    drops such a note; the format rejects the line."""
-    pct = text.find("%", start)
-    while pct >= 0:
-        if text[text.rfind("\n", 0, pct) + 1:pct].strip():
-            return True
-        end = text.find("\n", pct)
-        pct = text.find("%", end) if end >= 0 else -1
-    return False
-
-
-def _read_matrix_market_numpy(text: str):
-    """The matrix from one numpy parse of the entries, or None where the
-    per-line reader must name the error.  Only header and size line, and
-    the lines holding a '%', are visited in Python."""
-    if not text:
-        return None
-    lines = _lines(text)
-    form = _mm_form(next(lines)[1])
-    for size_no, line, body in lines:
-        size_line = line.strip()
-        if size_line and not size_line.startswith("%"):
-            break
-    else:
-        return None
-    m, n, count = _mm_size(size_line, size_no, form)
-    if count == 0 or _inline_comment(text, body):
-        return None
-    if form == "array":
-        values = _loadtxt(text, size_no, comments="%", ndmin=2)
-        if values is None or values.shape != (count, 1):
-            return None
-        # array format stores column-major
-        return _require_finite(values.reshape(n, m).T.copy(), "matrix")
-    entries = _loadtxt(text, size_no, dtype=_MM_ENTRY, comments="%", ndmin=1)
-    if entries is None or entries.size != count:
-        return None
-    i, j = entries["i"], entries["j"]
-    if i.min() < 1 or i.max() > m or j.min() < 1 or j.max() > n:
-        return None
-    flat = (i - 1) * n + (j - 1)
-    ordered = np.sort(flat)
-    if np.any(ordered[1:] == ordered[:-1]):   # a duplicate entry
-        return None
-    mat = np.zeros(m * n)     # row-major; reshaped on return
-    mat[flat] = entries["v"]
-    return _require_finite(mat.reshape(m, n), "matrix")
-
-
-def _read_matrix_market_lines(text: str) -> np.ndarray:
-    """One Python step per line: names the error in text the numpy parse
-    rejects, and reads the rare forms only ``str.splitlines`` and ``float``
-    accept."""
+def read_matrix_market(text: str) -> np.ndarray:
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty input", line=1)
     form = _mm_form(lines[0])
+    size_no = next((no for no, ln in enumerate(lines[1:], start=2)
+                    if (s := ln.strip()) and not s.startswith("%")), None)
+    if size_no is not None and text.isascii() and "_" not in text:
+        m, n, count = _mm_size(lines[size_no - 1], size_no, form)
+        # the lines after the size line in one parse; a '%' there makes numpy reject them
+        if count and form == "array":
+            values = _loadtxt(lines[size_no:], ndmin=2)
+            if values is not None and values.shape == (count, 1):
+                # array format stores column-major
+                return _require_finite(values.reshape(n, m).T.copy(), "matrix")
+        elif count:
+            entries = _loadtxt(lines[size_no:], dtype=_MM_ENTRY, ndmin=1)
+            if entries is not None and entries.size == count:
+                i, j = entries["i"], entries["j"]
+                flat = (i - 1) * n + (j - 1)
+                ordered = np.sort(flat)
+                if (i.min() >= 1 and i.max() <= m and j.min() >= 1 and j.max() <= n
+                        and not np.any(ordered[1:] == ordered[:-1])):   # no duplicate
+                    mat = np.zeros(m * n)     # row-major; reshaped on return
+                    mat[flat] = entries["v"]
+                    return _require_finite(mat.reshape(m, n), "matrix")
+
+    # one Python step per line: names the error in lines numpy rejects, and
+    # reads the rare forms only float accepts
     data = [(no, s) for no, ln in enumerate(lines[1:], start=2)
             if (s := ln.strip()) and not s.startswith("%")]
     if not data:
@@ -439,8 +374,16 @@ def read_report(text: str) -> SolveReport:
 # --------------------------------------------------------- file paths
 
 def load_matrix_file(path) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        # utf-8-sig drops the byte-order mark spreadsheet exports begin with
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # the bad byte's line, numbered as the readers number lines
+        before = exc.object[:exc.start].decode("utf-8") + "?"
+        raise ParseError(f"not UTF-8 text ({exc.reason}, byte {exc.object[exc.start]:#04x})",
+                         line=len(before.splitlines())) from None
     if str(path).lower().endswith(".mtx"):
         return read_matrix_market(text)
     return read_csv_matrix(text)

@@ -239,9 +239,9 @@ def test_gen_rejects_wide_short(tmp_path, capsys):
                  "--out-prefix", str(tmp_path / "bad")]) == 4
 
 
-def _write(tmp_path, name, text):
+def _write(tmp_path, name, text, encoding="utf-8"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding=encoding)
     return str(path)
 
 
@@ -265,6 +265,9 @@ INPUT_ERROR_CASES = {
     "solve-duplicate-mtx": lambda demo, tmp: [
         "solve", "--method", "gjacobi",
         "--matrix", _write(tmp, "A.mtx", MTX_HEADER + "2 3 3\n1 1 1\n2 2 1\n1 1 5\n"),
+        "--rhs", _write(tmp, "b.csv", "1\n1\n")],
+    "check-latin1-csv": lambda demo, tmp: [
+        "check", "--matrix", _write(tmp, "A.csv", "1,2,3\n4,5,\xe9\n", encoding="latin-1"),
         "--rhs", _write(tmp, "b.csv", "1\n1\n")],
     "rref-rhs-length": lambda demo, tmp: [
         "rref", "--matrix", demo["A"], "--rhs", _write(tmp, "b.csv", "1\n1\n1\n1\n")],

@@ -546,6 +546,21 @@ def test_load_matrix_file_closes_the_file(tmp_path):
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
+def test_load_matrix_file_reads_a_byte_order_mark(tmp_path):
+    # spreadsheet exports begin a UTF-8 CSV with one
+    path = tmp_path / "A.csv"
+    path.write_bytes(b"\xef\xbb\xbf1,2,3\n4,5,6\n")
+    assert load_matrix_file(path).tolist() == [[1, 2, 3], [4, 5, 6]]
+
+
+@pytest.mark.parametrize("name", ["A.csv", "A.mtx"])
+def test_load_matrix_file_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes("%%MatrixMarket matrix array real general\r1 2\r1\n2\xe9\n".encode("latin-1"))
+    with pytest.raises(ParseError, match=r"line 4: not UTF-8 text \(.*, byte 0xe9\)"):
+        load_matrix_file(path)
+
+
 # ----------------------------------------------- readers against the oracle
 
 # spellings of one double that Python's float and numpy both read exactly
@@ -708,6 +723,40 @@ def test_readers_match_line_oracle_on_noisy_text(text, data):
                                   "%%MatrixMarket matrix coordinate real general\n",
                                   "%%MatrixMarket matrix array real general\n% a note\n\n"])
 def test_readers_match_line_oracle_on_empty_text(text):
+    _assert_same_outcome(text)
+
+
+MM_COORDINATE = "%%MatrixMarket matrix coordinate real general\n"
+
+
+@pytest.mark.parametrize("text", [
+    # lone \r line ends
+    "1,2\r3,4\r",
+    "%%MatrixMarket matrix coordinate real general\r2 2 2\r1 1 1.5\r2 2 -3\r",
+    # line breaks to str.splitlines that numpy's own line splitting ignores
+    "1,2\f3,4\n",
+    "1,2\v3,4\n",
+    "1,2\x1c3,4\n",
+    MM_COORDINATE + "2 2 2\f1 1 1.5\v2 2 -3\x1c",
+    "%%MatrixMarket matrix array real general\n2 1\x1c1.5\f-3\n",
+    # a comment line between coordinate entries, and in an array body
+    MM_COORDINATE + "2 2 2\n1 1 1.5\n% a note\n2 2 -3\n",
+    "%%MatrixMarket matrix array real general\n2 1\n1.5\n  %% a note\n-3\n",
+    # an inline note on an entry and on a CSV row
+    MM_COORDINATE + "2 2 2\n1 1 1.5 % a note\n2 2 -3\n",
+    "%%MatrixMarket matrix array real general\n2 1\n1.5\n-3 %\n",
+    "1,2 % a note\n3,4\n",
+    # whitespace-only lines
+    "1,2\n   \n\t\n3,4\n",
+    MM_COORDINATE + " \t \n2 2 2\n   \n1 1 1.5\n\t\n2 2 -3\n  \n",
+    # a coordinate file with zero entries, with and without a line after it
+    MM_COORDINATE + "2 3 0\n",
+    MM_COORDINATE + "2 3 0\n\n% a note\n",
+    # a non-ASCII digit
+    "1,\u0663\n",
+    MM_COORDINATE + "1 1 1\n1 1 \u0663\n",
+])
+def test_readers_match_line_oracle_on_fixed_text(text):
     _assert_same_outcome(text)
 
 
