@@ -8,8 +8,8 @@ exact-solution pipeline through reduced row echelon form.
 
 from .convergence import ConditionReport, check_conditions, contraction_factor
 from .errors import SolverError
-from .iterate import METHODS, SolveReport, SolverConfig, run
-from .rref import RrefResult, exact_solve, rref
+from .iterate import METHODS, SolveReport, SolverConfig, exact_solve, run
+from .rref import RrefResult, rref
 
 __all__ = [
     "ConditionReport",

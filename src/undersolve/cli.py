@@ -20,7 +20,7 @@ import numpy as np
 
 from . import convergence, formats, generate, iterate
 from .errors import Inconsistent, SolverError
-from .rref import reduced_system, solve_reduced
+from .rref import reduced_system
 from .linalg import NORM_INF, NORM_ONE, vector_norm
 from .partition import POLICY_PIVOT_COLUMNS
 
@@ -143,7 +143,7 @@ def cmd_rref(args):
         print(row_format % tuple(row))
     if a_bar.shape[0] < a.shape[0]:
         print(f"rank-deficient: {a.shape[0]} rows reduced to {a_bar.shape[0]}")
-    report, op = solve_reduced(reduction, x0, config)
+    report, op = iterate.solve_reduced(reduction, x0, config)
     _print_summary(report)
     if report.status != iterate.STATUS_ERROR:
         print("solution: " + "  ".join(f"{v:.6f}" for v in report.solution))

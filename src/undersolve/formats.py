@@ -12,13 +12,13 @@ numpy array can hold, or more coordinate entries than it has cells, is a
 ``ParseError`` on that line.
 
 Each reader splits its text into lines once, with ``str.splitlines``.
-Where the text is ASCII with no underscore, those lines go to one
-``np.loadtxt`` call, and the numbers are validated as arrays (index
-range, duplicates, entry count, finiteness); only the Matrix Market
-header and size line are visited in Python.  Lines numpy rejects (a
-non-numeric token, or any '%' after the Matrix Market size line, a
-comment line or an inline note) go to a per-line loop over the same
-lines.  It names the error kind, message and line the readers have
+Where the text is ASCII with no underscore, those lines (a CSV file's
+less its lines of blanks) go to one ``np.loadtxt`` call, and the numbers
+are validated as arrays (index range, duplicates, entry count,
+finiteness); only the Matrix Market header and size line are visited in
+Python.  Lines numpy rejects (a non-numeric token, or any '%' after the
+Matrix Market size line, a comment line or an inline note) go to a
+per-line loop over the same lines.  It names the error kind, message and line the readers have
 always given, or reads the rare forms only Python's ``float`` accepts.
 Results and errors are the same either way.  Files are read as UTF-8,
 with or without a byte-order mark; bytes that are not UTF-8 are a
@@ -45,7 +45,7 @@ from .errors import (
 )
 from .iterate import GENERALIZED_METHODS, STATUS_ERROR, STATUSES, SolveReport, SolverConfig
 from .convergence import ConditionReport, NormConditionRecord
-from .linalg import NORM_KINDS, _require_finite, as_matrix, as_vector
+from .linalg import NORM_KINDS, as_matrix, as_vector, require_finite
 
 
 def _reject_digit_groups(numbered_lines):
@@ -72,12 +72,12 @@ def _loadtxt(lines, **options):
 def read_csv_matrix(text: str) -> np.ndarray:
     lines = text.splitlines()
     if text.isascii() and "_" not in text:
-        mat = _loadtxt(lines, delimiter=",", ndmin=2)
+        # numpy rejects a line of blanks, which the loop skips
+        mat = _loadtxt([ln for ln in lines if not ln.isspace()], delimiter=",", ndmin=2)
         if mat is not None:
-            return _require_finite(mat, "matrix")
+            return require_finite(mat, "matrix")
     # one Python step per line: names the error in lines numpy rejects, and
-    # reads the rare forms only float accepts (a line of blanks, a
-    # non-ASCII digit)
+    # reads the rare forms only float accepts (a non-ASCII digit)
     if "_" in text:
         _reject_digit_groups(enumerate(lines, start=1))
     rows = []
@@ -196,7 +196,7 @@ def read_matrix_market(text: str) -> np.ndarray:
             values = _loadtxt(lines[size_no:], ndmin=2)
             if values is not None and values.shape == (count, 1):
                 # array format stores column-major
-                return _require_finite(values.reshape(n, m).T.copy(), "matrix")
+                return require_finite(values.reshape(n, m).T.copy(), "matrix")
         elif count:
             entries = _loadtxt(lines[size_no:], dtype=_MM_ENTRY, ndmin=1)
             if entries is not None and entries.size == count:
@@ -207,7 +207,7 @@ def read_matrix_market(text: str) -> np.ndarray:
                         and not np.any(ordered[1:] == ordered[:-1])):   # no duplicate
                     mat = np.zeros(m * n)     # row-major; reshaped on return
                     mat[flat] = entries["v"]
-                    return _require_finite(mat.reshape(m, n), "matrix")
+                    return require_finite(mat.reshape(m, n), "matrix")
 
     # one Python step per line: names the error in lines numpy rejects, and
     # reads the rare forms only float accepts
@@ -241,7 +241,7 @@ def read_matrix_market(text: str) -> np.ndarray:
                 raise ParseError(f"duplicate entry ({i}, {j})", line=no)
             seen[k] = 1
             mat[k] = v
-        return _require_finite(mat.reshape(m, n), "matrix")
+        return require_finite(mat.reshape(m, n), "matrix")
 
     values = []
     for no, ln in entries:
@@ -250,7 +250,7 @@ def read_matrix_market(text: str) -> np.ndarray:
         except ValueError:
             raise ParseError(f"malformed value {ln!r}", line=no)
     # array format stores column-major
-    return _require_finite(np.array(values).reshape((n, m)).T.copy(), "matrix")
+    return require_finite(np.array(values).reshape((n, m)).T.copy(), "matrix")
 
 
 def write_matrix_market(a, form: str = "coordinate") -> str:

@@ -29,9 +29,9 @@ ends as it would without the filter and the output is the same.
 
 import numpy as np
 
-from .convergence import tail_iteration_matrix
 from .errors import InvalidInput, NotUnderdetermined, SolverError
-from .linalg import NORM_KINDS, matrix_norm, row_one_norms, sign_matrix
+from .iterate import tail_iteration_matrix
+from .linalg import NORM_KINDS, NORM_ONE, matrix_norm, sign_matrix, vector_norm
 
 SNAP_THRESHOLD = 1e-12
 MAX_HALVINGS = 60
@@ -72,7 +72,7 @@ def _certifies(tail):
     """Whether both methods certify: the tail factor c2 < m holds in some
     norm (the head factor c1 < 1 holds in all of them)."""
     m = tail.shape[0]
-    signs, weights = sign_matrix(tail), 1.0 / (m * row_one_norms(tail))
+    signs, weights = sign_matrix(tail), 1.0 / (m * vector_norm(tail, NORM_ONE))
     if min(_tail_lower_bounds(tail, signs, weights)) >= 1.0 + BOUND_MARGIN:
         return False
     tail_op = tail_iteration_matrix(tail, signs, weights)

@@ -1,5 +1,7 @@
 """Stationary iteration: one prepared operator, one driver that advances
-the residual and gathers the iterate.
+the residual and gathers the iterate, and every entry that starts a
+solve: ``run`` on (A, b) as given, ``exact_solve`` on its RREF-reduced
+system (``rref.reduced_system``).
 
 Every method is a linear stationary iteration.  ``prepare`` splits A in
 a column order ``column_perm`` (``partition.column_order``): with a
@@ -60,8 +62,8 @@ SIAM J. Sci. Comput. 22(3), 2000; Higham & Knight, 1993).  So:
 
 ``prepare`` splits A, computes every per-system invariant once and
 raises the method's structural errors; the resulting ``Operator`` is
-immutable.  One driver loop, behind ``run`` and ``rref.exact_solve``,
-runs it.  Neither computes the convergence conditions
+immutable.  One driver loop, behind ``run`` and ``exact_solve``, runs
+it.  Neither computes the convergence conditions
 (``SolveReport.conditions`` stays None);
 ``convergence.operator_conditions`` derives them from the operator that
 ``run_with_operator`` hands back.
@@ -78,6 +80,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    Inconsistent,
     InvalidInput,
     NotUnderdetermined,
     SingularTriangular,
@@ -93,12 +96,12 @@ from .linalg import (
     as_vector,
     lower_triangular_inverse,
     matrix_norm,
-    row_one_norms,
     sign_matrix,
     singularity_threshold,
     vector_norm,
 )
-from .partition import POLICIES, POLICY_IDENTITY, column_order
+from .partition import POLICIES, POLICY_IDENTITY, column_order, head_first
+from .rref import reduced_system
 
 METHOD_BASELINE = "baseline"
 METHOD_GJACOBI = "gjacobi"
@@ -275,8 +278,8 @@ def prepare(a, column_perm, sweep: Optional[str]) -> Operator:
     b_tail = np.take(a, column_perm[k:], axis=1)
     signs = weights = tail_map = diag = lower_inv = None
     if b_tail.shape[1]:
-        norms = row_one_norms(b_tail)
-        if np.any(norms <= 1e-12 * (norms + row_one_norms(b_head))):
+        norms = vector_norm(b_tail, NORM_ONE)
+        if np.any(norms <= 1e-12 * (norms + vector_norm(b_head, NORM_ONE))):
             if b_head.shape[1]:
                 raise ZeroTailRow("tail block has a zero row")
             raise ZeroRow("matrix has an all-zero row")
@@ -315,13 +318,6 @@ def _residual_block(powers, r, k):
     return rows
 
 
-def _row_norms(block, kind):
-    """``vector_norm`` of every row of a block of residuals."""
-    if kind == NORM_ONE:
-        return np.abs(block).sum(axis=1)
-    return np.abs(block).max(axis=1)
-
-
 def _plain_steps(norms, before, refresh_below, ceiling):
     """How many leading steps of a block, with residual norms ``norms``
     (``before`` the norm of the residual they start from), are plain: not
@@ -334,7 +330,7 @@ def _plain_steps(norms, before, refresh_below, ceiling):
 
 
 def _drive(a, b, column_perm, x0, config: SolverConfig):
-    """The one driver loop, behind ``run`` and ``rref.exact_solve``; returns
+    """The one driver loop, behind ``run`` and ``exact_solve``; returns
     the report and the prepared operator (None when none was prepared).
 
     The loop advances the residual alone and gathers the iterate, in the
@@ -385,12 +381,12 @@ def _drive(a, b, column_perm, x0, config: SolverConfig):
     while (left := config.max_iterations + 1 - len(history)) > 0:
         if op.tail_map is None:
             block, plain = op.advance(r)[np.newaxis], 0
-            norms = _row_norms(block, kind)
+            norms = vector_norm(block, kind)
         else:
             # rows after the first event may overflow; they are thrown away
             with np.errstate(over="ignore", invalid="ignore"):
                 block = _residual_block(powers, r, min(size, left))
-                norms = _row_norms(block, kind)
+                norms = vector_norm(block, kind)
                 plain = _plain_steps(norms, history[-1], refresh_below, ceiling)
         if plain:
             # neither checked nor stopped: commit the plain steps in bulk
@@ -444,6 +440,14 @@ def _drive(a, b, column_perm, x0, config: SolverConfig):
     return report(status=status, solution=x[back], iterations=len(history) - 1), op
 
 
+def _start(x0, n):
+    """The validated start vector of n entries; zeros when x0 is None."""
+    x0 = as_vector(x0) if x0 is not None else np.zeros(n)
+    if x0.shape != (n,):
+        raise DimensionMismatch("x0 length must equal the number of columns")
+    return x0
+
+
 def run(a, b, x0, config: SolverConfig) -> SolveReport:
     """Solve Ax=b with the configured method starting from x0.
 
@@ -458,10 +462,7 @@ def run_with_operator(a, b, x0, config: SolverConfig):
     it prepared none: an error, or an x0 that already met epsilon)."""
     a, b = as_system(a, b)
     m, n = a.shape
-    x0 = as_vector(x0) if x0 is not None else np.zeros(n)
-    if x0.shape != (n,):
-        raise DimensionMismatch("x0 length must equal the number of columns")
-
+    x0 = _start(x0, n)
     if config.method in UNDERDETERMINED_METHODS and m >= n:
         raise NotUnderdetermined("method requires m < n")
     if config.method in SQUARE_METHODS and m != n:
@@ -469,3 +470,39 @@ def run_with_operator(a, b, x0, config: SolverConfig):
 
     # SolverConfig leaves the identity order to all but the generalized methods
     return _drive(a, b, column_order(a, config.permutation_policy), x0, config)
+
+
+def exact_solve(a, b, x0=None, config: SolverConfig = None) -> SolveReport:
+    """Reduce (a, b) to RREF and run a generalized method on the reduced
+    system, whose pivot-led head block is the identity.
+
+    Inconsistent systems yield a report with status "error" and error
+    kind "inconsistent".  Rank-deficient consistent systems are handled
+    by dropping zero rows before partitioning.  The partition is always
+    the pivot columns, so a ``permutation_policy`` other than
+    ``identity`` raises ``InvalidInput``.
+    """
+    return solve_reduced(reduced_system(a, b), x0, config)[0]
+
+
+def solve_reduced(reduction, x0=None, config: SolverConfig = None):
+    """Run a generalized method on the output of ``rref.reduced_system``,
+    partitioned into its pivot columns (the head) and free columns.
+
+    Returns the report and the prepared operator, as
+    ``run_with_operator`` does."""
+    result, a_bar, b_bar = reduction
+    n = a_bar.shape[1]
+    if config is None:
+        config = SolverConfig()
+    if config.method not in GENERALIZED_METHODS:
+        raise InvalidInput("exact solve supports the generalized methods only")
+    if config.permutation_policy != POLICY_IDENTITY:
+        raise InvalidInput("exact solve always partitions on the pivot columns of its "
+                           "reduced system and takes no permutation policy, "
+                           f"got {config.permutation_policy!r}")
+    x0 = _start(x0, n)
+    if not result.consistent:
+        return SolveReport(status=STATUS_ERROR, solution=x0, iterations=0, residual_norms=[],
+                           config=config, error=Inconsistent.kind), None
+    return _drive(a_bar, b_bar, head_first(result.pivot_columns, n), x0, config)

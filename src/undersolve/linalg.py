@@ -16,7 +16,7 @@ NORM_FRO = "fro"
 NORM_KINDS = (NORM_ONE, NORM_INF, NORM_FRO)
 
 
-def _require_finite(a: np.ndarray, what: str) -> np.ndarray:
+def require_finite(a: np.ndarray, what: str) -> np.ndarray:
     """Return ``a`` itself, or raise ``InvalidInput`` if it holds NaN/Inf."""
     if a.size and not np.all(np.isfinite(a)):
         raise InvalidInput(f"{what} entries must be finite (no NaN/Inf)")
@@ -28,7 +28,7 @@ def as_matrix(data) -> np.ndarray:
     a = np.array(data, dtype=float)
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D matrix, got ndim={a.ndim}")
-    return _require_finite(a, "matrix")
+    return require_finite(a, "matrix")
 
 
 def as_vector(data) -> np.ndarray:
@@ -36,7 +36,7 @@ def as_vector(data) -> np.ndarray:
     v = np.array(data, dtype=float)
     if v.ndim != 1:
         raise DimensionMismatch(f"expected a 1-D vector, got ndim={v.ndim}")
-    return _require_finite(v, "vector")
+    return require_finite(v, "vector")
 
 
 def as_system(a, b):
@@ -58,11 +58,6 @@ def sign_matrix(a: np.ndarray) -> np.ndarray:
     return np.sign(np.asarray(a, dtype=float)).T
 
 
-def row_one_norms(a: np.ndarray) -> np.ndarray:
-    """l1 norm of every row: result[i] = sum_j |a[i][j]|."""
-    return np.abs(a).sum(axis=1)
-
-
 def matrix_norm(a: np.ndarray, which: str) -> float:
     """Induced 1-norm, induced infinity-norm, or Frobenius norm."""
     a = np.asarray(a, dtype=float)
@@ -77,12 +72,16 @@ def matrix_norm(a: np.ndarray, which: str) -> float:
     raise InvalidInput(f"unknown norm kind: {which!r}")
 
 
-def vector_norm(v: np.ndarray, which: str) -> float:
+def vector_norm(v: np.ndarray, which: str):
+    """1- or infinity-norm over the last axis: a float for a vector, the
+    norm of every row for a matrix (0 for an empty row)."""
     if which == NORM_ONE:
-        return float(np.abs(v).sum())
-    if which == NORM_INF:
-        return float(np.abs(v).max()) if v.size else 0.0
-    raise InvalidInput(f"unknown vector norm kind: {which!r}")
+        norms = np.abs(v).sum(axis=-1)
+    elif which == NORM_INF:
+        norms = np.abs(v).max(axis=-1, initial=0.0)
+    else:
+        raise InvalidInput(f"unknown vector norm kind: {which!r}")
+    return float(norms) if norms.ndim == 0 else norms
 
 
 _TRIANGLE_BASE = 64     # blocks this small are inverted by LAPACK directly

@@ -9,13 +9,14 @@ gathers x[column_perm] into slot order and scatters its result back, so
 residuals are always measured in original order.
 
 The pivot-columns policy heads the order with the pivot columns of A's
-RREF, the partition ``rref.exact_solve`` uses: A's own head whenever its
+RREF, the partition ``iterate.exact_solve`` uses: A's own head whenever its
 leading m columns are independent.
 """
 
 import numpy as np
 
 from .errors import InvalidInput, RankDeficient
+from .rref import rref
 
 POLICY_IDENTITY = "identity"
 POLICY_PIVOT_COLUMNS = "pivot-columns"
@@ -37,7 +38,6 @@ def column_order(a: np.ndarray, policy: str) -> np.ndarray:
     if policy == POLICY_IDENTITY:
         return np.arange(a.shape[1])
     if policy == POLICY_PIVOT_COLUMNS:
-        from .rref import rref   # here, not at the top: rref imports iterate, which imports this
         result = rref(a)
         if result.rank < a.shape[0]:
             raise RankDeficient(

@@ -1,18 +1,18 @@
-"""Reduced row echelon form and the exact-solution pipeline.
+"""Reduced row echelon form by Gauss-Jordan elimination, and the reduced
+system of [A b] with its zero rows dropped.
 
 Reducing [A b] to RREF makes the pivot-column block an exact identity,
 so a generalized iteration on the reduced system restores the head block
-from the tail in one sweep: every iteration lands on an exact solution.
+from the tail in one sweep: ``iterate.exact_solve`` lands on an exact
+solution at every iteration.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, Inconsistent, InvalidInput, NotUnderdetermined
-from .iterate import GENERALIZED_METHODS, STATUS_ERROR, SolveReport, SolverConfig, _drive
-from .linalg import as_matrix, as_system, as_vector, matrix_norm
-from .partition import POLICY_IDENTITY, head_first
+from .errors import NotUnderdetermined
+from .linalg import as_matrix, as_system, matrix_norm
 
 RREF_TOLERANCE = 1e-10
 
@@ -117,47 +117,3 @@ def reduced_system(a, b):
     a_bar = result.matrix[:r, :-1].copy()
     b_bar = result.matrix[:r, -1].copy()
     return result, a_bar, b_bar
-
-
-def exact_solve(a, b, x0=None, config: SolverConfig = None) -> SolveReport:
-    """Reduce (a, b) to RREF and run a generalized method on the reduced
-    system, whose pivot-led head block is the identity.
-
-    Inconsistent systems yield a report with status "error" and error
-    kind "inconsistent".  Rank-deficient consistent systems are handled
-    by dropping zero rows before partitioning.  The partition is always
-    the pivot columns, so a ``permutation_policy`` other than
-    ``identity`` raises ``InvalidInput``.
-    """
-    return solve_reduced(reduced_system(a, b), x0, config)[0]
-
-
-def solve_reduced(reduction, x0=None, config: SolverConfig = None):
-    """Run a generalized method on the output of ``reduced_system``,
-    partitioned into its pivot columns (the head) and free columns.
-
-    Returns the report and the prepared operator, as
-    ``iterate.run_with_operator`` does."""
-    result, a_bar, b_bar = reduction
-    n = a_bar.shape[1]
-    if config is None:
-        config = SolverConfig()
-    if config.method not in GENERALIZED_METHODS:
-        raise InvalidInput("exact solve supports the generalized methods only")
-    if config.permutation_policy != POLICY_IDENTITY:
-        raise InvalidInput("exact solve always partitions on the pivot columns of its "
-                           "reduced system and takes no permutation policy, "
-                           f"got {config.permutation_policy!r}")
-    x0 = as_vector(x0) if x0 is not None else np.zeros(n)
-    if x0.shape != (n,):
-        raise DimensionMismatch("x0 length must equal the number of columns")
-    if not result.consistent:
-        return SolveReport(
-            status=STATUS_ERROR,
-            solution=x0,
-            iterations=0,
-            residual_norms=[],
-            config=config,
-            error=Inconsistent.kind,
-        ), None
-    return _drive(a_bar, b_bar, head_first(result.pivot_columns, n), x0, config)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 
 from undersolve.errors import ParseError, RaggedRows, UnsupportedFormat
-from undersolve.linalg import _require_finite, as_matrix
+from undersolve.linalg import as_matrix, require_finite
 
 
 def brute_sign(x):
@@ -270,7 +270,7 @@ def brute_read_matrix_market(text: str) -> np.ndarray:
                 raise ParseError(f"duplicate entry ({i}, {j})", line=no)
             seen[k] = 1
             mat[k] = v
-        return _require_finite(mat.reshape(m, n), "matrix")
+        return require_finite(mat.reshape(m, n), "matrix")
 
     values = []
     for no, ln in entries:
@@ -279,5 +279,5 @@ def brute_read_matrix_market(text: str) -> np.ndarray:
         except ValueError:
             raise ParseError(f"malformed value {ln!r}", line=no)
     # array format stores column-major
-    return _require_finite(np.array(values).reshape((n, m)).T.copy(), "matrix")
+    return require_finite(np.array(values).reshape((n, m)).T.copy(), "matrix")
 

@@ -16,11 +16,12 @@ from undersolve.iterate import (
     METHOD_GS,
     METHOD_JACOBI,
     SolverConfig,
+    exact_solve,
     prepare,
     run,
 )
-from undersolve.linalg import row_one_norms, sign_matrix
-from undersolve.rref import exact_solve, reduced_system, rref
+from undersolve.linalg import NORM_ONE, sign_matrix, vector_norm
+from undersolve.rref import reduced_system, rref
 
 from oracles import (
     brute_baseline_residual_operator,
@@ -65,7 +66,7 @@ def test_criterion_1_residual_recurrence():
             head_inv = (np.diag(1.0 / np.diag(op.b_head)) if use_diag
                         else np.linalg.inv(np.tril(op.b_head)))
             tail_op = np.eye(m) - (op.b_tail @ sign_matrix(op.b_tail)) \
-                / row_one_norms(op.b_tail)[np.newaxis, :] / m
+                / vector_norm(op.b_tail, NORM_ONE)[np.newaxis, :] / m
             predicted = (np.eye(m) - op.b_head @ head_inv) @ tail_op @ r
             actual = a @ new - b
             err = np.abs(actual - predicted).max() / (1 + np.abs(r).max())
@@ -263,13 +264,13 @@ def test_criterion_6_oracle_equivalence():
         a = rng.uniform(-10, 10, size=(m, n))
         a[rng.random(a.shape) < 0.15] = 0.0
         assert np.array_equal(sign_matrix(a), np.array(brute_sign_matrix(a.tolist())))
-        assert np.abs(row_one_norms(a)
+        assert np.abs(vector_norm(a, NORM_ONE)
                       - np.array(brute_row_one_norms(a.tolist()))).max() <= 1e-12
     for _ in range(200):
         m = int(rng.integers(1, 5))
         n = int(rng.integers(m + 1, 8))
         a = rng.uniform(-10, 10, size=(m, n))
-        while np.any(row_one_norms(a) == 0):
+        while np.any(vector_norm(a, NORM_ONE) == 0):
             a = rng.uniform(-10, 10, size=(m, n))
         b = rng.uniform(-5, 5, size=m)
         z = rng.uniform(-2, 2, size=n)

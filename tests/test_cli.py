@@ -266,6 +266,14 @@ INPUT_ERROR_CASES = {
         "solve", "--method", "gjacobi",
         "--matrix", _write(tmp, "A.mtx", MTX_HEADER + "2 3 3\n1 1 1\n2 2 1\n1 1 5\n"),
         "--rhs", _write(tmp, "b.csv", "1\n1\n")],
+    "solve-mtx-unsupported-object": lambda demo, tmp: [
+        "solve", "--method", "gjacobi",
+        "--matrix", _write(tmp, "A.mtx", "%%MatrixMarket vector coordinate real general\n"),
+        "--rhs", demo["b"]],
+    "solve-mtx-unsupported-format": lambda demo, tmp: [
+        "solve", "--method", "gjacobi",
+        "--matrix", _write(tmp, "A.mtx", "%%MatrixMarket matrix hyperbolic real general\n"),
+        "--rhs", demo["b"]],
     "check-latin1-csv": lambda demo, tmp: [
         "check", "--matrix", _write(tmp, "A.csv", "1,2,3\n4,5,\xe9\n", encoding="latin-1"),
         "--rhs", _write(tmp, "b.csv", "1\n1\n")],

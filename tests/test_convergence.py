@@ -18,7 +18,7 @@ from undersolve.errors import (
     ZeroDiagonal,
 )
 from undersolve.iterate import METHOD_GGS, METHOD_GJACOBI, METHOD_JACOBI, prepare
-from undersolve.linalg import NORM_FRO, matrix_norm, row_one_norms, sign_matrix
+from undersolve.linalg import NORM_FRO, NORM_ONE, matrix_norm, sign_matrix, vector_norm
 from undersolve.rref import reduced_system
 
 from oracles import random_partitioned
@@ -57,7 +57,7 @@ def test_certification_predicate_scaling_equivalence():
         report = check_conditions(a, np.zeros(m), METHOD_GJACOBI)
         op = prepare(a, range(n), METHOD_JACOBI)
         tail_product = (op.b_tail @ sign_matrix(op.b_tail)) \
-            / row_one_norms(op.b_tail)[np.newaxis, :]
+            / vector_norm(op.b_tail, NORM_ONE)[np.newaxis, :]
         for rec in report.per_norm:
             scaled = matrix_norm(np.eye(m) - tail_product / m, rec.norm)
             assert abs(rec.c2 / m - scaled) <= 1e-12 * (1 + scaled)

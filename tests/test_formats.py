@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from oracles import brute_read_csv_matrix, brute_read_matrix_market, brute_write_csv_matrix
+from undersolve import formats
 from undersolve.errors import (
     DimensionMismatch,
     InvalidInput,
@@ -31,9 +32,8 @@ from undersolve.formats import (
     write_report,
 )
 from undersolve.convergence import ConditionReport, NormConditionRecord
-from undersolve.iterate import SolveReport, SolverConfig, run
+from undersolve.iterate import SolveReport, SolverConfig, exact_solve, run
 from undersolve.linalg import NORM_KINDS
-from undersolve.rref import exact_solve
 
 
 def test_csv_parse_simple():
@@ -108,6 +108,8 @@ def test_matrix_market_unsupported():
         "%%MatrixMarket matrix coordinate complex general",
         "%%MatrixMarket matrix coordinate pattern general",
         "%%MatrixMarket matrix coordinate real symmetric",
+        "%%MatrixMarket vector coordinate real general",
+        "%%MatrixMarket matrix hyperbolic real general",
     ):
         with pytest.raises(UnsupportedFormat):
             read_matrix_market(header + "\n2 2 0\n")
@@ -210,6 +212,31 @@ def test_matrix_market_writer_matches_entrywise_formula():
     assert "-0.0" in array
     assert write_matrix_market(a, "coordinate") == coordinate
     assert write_matrix_market(a, "array") == array
+
+
+def test_matrix_market_writer_rejects_an_unknown_form():
+    with pytest.raises(InvalidInput, match="unknown MatrixMarket form"):
+        write_matrix_market(np.eye(2), "bogus")
+
+
+@pytest.mark.parametrize("text", ["1.5,-2\n3,4e-3\n  \n", "1.5,-2\n\t\n3,4e-3\n"])
+def test_csv_lines_of_blanks_leave_the_file_to_numpy(text, monkeypatch):
+    # a trailing or inner line of blanks does not send the whole file to
+    # the per-line loop, and numpy reads what the loop reads
+    parsed = []
+    original = formats._loadtxt
+
+    def recording(*args, **kwargs):
+        parsed.append(original(*args, **kwargs))
+        return parsed[-1]
+
+    monkeypatch.setattr(formats, "_loadtxt", recording)
+    mat = read_csv_matrix(text)
+    assert len(parsed) == 1 and isinstance(parsed[0], np.ndarray)
+    monkeypatch.setattr(formats, "_loadtxt", lambda *args, **kwargs: None)
+    loop = read_csv_matrix(text)
+    assert mat.shape == loop.shape == (2, 2)
+    assert mat.tobytes() == loop.tobytes()
 
 
 def test_csv_digit_group_underscore_rejected():

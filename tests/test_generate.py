@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from undersolve import convergence, generate
-from undersolve.convergence import check_conditions, tail_iteration_matrix
+from undersolve.convergence import check_conditions
 from undersolve.generate import SNAP_THRESHOLD, _tail_lower_bounds, generate_certified
-from undersolve.iterate import GENERALIZED_METHODS
-from undersolve.linalg import NORM_KINDS, matrix_norm, row_one_norms, sign_matrix
+from undersolve.iterate import GENERALIZED_METHODS, tail_iteration_matrix
+from undersolve.linalg import NORM_KINDS, NORM_ONE, matrix_norm, sign_matrix, vector_norm
 
 # sha256 of the bytes of (A, b, x*) from generate_certified(m, n,
 # default_rng(seed)), recorded when the generator re-partitioned the system
@@ -96,7 +96,7 @@ def test_tail_lower_bounds_are_sound(seed, m, extra, halvings):
     tail[owned] = rng.uniform(0.5, 1.5, size=owned.sum()) * rng.choice([-1.0, 1.0], size=owned.sum())
     tail[~owned] *= 2.0 ** -halvings
     tail[~owned & (np.abs(tail) < SNAP_THRESHOLD)] = 0.0
-    signs, weights = sign_matrix(tail), 1.0 / (m * row_one_norms(tail))
+    signs, weights = sign_matrix(tail), 1.0 / (m * vector_norm(tail, NORM_ONE))
     tail_op = tail_iteration_matrix(tail, signs, weights)
     bounds = _tail_lower_bounds(tail, signs, weights)
     for kind, bound in zip(NORM_KINDS, bounds):

@@ -21,11 +21,12 @@ from undersolve.iterate import (
     SWEEPS,
     SolverConfig,
     _drive,
+    exact_solve,
     run,
 )
-from undersolve.linalg import NORM_INF, NORM_ONE, row_one_norms, sign_matrix, vector_norm
+from undersolve.linalg import NORM_INF, NORM_ONE, sign_matrix, vector_norm
 from undersolve.partition import POLICIES, POLICY_IDENTITY, POLICY_PIVOT_COLUMNS, column_order
-from undersolve.rref import exact_solve, reduced_system
+from undersolve.rref import reduced_system
 
 from oracles import brute_step, brute_step_operators, random_partitioned
 from stepping import stepper
@@ -175,7 +176,7 @@ def test_weighted_residual_identity():
         perm = column_order(a, POLICY_IDENTITY)
         op = iterate.prepare(a, perm, METHOD_JACOBI)
         slots = x[list(perm)]
-        norms = row_one_norms(op.b_tail)
+        norms = vector_norm(op.b_tail, NORM_ONE)
         b_tilde = b - op.b_head @ slots[:m]
         d = (b_tilde - op.b_tail @ slots[m:]) / (m * norms)
         expected = (b - a @ x) / (m * norms)
@@ -198,7 +199,7 @@ def test_residual_recurrence(sweep, splitting):
         head_inv = (np.diag(1.0 / np.diag(op.b_head)) if splitting == "diag"
                     else np.linalg.inv(np.tril(op.b_head)))
         tail_op = np.eye(m) - (op.b_tail @ sign_matrix(op.b_tail)) \
-            / row_one_norms(op.b_tail)[np.newaxis, :] / m
+            / vector_norm(op.b_tail, NORM_ONE)[np.newaxis, :] / m
         predicted = (np.eye(m) - op.b_head @ head_inv) @ tail_op @ r
         actual = a @ new - b
         assert np.abs(actual - predicted).max() <= 1e-10 * (1 + np.abs(r).max())
@@ -298,6 +299,15 @@ def test_config_rejects_a_value_of_the_wrong_type(field, value):
         assert type(getattr(config, field)) is kind
         report = run([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]], [3.0, 2.0], None, config)
         assert formats.read_report(formats.write_report(report)).config == config
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("method", "bogus", "unknown method"),
+    ("residual_norm", "two", "residual norm must be"),
+])
+def test_config_rejects_an_unknown_name(field, value, message):
+    with pytest.raises(InvalidInput, match=message):
+        SolverConfig(**{field: value})
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -1,0 +1,63 @@
+"""The package's import layering, read from its source with ``ast``.
+
+No import sits inside a function, no module imports another's private
+name, ``rref`` builds on ``errors`` and ``linalg`` alone, and the modules
+import one another without a cycle.
+"""
+
+import ast
+from graphlib import CycleError, TopologicalSorter
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "undersolve"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _package_imports(tree):
+    """(line, imported module, imported names) of every import from the
+    package itself; ``from . import m`` imports the module m."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = [alias.name for alias in node.names]
+            if node.module is None:
+                for name in names:
+                    yield node.lineno, name, []
+            else:
+                yield node.lineno, node.module, names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_import_inside_a_function(path):
+    found = [f"{path.name}:{node.lineno}"
+             for func in ast.walk(_tree(path))
+             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_private_name_imported_across_modules(path):
+    found = [f"{path.name}:{line} {module}.{name}"
+             for line, module, names in _package_imports(_tree(path))
+             for name in names if name.startswith("_")]
+    assert found == []
+
+
+def test_rref_imports_only_errors_and_linalg():
+    imported = {module for _, module, _ in _package_imports(_tree(PACKAGE / "rref.py"))}
+    assert imported <= {"errors", "linalg"}
+
+
+def test_import_graph_has_no_cycle():
+    graph = {path.stem: {module for _, module, _ in _package_imports(_tree(path))}
+             for path in MODULES}
+    try:
+        list(TopologicalSorter(graph).static_order())
+    except CycleError as exc:
+        pytest.fail(f"import cycle: {exc.args[1]}")

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from undersolve.demo import DEMO_A
-from undersolve.errors import SolverError
+from undersolve.errors import DimensionMismatch, SolverError
 from undersolve.linalg import (
     NORM_FRO,
     NORM_INF,
@@ -13,8 +13,8 @@ from undersolve.linalg import (
     as_vector,
     lower_triangular_inverse,
     matrix_norm,
-    row_one_norms,
     sign_matrix,
+    vector_norm,
 )
 
 
@@ -25,6 +25,11 @@ def test_as_matrix_rejects_nonfinite():
     with pytest.raises(ValueError) as err:
         as_vector([np.inf])
     assert isinstance(err.value, SolverError)
+
+
+def test_as_matrix_rejects_a_vector():
+    with pytest.raises(DimensionMismatch, match="2-D matrix"):
+        as_matrix([1.0, 2.0])
 
 
 def test_sign_matrix_small():
@@ -54,17 +59,17 @@ def test_sign_matrix_recovers_magnitudes():
         assert np.allclose(s.T * a, np.abs(a))
 
 
-def test_row_one_norms():
-    assert row_one_norms(np.array([[2.0, -3.0, 0.0], [1.0, 0.0, -5.0]])).tolist() == [5, 6]
-    assert row_one_norms(np.eye(3)).tolist() == [1, 1, 1]
-    assert row_one_norms(np.array([[3.0, 10.0, 5.0]])).tolist() == [18.0]
+def test_vector_norm_of_every_row():
+    assert vector_norm(np.array([[2.0, -3.0, 0.0], [1.0, 0.0, -5.0]]), NORM_ONE).tolist() == [5, 6]
+    assert vector_norm(np.eye(3), NORM_ONE).tolist() == [1, 1, 1]
+    assert vector_norm(np.array([[3.0, 10.0, 5.0]]), NORM_ONE).tolist() == [18.0]
 
 
-def test_row_one_norms_nonnegative_zero_iff_zero_row():
+def test_vector_norm_of_every_row_nonnegative_zero_iff_zero_row():
     rng = np.random.default_rng(3)
     a = rng.uniform(-1, 1, size=(5, 4))
     a[2] = 0.0
-    norms = row_one_norms(a)
+    norms = vector_norm(a, NORM_ONE)
     assert np.all(norms >= 0)
     assert norms[2] == 0.0
     assert np.all(norms[[0, 1, 3, 4]] > 0)

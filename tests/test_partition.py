@@ -13,11 +13,11 @@ from undersolve.iterate import (
     METHOD_GS,
     METHOD_JACOBI,
     SolverConfig,
+    exact_solve,
     prepare,
     run,
 )
 from undersolve.partition import POLICY_IDENTITY, POLICY_PIVOT_COLUMNS, column_order, head_first
-from undersolve.rref import exact_solve
 
 from oracles import rational_rref
 

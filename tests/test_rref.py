@@ -6,10 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from undersolve.demo import DEMO_A, DEMO_B, DEMO_X0
-from undersolve.errors import DimensionMismatch, InvalidInput
-from undersolve.iterate import METHOD_GGS, METHOD_GJACOBI, METHOD_JACOBI, SolverConfig
+from undersolve.errors import DimensionMismatch, InvalidInput, NotUnderdetermined
+from undersolve.iterate import (
+    METHOD_BASELINE,
+    METHOD_GGS,
+    METHOD_GJACOBI,
+    METHOD_GS,
+    METHOD_JACOBI,
+    SolverConfig,
+    exact_solve,
+)
 from undersolve.partition import POLICY_PIVOT_COLUMNS
-from undersolve.rref import exact_solve, reduced_system, rref
+from undersolve.rref import reduced_system, rref
 
 from oracles import rational_rref_floats
 from stepping import stepper
@@ -183,6 +191,20 @@ def test_exact_solve_rounding_residue_is_a_zero_tail_row(method):
     assert 0.0 < abs(a_bar[0, 2]) < 1e-15
     report = exact_solve(a, b, np.array([1.0, 2.0, 3.0]), SolverConfig(method=method))
     assert report.status == "error" and report.error == "zero_tail_row"
+
+
+@pytest.mark.parametrize("method", [METHOD_BASELINE, METHOD_JACOBI, METHOD_GS])
+def test_exact_solve_rejects_a_method_that_is_not_generalized(method):
+    with pytest.raises(InvalidInput, match="generalized methods only"):
+        exact_solve(DEMO_A, DEMO_B, DEMO_X0, SolverConfig(method=method))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2)])
+def test_reduced_system_requires_more_columns_than_rows(shape):
+    with pytest.raises(NotUnderdetermined, match="m < n"):
+        reduced_system(np.ones(shape), np.ones(shape[0]))
+    with pytest.raises(NotUnderdetermined):
+        exact_solve(np.ones(shape), np.ones(shape[0]))
 
 
 def test_exact_solve_rhs_length_mismatch():
