@@ -18,10 +18,15 @@ from undersolve.errors import (
     ZeroDiagonal,
 )
 from undersolve.iterate import METHOD_GGS, METHOD_GJACOBI, METHOD_JACOBI, prepare
-from undersolve.linalg import NORM_FRO, NORM_ONE, matrix_norm, sign_matrix, vector_norm
+from undersolve.linalg import NORM_FRO, NORM_KINDS, NORM_ONE, matrix_norm, sign_matrix, vector_norm
 from undersolve.rref import reduced_system
 
-from oracles import random_partitioned
+from oracles import (
+    brute_row_one_norms,
+    brute_sign_matrix,
+    brute_step_operators,
+    random_partitioned,
+)
 
 
 def test_identity_head_gives_zero_c1():
@@ -76,6 +81,33 @@ def test_frobenius_tail_factor_never_certifies(seed, m, extra, method):
     fro = next(r for r in report.per_norm if r.norm == NORM_FRO)
     assert fro.c2 >= np.sqrt(m) * (m - 1) * (1 - 1e-12)
     assert not fro.certified
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), method=st.sampled_from((METHOD_GJACOBI, METHOD_GGS)))
+def test_condition_values_match_the_oracle(seed, method):
+    # c1 = ||B H^-1 - I|| with H^-1 from a general inverse, c2 = m ||T|| with
+    # T the residual map of a brute baseline step on the tail alone, and the
+    # Cauchy bound ||H^-1 T|| + ||S W||.  H^-1 is formed, in the library as
+    # a blocked triangular inverse, so both round in proportion to kappa(H)
+    a, m, n = random_partitioned(np.random.default_rng(seed))
+    head, tail = a[:, :m], a[:, m:]
+    splitting = np.diag(np.diag(head)) if method == METHOD_GJACOBI else np.tril(head)
+    head_inv = np.linalg.inv(splitting)
+    tail_map = np.array(brute_step_operators(tail.tolist(), tuple(range(n - m)), 0, None)[0])
+    norms = brute_row_one_norms(tail.tolist())
+    signs_weights = np.array([[s / (m * norms[i]) for i, s in enumerate(row)]
+                              for row in brute_sign_matrix(tail.tolist())])
+    rel = 1e-12 * np.linalg.cond(splitting, np.inf)
+    report = check_conditions(a, np.zeros(m), method)
+    assert [rec.norm for rec in report.per_norm] == list(NORM_KINDS)
+    for rec in report.per_norm:
+        c1 = matrix_norm(head @ head_inv - np.eye(m), rec.norm)
+        c2 = m * matrix_norm(tail_map, rec.norm)
+        cauchy = matrix_norm(head_inv @ tail_map, rec.norm) + matrix_norm(signs_weights, rec.norm)
+        assert abs(rec.c1 - c1) <= rel * c1
+        assert abs(rec.c2 - c2) <= 1e-12 * c2
+        assert abs(rec.cauchy_bound - cauchy) <= rel * cauchy
 
 
 def test_contraction_factor():

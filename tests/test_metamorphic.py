@@ -1,0 +1,181 @@
+"""Metamorphic relations of the iteration: transformations of (A, b, x0)
+whose effect on the iterates follows from the step's formulas alone, so
+they need no oracle.  Each test runs a fixed number of steps through
+``run`` and compares the iterates of a system and of its transform.
+
+* **signed row scaling** (D A, D b): sign(d_i B~_i) = sign(d_i) s(B~_i)
+  and the weight divides by |d_i|, so the tail update z is unchanged; H
+  scales with D, so the head sweep is unchanged too;
+* **tail column permutation**, with x0 permuted alike, permutes the
+  iterates alike (for baseline every column is a tail column);
+* **null-space shift**: x0 + v with A v = 0 shifts every iterate by v;
+* **linearity**: an iterate is linear in (b, x0);
+* **symmetric head permutation** (P B P^T, P B~, P b): the diagonal moves
+  with the rows, so gjacobi and baseline iterates are permuted alike.
+  Gauss-Seidel's lower triangle does not move with them, which makes ggs
+  the negative control.
+
+The tolerance is fixed by the unit roundoff u, the step count and the
+system, not by measured runs.  One step makes at most four chained
+products of inner length at most n (S W r, B~ z, H^-1 u, B delta), each
+accurate to about n u of the product of the absolute values, and the
+solve adds two more: the start residual b - A x0 and the gather
+x0 + K acc.  On these systems the head is diagonally dominant with a
+diagonal of at least 1 and the tail update divides by m times a row
+norm, so |K| |A| has entries of order 1 and each rounding reaches the
+iterate at about the size of the iterates.  Over ``STEPS`` steps:
+
+    |x - x'| <= 4 (STEPS + 2) n u kappa scale,
+
+with scale the sum of the largest entries of the start vectors and
+iterates compared, and kappa = kappa_inf(L) of the head's lower triangle
+for ggs, which applies its head as a formed L^-1 whose rounding grows
+with kappa(L) (the larger of the two systems'), and 1 otherwise.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from undersolve.generate import generate_certified
+from undersolve.iterate import SolverConfig, run
+
+STEPS = 7
+UNIT = np.finfo(float).eps / 2
+METHODS = ("gjacobi", "ggs", "baseline")
+NORMS = ("one", "inf")
+HEAD_OFF_DIAGONAL_MASS = 0.9    # build_system's off-diagonal mass of a head row
+
+
+def _build_system(m, n, rng):
+    """The benchmark's certified system: head diagonal U(1, 2) plus
+    non-negative off-diagonal U(0, 1.8/m); one signed U(0.5, 1.5) tail
+    entry per column, rows assigned round-robin; b = A x*."""
+    head = rng.uniform(0.0, 2.0 * HEAD_OFF_DIAGONAL_MASS / m, size=(m, m))
+    np.fill_diagonal(head, rng.uniform(1.0, 2.0, size=m))
+    cols = np.arange(n - m)
+    tail = np.zeros((m, n - m))
+    tail[cols % m, cols] = rng.uniform(0.5, 1.5, size=n - m) * rng.choice([-1.0, 1.0],
+                                                                          size=n - m)
+    a = np.hstack([head, tail])
+    return a, a @ rng.uniform(-1.0, 1.0, size=n)
+
+
+def _system(family, seed, m, extra):
+    """(rng, a, b, x0) of an m x n system of ``family``: ``build`` is
+    build_system's with n = 4m, ``certified`` generate_certified's with
+    n = 2m + extra."""
+    rng = np.random.default_rng(seed)
+    if family == "build":
+        a, b = _build_system(m, 4 * m, rng)
+    else:
+        a, b, _ = generate_certified(m, 2 * m + extra, rng)
+    return rng, a, b, rng.uniform(-1.0, 1.0, size=a.shape[1])
+
+
+def _iterate(a, b, x0, method, norm):
+    """The iterate after ``STEPS`` steps: epsilon is too small to stop on."""
+    config = SolverConfig(method=method, epsilon=1e-300, max_iterations=STEPS,
+                          residual_norm=norm)
+    return run(a, b, x0, config).solution
+
+
+def _tolerance(method, systems, *vectors):
+    n = systems[0].shape[1]
+    kappa = 1.0
+    if method == "ggs":
+        m = systems[0].shape[0]
+        kappa = max(np.linalg.cond(np.tril(a[:, :m]), np.inf) for a in systems)
+    scale = sum(np.abs(v).max() for v in vectors)
+    return 4 * (STEPS + 2) * n * UNIT * kappa * scale
+
+
+_cases = dict(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(("build", "certified")),
+              m=st.integers(2, 8), extra=st.integers(0, 2 * 8),
+              method=st.sampled_from(METHODS), norm=st.sampled_from(NORMS))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_cases)
+def test_signed_row_scaling_keeps_the_iterates(seed, family, m, extra, method, norm):
+    rng, a, b, x0 = _system(family, seed, m, extra)
+    d = rng.choice([-1.0, 1.0], size=m) * 10.0 ** rng.uniform(-2.0, 2.0, size=m)
+    x = _iterate(a, b, x0, method, norm)
+    scaled = _iterate(d[:, np.newaxis] * a, d * b, x0, method, norm)
+    tol = _tolerance(method, (a, d[:, np.newaxis] * a), x0, x, scaled)
+    assert np.abs(scaled - x).max() <= tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_cases)
+def test_tail_column_permutation_permutes_the_iterates(seed, family, m, extra, method, norm):
+    rng, a, b, x0 = _system(family, seed, m, extra)
+    n = a.shape[1]
+    if method == "baseline":
+        perm = rng.permutation(n)
+    else:
+        perm = np.concatenate((np.arange(m), m + rng.permutation(n - m)))
+    x = _iterate(a, b, x0, method, norm)
+    permuted = _iterate(a[:, perm], b, x0[perm], method, norm)
+    assert np.abs(permuted - x[perm]).max() <= _tolerance(method, (a,), x0, x, permuted)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_cases)
+def test_null_space_shift_of_x0_shifts_the_iterates(seed, family, m, extra, method, norm):
+    rng, a, b, x0 = _system(family, seed, m, extra)
+    null_basis = np.linalg.svd(a)[2][m:]          # rows span the null space of a
+    v = rng.uniform(-1.0, 1.0, size=null_basis.shape[0]) @ null_basis
+    x = _iterate(a, b, x0, method, norm)
+    shifted = _iterate(a, b, x0 + v, method, norm)
+    tol = _tolerance(method, (a,), x0, v, x, shifted)
+    assert np.abs(shifted - (x + v)).max() <= tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_cases)
+def test_iterates_are_linear_in_b_and_x0(seed, family, m, extra, method, norm):
+    rng, a, b, x0 = _system(family, seed, m, extra)
+    b2 = rng.uniform(-5.0, 5.0, size=m)
+    x02 = rng.uniform(-1.0, 1.0, size=a.shape[1])
+    alpha, beta = rng.uniform(-2.0, 2.0, size=2)
+    x = _iterate(a, b, x0, method, norm)
+    x2 = _iterate(a, b2, x02, method, norm)
+    combined = _iterate(a, alpha * b + beta * b2, alpha * x0 + beta * x02, method, norm)
+    tol = _tolerance(method, (a,), alpha * x0, alpha * x, beta * x02, beta * x2,
+                     alpha * x0 + beta * x02, combined)
+    assert np.abs(combined - (alpha * x + beta * x2)).max() <= tol
+
+
+def _head_permuted(a, b, x0, p):
+    """(P B P^T | P B~, P b, x0 with its head permuted by P) and the
+    column order q with x'[...] = x[q]."""
+    m, n = a.shape
+    q = np.concatenate((p, np.arange(m, n)))
+    return a[p][:, q], b[p], x0[q], q
+
+
+@settings(max_examples=40, deadline=None)
+@given(**{**_cases, "method": st.sampled_from(("gjacobi", "baseline"))})
+def test_symmetric_head_permutation_permutes_the_iterates(seed, family, m, extra, method,
+                                                          norm):
+    rng, a, b, x0 = _system(family, seed, m, extra)
+    a2, b2, x02, q = _head_permuted(a, b, x0, rng.permutation(m))
+    x = _iterate(a, b, x0, method, norm)
+    permuted = _iterate(a2, b2, x02, method, norm)
+    assert np.abs(permuted - x[q]).max() <= _tolerance(method, (a, a2), x0, x, permuted)
+
+
+def test_symmetric_head_permutation_moves_ggs_far_beyond_the_tolerance():
+    # the negative control: reversing the head turns its lower triangle
+    # into its upper one, so a relation that held for ggs would mean the
+    # tolerance cannot tell a changed iteration from rounding
+    rng = np.random.default_rng(0)
+    a, b = _build_system(30, 120, rng)
+    x0 = rng.uniform(-1.0, 1.0, size=120)
+    a2, b2, x02, q = _head_permuted(a, b, x0, np.arange(30)[::-1])
+    for norm in NORMS:
+        x = _iterate(a, b, x0, "ggs", norm)
+        permuted = _iterate(a2, b2, x02, "ggs", norm)
+        tol = _tolerance("ggs", (a, a2), x0, x, permuted)
+        assert np.abs(permuted - x[q]).max() > 1000 * tol
