@@ -8,19 +8,8 @@ certify never means divergence; the conditions are sufficient only.
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .errors import InvalidInput, NotUnderdetermined
-from .iterate import (
-    GENERALIZED_METHODS,
-    METHOD_GGS,
-    METHOD_GJACOBI,
-    METHOD_JACOBI,
-    SWEEPS,
-    Operator,
-    prepare,
-    tail_iteration_matrix,
-)
+from .iterate import GENERALIZED_METHODS, Operator, prepare
 from .linalg import NORM_KINDS, as_system, matrix_norm
 from .partition import POLICY_IDENTITY, column_order
 
@@ -58,25 +47,21 @@ def check_conditions(a, b, method: str, policy: str = POLICY_IDENTITY) -> Condit
     perm = column_order(a, policy)
     if method not in GENERALIZED_METHODS:
         raise InvalidInput(f"conditions are defined for {GENERALIZED_METHODS}, got {method!r}")
-    return operator_conditions(prepare(a, perm, SWEEPS[method]))
+    return operator_conditions(prepare(a, perm, method))
 
 
 def operator_conditions(op: Operator) -> ConditionReport:
-    """The conditions of a prepared generalized-method operator, derived
-    from its invariants; the CLI passes the operator its solve prepared."""
-    m = op.b_head.shape[0]
-    # each matrix is reduced to its norms and dropped before the next is
-    # built: the solve's operator is still alive, so this keeps peak memory
-    sign_norms = _norms(op.signs * op.weights)
-    tail_op = tail_iteration_matrix(op.b_tail, op.signs, op.weights)
-    tail_norms = _norms(tail_op)
-    solved_norms = _norms(op.solve_head(tail_op))
-    # c1 = ||I - B H^-1|| = ||(B - H) H^-1||
-    b_head = op.b_head
-    if op.diag is not None:
-        head_norms = _norms((b_head - np.diag(op.diag)) / op.diag)
-    else:
-        head_norms = _norms((b_head - np.tril(b_head)) @ op.lower_inv)
+    """The conditions of a prepared generalized-method operator: c1 from
+    its head's coupling C, c2 from its tail's map T; the CLI passes the
+    operator its solve prepared."""
+    m = op.tail.block.shape[0]
+    # each matrix but T is reduced to its norms and dropped before the next
+    # is built: the solve's operator is still alive, so this keeps peak memory
+    sign_norms = _norms(op.tail.signs * op.tail.weights)
+    tail_map = op.tail.map()
+    tail_norms = _norms(tail_map)
+    solved_norms = _norms(op.head.solve(tail_map))
+    head_norms = _norms(op.head.coupling())
     records = tuple(
         NormConditionRecord(
             norm=kind,
@@ -89,7 +74,7 @@ def operator_conditions(op: Operator) -> ConditionReport:
             NORM_KINDS, head_norms, tail_norms, solved_norms, sign_norms)
     )
     return ConditionReport(
-        method=METHOD_GJACOBI if op.sweep == METHOD_JACOBI else METHOD_GGS,
+        method=op.method,
         per_norm=records,
         overall_certified=any(r.certified for r in records),
     )

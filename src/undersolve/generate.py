@@ -30,8 +30,8 @@ ends as it would without the filter and the output is the same.
 import numpy as np
 
 from .errors import InvalidInput, NotUnderdetermined, SolverError
-from .iterate import tail_iteration_matrix
-from .linalg import NORM_KINDS, NORM_ONE, matrix_norm, sign_matrix, vector_norm
+from .iterate import Tail
+from .linalg import NORM_KINDS, NORM_ONE, matrix_norm, vector_norm
 
 SNAP_THRESHOLD = 1e-12
 MAX_HALVINGS = 60
@@ -54,29 +54,30 @@ def generate_system(m: int, n: int, rng: np.random.Generator):
     return a, a @ x_star, x_star
 
 
-def _tail_lower_bounds(tail, signs, weights):
+def _tail_lower_bounds(tail):
     """Lower bounds on the one-, infinity- and Frobenius-norm of
-    ``tail_iteration_matrix(tail, signs, weights)``, in ``NORM_KINDS``
-    order: the 1-norm of its column 0, the 1-norm of its row 0 and the
-    2-norm of its diagonal, without forming the matrix.  Each diagonal
-    entry is 1 - 1/m, as B~[i, j] sign(B~[i, j]) sums to ||B~_i||_1."""
-    m = tail.shape[0]
-    col0 = (tail @ signs[:, 0]) * -weights[0]
+    ``tail.map()``, in ``NORM_KINDS`` order: the 1-norm of its column 0,
+    the 1-norm of its row 0 and the 2-norm of its diagonal, without
+    forming the matrix.  Each diagonal entry is 1 - 1/m, as
+    B~[i, j] sign(B~[i, j]) sums to ||B~_i||_1."""
+    block, signs, weights = tail.block, tail.signs, tail.weights
+    m = block.shape[0]
+    col0 = (block @ signs[:, 0]) * -weights[0]
     col0[0] += 1.0
-    row0 = (tail[0] @ signs) * -weights
+    row0 = (block[0] @ signs) * -weights
     row0[0] += 1.0
     return np.abs(col0).sum(), np.abs(row0).sum(), (m - 1) / np.sqrt(m)
 
 
-def _certifies(tail):
+def _certifies(block):
     """Whether both methods certify: the tail factor c2 < m holds in some
     norm (the head factor c1 < 1 holds in all of them)."""
-    m = tail.shape[0]
-    signs, weights = sign_matrix(tail), 1.0 / (m * vector_norm(tail, NORM_ONE))
-    if min(_tail_lower_bounds(tail, signs, weights)) >= 1.0 + BOUND_MARGIN:
+    m = block.shape[0]
+    tail = Tail.of(block, vector_norm(block, NORM_ONE))
+    if min(_tail_lower_bounds(tail)) >= 1.0 + BOUND_MARGIN:
         return False
-    tail_op = tail_iteration_matrix(tail, signs, weights)
-    return any(m * matrix_norm(tail_op, kind) < m for kind in NORM_KINDS)
+    tail_map = tail.map()
+    return any(m * matrix_norm(tail_map, kind) < m for kind in NORM_KINDS)
 
 
 def generate_certified(m: int, n: int, rng: np.random.Generator):

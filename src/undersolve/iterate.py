@@ -3,22 +3,24 @@ the residual and gathers the iterate, and every entry that starts a
 solve: ``run`` on (A, b) as given, ``exact_solve`` on its RREF-reduced
 system (``rref.reduced_system``).
 
-Every method is a linear stationary iteration.  ``prepare`` splits A in
-a column order ``column_perm`` (``partition.column_order``): with a
-sweep the head B is the first m slots; without one (baseline) the head
-is empty and the tail B~ is all of A.  In that slot order (head
-h = x[:k], tail t = x[k:]) one step from the residual r = rhs - A x
-changes the iterate by K r and the residual to M r.  With the tail update z = s(B~) W r, W = diag of
-1 / (m ||B~_i||_1), and the head sweep's H (the diagonal or lower
-triangle of the square head B):
+Every method is a linear stationary iteration built from two
+primitives.  ``prepare`` splits A in a column order ``column_perm``
+(``partition.column_order``) into a square head B, the first m slots,
+and a tail B~, the rest.  A ``Tail`` holds B~, its signs S = s(B~) and
+its weights W = diag of 1 / (m ||B~_i||_1): its update of a residual r
+is z = S W r, its residual map T = I - B~ S W.  A ``Head`` holds B and
+its splitting H, the diagonal (Jacobi) or the lower triangle
+(Gauss-Seidel): it solves H^-1 v, and its coupling is C = (B - H) H^-1.
+In slot order (head h = x[:k], tail t = x[k:]) one step from the
+residual r = rhs - A x changes the iterate by K r and the residual to M r:
 
     u = r - B~ z,   delta = H^-1 u,   K r = [delta; z],   M r = u - B delta.
 
-* ``baseline``: the tail update with an empty head (the tail is A), so
-  M = T = I - B~ s(B~) W, an m x m matrix ``prepare`` forms once;
-* ``gjacobi`` / ``ggs``: the tail update, then a Jacobi / Gauss-Seidel
-  sweep; M is applied factored, as above;
-* ``jacobi`` / ``gs``: the sweep alone (the head is A, so u = r).
+* ``baseline``: a tail alone (the tail is A), so M = T, an m x m matrix
+  ``_drive`` forms once;
+* ``gjacobi`` / ``ggs``: a tail, then a Jacobi / Gauss-Seidel head; M is
+  applied factored, as above;
+* ``jacobi`` / ``gs``: a head alone (the head is A, so u = r).
 
 The loop of ``_drive`` carries only the residual, in blocks of steps.
 With M factored a block is one step, r' = ``op.advance(r)``.
@@ -60,12 +62,13 @@ SIAM J. Sci. Comput. 22(3), 2000; Higham & Knight, 1993).  So:
   settles.  A fresh residual of the returned x below epsilon is
   converged, whatever stopped the loop.
 
-``prepare`` splits A, computes every per-system invariant once and
-raises the method's structural errors; the resulting ``Operator`` is
+``prepare`` splits A, computes the head's and the tail's invariants once
+and raises the method's structural errors; the resulting ``Operator`` is
 immutable.  One driver loop, behind ``run`` and ``exact_solve``, runs
 it.  Neither computes the convergence conditions
 (``SolveReport.conditions`` stays None);
-``convergence.operator_conditions`` derives them from the operator that
+``convergence.operator_conditions`` derives them from the head's
+coupling C and the tail's map T of the operator that
 ``run_with_operator`` hands back.
 """
 
@@ -113,15 +116,6 @@ METHODS = (METHOD_BASELINE, METHOD_GJACOBI, METHOD_GGS, METHOD_JACOBI, METHOD_GS
 UNDERDETERMINED_METHODS = (METHOD_BASELINE, METHOD_GJACOBI, METHOD_GGS)
 GENERALIZED_METHODS = (METHOD_GJACOBI, METHOD_GGS)
 SQUARE_METHODS = (METHOD_JACOBI, METHOD_GS)
-
-# sweep kind of each method's head sweep; None means no sweep
-SWEEPS = {
-    METHOD_BASELINE: None,
-    METHOD_GJACOBI: METHOD_JACOBI,
-    METHOD_GGS: METHOD_GS,
-    METHOD_JACOBI: METHOD_JACOBI,
-    METHOD_GS: METHOD_GS,
-}
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERATIONS = "max_iterations"
@@ -189,69 +183,87 @@ class SolveReport:
 
 
 @dataclass(frozen=True)
-class Operator:
-    """The one prepared system: the head and tail blocks of A and the
-    per-system invariants of one method, computed once by ``prepare``, and
-    its two maps of a residual r: ``advance`` (M r, the residual one step
-    later) and ``gain`` (K r, the step's change of the iterate).
+class Tail:
+    """The tail block B~ and its sign-matrix update: the signs S = s(B~)
+    and the weights W = 1 / (m ||B~_i||_1)."""
+    block: np.ndarray
+    signs: np.ndarray
+    weights: np.ndarray
 
-    H is the head splitting matrix: the diagonal D for a Jacobi sweep, the
-    lower triangle L for a Gauss-Seidel sweep.  ``lower_inv`` is L^-1 as a
-    dense m x m matrix whose strict upper triangle is exactly 0, formed by
-    ``linalg.lower_triangular_inverse`` (recursive 2x2 blocking, about
-    2m^3/3 flops, a third of a general inverse).
-    """
-    b_head: np.ndarray                 # B: the first k slots (k = m, or 0 without a sweep)
-    b_tail: np.ndarray                 # B~: the remaining n - k slots
-    sweep: Optional[str]               # None, METHOD_JACOBI or METHOD_GS
-    signs: Optional[np.ndarray]        # S = s(B~); None when the tail is empty
-    weights: Optional[np.ndarray]      # W = 1 / (m ||B~_i||_1)
-    tail_map: Optional[np.ndarray]     # baseline: T = I - B~ S W; None with a sweep
-    diag: Optional[np.ndarray]         # Jacobi: the diagonal of B
-    lower_inv: Optional[np.ndarray]    # Gauss-Seidel: L^-1
+    @classmethod
+    def of(cls, block, norms):
+        """The tail of ``block`` from its row 1-norms ``norms``, none zero."""
+        return cls(block, sign_matrix(block), 1.0 / (block.shape[0] * norms))
 
-    def solve_head(self, v):
+    def update(self, r):
+        """z = S W r: the tail's change from the residual r."""
+        return self.signs @ (r * self.weights)
+
+    def map(self) -> np.ndarray:
+        """T = I - B~ S W, the m x m residual map of one update.  The tail
+        factor c2 is m times its norm; it involves no head block."""
+        return np.eye(self.block.shape[0]) - (self.block @ self.signs) * self.weights
+
+
+@dataclass(frozen=True)
+class Head:
+    """The square head block B and its splitting H: the diagonal D for a
+    Jacobi sweep, the lower triangle L for a Gauss-Seidel sweep, kept as
+    L^-1, a dense matrix whose strict upper triangle is exactly 0, formed
+    by ``linalg.lower_triangular_inverse`` (recursive 2x2 blocking, about
+    2m^3/3 flops, a third of a general inverse)."""
+    block: np.ndarray
+    diag: Optional[np.ndarray] = None         # Jacobi: the diagonal of B
+    lower_inv: Optional[np.ndarray] = None    # Gauss-Seidel: L^-1
+
+    def solve(self, v):
         """H^-1 v, for a vector or for every column of a matrix."""
         if self.diag is None:
             return self.lower_inv @ v
         return (v.T / self.diag).T
 
+    def coupling(self) -> np.ndarray:
+        """C = (B - H) H^-1 = I - B H^-1, whose norm is the head factor c1."""
+        if self.diag is None:
+            return (self.block - np.tril(self.block)) @ self.lower_inv
+        return (self.block - np.diag(self.diag)) / self.diag
+
+
+@dataclass(frozen=True)
+class Operator:
+    """The one prepared system of a method: a head, a tail or both, built
+    once by ``prepare``, and its two maps of a residual r: ``advance``
+    (M r, the residual one step later) and ``gain`` (K r, the step's
+    change of the iterate)."""
+    method: str
+    head: Optional[Head]    # B: the first m slots; None for baseline
+    tail: Optional[Tail]    # B~: the other slots; None when there are none
+
     def advance(self, r: np.ndarray) -> np.ndarray:
         """M r: the residual one step after the residual r."""
-        if self.tail_map is not None:
-            return self.tail_map @ r
-        u = r
-        if self.signs is not None:
-            u = r - self.b_tail @ (self.signs @ (r * self.weights))
-        return u - self.b_head @ self.solve_head(u)
+        u = r if self.tail is None else r - self.tail.block @ self.tail.update(r)
+        return u if self.head is None else u - self.head.block @ self.head.solve(u)
 
     def gain(self, s: np.ndarray) -> np.ndarray:
         """K s in slot order: the change of the iterate that a step from
         the residual s makes, [H^-1 u; z] with z = S W s, u = s - B~ z."""
-        if self.signs is None:
-            return self.solve_head(s)
-        z = self.signs @ (s * self.weights)
-        if self.sweep is None:
+        if self.tail is None:
+            return self.head.solve(s)
+        z = self.tail.update(s)
+        if self.head is None:
             return z
-        return np.concatenate((self.solve_head(s - self.b_tail @ z), z))
+        return np.concatenate((self.head.solve(s - self.tail.block @ z), z))
 
 
-def tail_iteration_matrix(b_tail, signs, weights) -> np.ndarray:
-    """I - B~ s(B~) N(B~)^-1 / m, the residual map of one tail update, from
-    the tail B~, its signs s(B~) and the weights 1 / (m ||B~_i||_1).  The
-    tail factor c2 is m times its norm; it involves no head block."""
-    return np.eye(b_tail.shape[0]) - (b_tail @ signs) * weights
-
-
-def prepare(a, column_perm, sweep: Optional[str]) -> Operator:
+def prepare(a, column_perm, method: str) -> Operator:
     """Split the m x n matrix a in the column order ``column_perm`` (an
     integer array, or any sequence of column indices that slices) and
-    build the operator for a sweep kind (None, METHOD_JACOBI or
-    METHOD_GS).  With a sweep the head is the first m slots; without one
-    (baseline) the head is empty and the tail is all of a.  Each block is
-    taken from a directly with ``np.take``, so it is C-contiguous;
-    ``a[:, perm]`` would be Fortran-ordered, and a matrix-vector product
-    can round differently on it.
+    build the operator of ``method``.  The head is the first m slots, the
+    tail the rest; baseline has no head, so its tail is all of a, and
+    jacobi and gs on a square a have no tail.  Each block is taken from a
+    directly with ``np.take``, so it is C-contiguous; ``a[:, perm]``
+    would be Fortran-ordered, and a matrix-vector product can round
+    differently on it.
 
     Structural errors are raised in this order: a zero tail row
     (``ZeroRow`` when the head is empty, as for baseline, else
@@ -263,41 +275,29 @@ def prepare(a, column_perm, sweep: Optional[str]) -> Operator:
     A tail row counts as zero when its 1-norm is at or below 1e-12 times
     that of its row of A, as rounding leaves it after RREF; the update
     would divide by that norm.  Without a head this means exactly zero.
-
-    Without a sweep the m x m map T is formed, an m x n x m product that
-    costs about m/2 of the steps it replaces; baseline's T has diagonal
-    1 - 1/m, so rho(T) >= 1 - 1/m and a solve runs at least about
-    m ln(||r_0|| / epsilon) steps, at 2 m^2 flops each.  The solve squares
-    T up to five times more for its blocks of steps, 2 m^3 flops each,
-    which those steps outweigh once m ln(||r_0|| / epsilon) exceeds 5 m.
-    With a sweep M stays factored.
     """
-    m = a.shape[0]
-    k = 0 if sweep is None else m
+    k = 0 if method == METHOD_BASELINE else a.shape[0]
     b_head = np.take(a, column_perm[:k], axis=1)
     b_tail = np.take(a, column_perm[k:], axis=1)
-    signs = weights = tail_map = diag = lower_inv = None
+    head = tail = None
     if b_tail.shape[1]:
         norms = vector_norm(b_tail, NORM_ONE)
         if np.any(norms <= 1e-12 * (norms + vector_norm(b_head, NORM_ONE))):
-            if b_head.shape[1]:
+            if k:
                 raise ZeroTailRow("tail block has a zero row")
             raise ZeroRow("matrix has an all-zero row")
-        signs = sign_matrix(b_tail)
-        weights = 1.0 / (m * norms)
-        if sweep is None:
-            tail_map = tail_iteration_matrix(b_tail, signs, weights)
-    if sweep == METHOD_JACOBI:
+        tail = Tail.of(b_tail, norms)
+    if method in (METHOD_GJACOBI, METHOD_JACOBI):
         diag = np.diag(b_head)
         if np.any(np.abs(diag) <= singularity_threshold(b_head)):
             raise ZeroDiagonal("head block has a zero diagonal entry")
-    elif sweep == METHOD_GS:
+        head = Head(b_head, diag=diag)
+    elif method in (METHOD_GGS, METHOD_GS):
         lower = np.tril(b_head)
         if np.any(np.abs(np.diag(lower)) <= singularity_threshold(lower)):
             raise SingularTriangular("head block has a zero diagonal entry")
-        lower_inv = lower_triangular_inverse(lower)
-    return Operator(b_head=b_head, b_tail=b_tail, sweep=sweep, signs=signs,
-                    weights=weights, tail_map=tail_map, diag=diag, lower_inv=lower_inv)
+        head = Head(b_head, lower_inv=lower_triangular_inverse(lower))
+    return Operator(method, head, tail)
 
 
 _BLOCK = 64     # the most residuals one pass of the solve loop advances with a formed T
@@ -340,6 +340,14 @@ def _drive(a, b, column_perm, x0, config: SolverConfig):
     permutation policy.  x0 is tested before the operator is prepared: an
     x0 that already meets epsilon converges in zero iterations even on a
     system the method rejects.
+
+    Baseline's map T is formed here, once: an m x n x m product that
+    costs about m/2 of the steps it replaces.  Its diagonal is 1 - 1/m,
+    so rho(T) >= 1 - 1/m and a solve runs at least about
+    m ln(||r_0|| / epsilon) steps, at 2 m^2 flops each.  The loop squares
+    T up to five times more for its blocks of steps, 2 m^3 flops each,
+    which those steps outweigh once m ln(||r_0|| / epsilon) exceeds 5 m.
+    With a head, M stays factored.
     """
     generalized = config.method in GENERALIZED_METHODS
     perm = np.asarray(column_perm, dtype=np.intp)
@@ -351,7 +359,7 @@ def _drive(a, b, column_perm, x0, config: SolverConfig):
     if history[0] < config.epsilon:
         return report(status=STATUS_CONVERGED, solution=x0, iterations=0), None
     try:
-        op = prepare(a, perm, SWEEPS[config.method])
+        op = prepare(a, perm, config.method)
     except SolverError as exc:
         return report(status=STATUS_ERROR, solution=x0, iterations=0, error=exc.kind), None
 
@@ -374,12 +382,13 @@ def _drive(a, b, column_perm, x0, config: SolverConfig):
 
     reference = max(history[0], 1e-300)
     ceiling = DIVERGENCE_FACTOR * reference
-    powers = [op.tail_map]        # baseline: T, T^2, T^4, ..., squared as blocks need them
+    # baseline: T, T^2, T^4, ..., squared as blocks need them
+    powers = [op.tail.map()] if op.head is None else None
     size = _BLOCK                 # baseline: the length of the next block
     stagnant = 0
     status = STATUS_MAX_ITERATIONS
     while (left := config.max_iterations + 1 - len(history)) > 0:
-        if op.tail_map is None:
+        if powers is None:
             block, plain = op.advance(r)[np.newaxis], 0
             norms = vector_norm(block, kind)
         else:

@@ -11,6 +11,7 @@ from undersolve.convergence import check_conditions
 from undersolve.demo import DEMO_A, DEMO_B, DEMO_X0
 from undersolve.generate import generate_certified
 from undersolve.iterate import (
+    METHOD_BASELINE,
     METHOD_GGS,
     METHOD_GJACOBI,
     METHOD_GS,
@@ -55,19 +56,19 @@ def test_criterion_1_residual_recurrence():
     t0 = time.perf_counter()
     rng = np.random.default_rng(101)
     worst = 0.0
-    for sweep, use_diag in ((METHOD_JACOBI, True), (METHOD_GS, False)):
+    for method, use_diag in ((METHOD_GJACOBI, True), (METHOD_GGS, False)):
         for _ in range(100):
             a, m, n = random_partitioned(rng)
             b = rng.uniform(-10, 10, size=m)
-            op = prepare(a, range(n), sweep)
+            op = prepare(a, range(n), method)
             x = rng.uniform(-2, 2, size=n)
-            new = stepper(a, b, sweep)(x)
+            new = stepper(a, b, method)(x)
             r = a @ x - b
-            head_inv = (np.diag(1.0 / np.diag(op.b_head)) if use_diag
-                        else np.linalg.inv(np.tril(op.b_head)))
-            tail_op = np.eye(m) - (op.b_tail @ sign_matrix(op.b_tail)) \
-                / vector_norm(op.b_tail, NORM_ONE)[np.newaxis, :] / m
-            predicted = (np.eye(m) - op.b_head @ head_inv) @ tail_op @ r
+            head_inv = (np.diag(1.0 / np.diag(op.head.block)) if use_diag
+                        else np.linalg.inv(np.tril(op.head.block)))
+            tail_op = np.eye(m) - (op.tail.block @ sign_matrix(op.tail.block)) \
+                / vector_norm(op.tail.block, NORM_ONE)[np.newaxis, :] / m
+            predicted = (np.eye(m) - op.head.block @ head_inv) @ tail_op @ r
             actual = a @ new - b
             err = np.abs(actual - predicted).max() / (1 + np.abs(r).max())
             worst = max(worst, err)
@@ -159,7 +160,7 @@ def test_criterion_4_baseline_contrast():
     exact_bound = 1e-10 * (1 + np.abs(b_bar).max())   # criterion 2's bound
 
     # the program matches the oracle step on the judged data itself
-    baseline_step = stepper(a_bar, b_bar, None)
+    baseline_step = stepper(a_bar, b_bar, METHOD_BASELINE)
     z, z_brute = DEMO_X0.copy(), DEMO_X0.tolist()
     for _ in range(10):
         z = baseline_step(z)
@@ -223,7 +224,7 @@ def test_criterion_5_certified_convergence():
         m = int(rng.integers(2, 5))
         n = int(rng.integers(2 * m, 2 * m + 4))
         a, b, _ = generate_certified(m, n, rng)
-        for method, sweep in ((METHOD_GJACOBI, METHOD_JACOBI), (METHOD_GGS, METHOD_GS)):
+        for method in (METHOD_GJACOBI, METHOD_GGS):
             cond = check_conditions(a, b, method)
             certified = [r for r in cond.per_norm if r.certified]
             assert certified
@@ -233,7 +234,7 @@ def test_criterion_5_certified_convergence():
                     method=method, epsilon=1e-8, max_iterations=10000))
                 assert report.status == "converged"
             # per-step ratio bound in each certifying norm
-            step = stepper(a, b, sweep)
+            step = stepper(a, b, method)
             for rec in certified:
                 bound = rec.c1 * rec.c2 / m + 1e-9
                 vn = vec_norm[rec.norm]
@@ -275,7 +276,7 @@ def test_criterion_6_oracle_equivalence():
         b = rng.uniform(-5, 5, size=m)
         z = rng.uniform(-2, 2, size=n)
         expected = np.array(brute_baseline_step(a.tolist(), b.tolist(), z.tolist()))
-        assert np.abs(stepper(a, b, None)(z) - expected).max() <= 1e-12
+        assert np.abs(stepper(a, b, METHOD_BASELINE)(z) - expected).max() <= 1e-12
     for _ in range(200):
         m = int(rng.integers(1, 6))
         b_mat = rng.uniform(-5, 5, size=(m, m))
@@ -298,16 +299,16 @@ def test_criterion_7_fixed_points():
     rng = np.random.default_rng(107)
     for _ in range(100):
         a, m, n = random_partitioned(rng, lo=2, hi=6)
-        op = prepare(a, range(n), METHOD_JACOBI)
+        op = prepare(a, range(n), METHOD_GJACOBI)
         head = rng.uniform(-2, 2, size=m)
         tail = rng.uniform(-2, 2, size=n - m)
-        b = op.b_head @ head + op.b_tail @ tail
+        b = op.head.block @ head + op.tail.block @ tail
         x_full = np.concatenate([head, tail])
-        for sweep in (METHOD_JACOBI, METHOD_GS):
-            out = stepper(a, b, sweep)(x_full)
+        for method in (METHOD_GJACOBI, METHOD_GGS):
+            out = stepper(a, b, method)(x_full)
             assert np.abs(out[:m] - head).max() <= 1e-12
             assert np.abs(out[m:] - tail).max() <= 1e-12
-        assert np.abs(stepper(a, b, None)(x_full) - x_full).max() <= 1e-12
+        assert np.abs(stepper(a, b, METHOD_BASELINE)(x_full) - x_full).max() <= 1e-12
         b_sq = a[:, :m]
         x_sq = rng.uniform(-2, 2, size=m)
         rhs = b_sq @ x_sq

@@ -10,7 +10,7 @@ import pytest
 from undersolve import convergence, formats, iterate
 from undersolve.cli import main
 from undersolve.demo import DEMO_A, DEMO_B, DEMO_X0
-from undersolve.iterate import GENERALIZED_METHODS, SWEEPS
+from undersolve.iterate import GENERALIZED_METHODS
 from undersolve.rref import reduced_system
 
 DATA = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "data")
@@ -371,7 +371,7 @@ def _assert_conditions_of_partition(obj, a, b):
         assert obj["conditions"] is None
         return False
     expected = convergence.operator_conditions(
-        iterate.prepare(a, obj["column_perm"], SWEEPS[method]))
+        iterate.prepare(a, obj["column_perm"], method))
     got = formats.read_report(json.dumps(obj)).conditions
     assert (got.method, got.overall_certified) == (method, expected.overall_certified)
     for rec, exp in zip(got.per_norm, expected.per_norm, strict=True):
@@ -412,19 +412,19 @@ def test_json_conditions_reuse_the_solve_operator(monkeypatch, tmp_path):
     # prepared, so each generalized solve prepares once
     prepared = []
 
-    def counting_prepare(a, column_perm, sweep, _prepare=iterate.prepare):
-        prepared.append(sweep)
-        return _prepare(a, column_perm, sweep)
+    def counting_prepare(a, column_perm, method, _prepare=iterate.prepare):
+        prepared.append(method)
+        return _prepare(a, column_perm, method)
 
     monkeypatch.setattr(iterate, "prepare", counting_prepare)
     monkeypatch.setattr(convergence, "prepare", counting_prepare)
     paths = ["--matrix", os.path.join(DATA, "demo5x8_A.csv"),
              "--rhs", os.path.join(DATA, "demo5x8_b.csv")]
     out = str(tmp_path / "r.json")
-    for argv, expected in [(["solve", "--method", "ggs"], ["gs"]),
-                           (["rref", "--method", "gjacobi"], ["jacobi"]),
+    for argv, expected in [(["solve", "--method", "ggs"], ["ggs"]),
+                           (["rref", "--method", "gjacobi"], ["gjacobi"]),
                            (["compare", "--methods", "gjacobi,ggs", "--max-iter", "50"],
-                            ["jacobi", "gs"])]:
+                            ["gjacobi", "ggs"])]:
         prepared.clear()
         main(argv + paths + ["--json", out])
         assert prepared == expected, argv

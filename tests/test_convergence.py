@@ -17,7 +17,7 @@ from undersolve.errors import (
     RankDeficient,
     ZeroDiagonal,
 )
-from undersolve.iterate import METHOD_GGS, METHOD_GJACOBI, METHOD_JACOBI, prepare
+from undersolve.iterate import METHOD_GGS, METHOD_GJACOBI, prepare
 from undersolve.linalg import NORM_FRO, NORM_KINDS, NORM_ONE, matrix_norm, sign_matrix, vector_norm
 from undersolve.rref import reduced_system
 
@@ -60,9 +60,9 @@ def test_certification_predicate_scaling_equivalence():
     for _ in range(30):
         a, m, n = random_partitioned(rng)
         report = check_conditions(a, np.zeros(m), METHOD_GJACOBI)
-        op = prepare(a, range(n), METHOD_JACOBI)
-        tail_product = (op.b_tail @ sign_matrix(op.b_tail)) \
-            / vector_norm(op.b_tail, NORM_ONE)[np.newaxis, :]
+        op = prepare(a, range(n), METHOD_GJACOBI)
+        tail_product = (op.tail.block @ sign_matrix(op.tail.block)) \
+            / vector_norm(op.tail.block, NORM_ONE)[np.newaxis, :]
         for rec in report.per_norm:
             scaled = matrix_norm(np.eye(m) - tail_product / m, rec.norm)
             assert abs(rec.c2 / m - scaled) <= 1e-12 * (1 + scaled)

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from undersolve import convergence, generate
 from undersolve.convergence import check_conditions
 from undersolve.generate import SNAP_THRESHOLD, _tail_lower_bounds, generate_certified
-from undersolve.iterate import GENERALIZED_METHODS, tail_iteration_matrix
+from undersolve.iterate import GENERALIZED_METHODS, Tail
 from undersolve.linalg import NORM_KINDS, NORM_ONE, matrix_norm, sign_matrix, vector_norm
 
 # sha256 of the bytes of (A, b, x*) from generate_certified(m, n,
@@ -72,13 +72,13 @@ def test_generate_certified_skips_doomed_rounds(monkeypatch):
     # at 300 x 1200 no round certifies before the off-owner entries snap to
     # 0 (40 halvings); the lower bounds reject those rounds without the gemm
     calls = []
-    original = generate.tail_iteration_matrix
+    original = Tail.map
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
+    def counting(tail):
+        calls.append(tail)
+        return original(tail)
 
-    monkeypatch.setattr(generate, "tail_iteration_matrix", counting)
+    monkeypatch.setattr(Tail, "map", counting)
     generate_certified(300, 1200, np.random.default_rng(0))
     assert len(calls) <= 2
 
@@ -96,9 +96,9 @@ def test_tail_lower_bounds_are_sound(seed, m, extra, halvings):
     tail[owned] = rng.uniform(0.5, 1.5, size=owned.sum()) * rng.choice([-1.0, 1.0], size=owned.sum())
     tail[~owned] *= 2.0 ** -halvings
     tail[~owned & (np.abs(tail) < SNAP_THRESHOLD)] = 0.0
-    signs, weights = sign_matrix(tail), 1.0 / (m * vector_norm(tail, NORM_ONE))
-    tail_op = tail_iteration_matrix(tail, signs, weights)
-    bounds = _tail_lower_bounds(tail, signs, weights)
+    prepared = Tail(tail, sign_matrix(tail), 1.0 / (m * vector_norm(tail, NORM_ONE)))
+    tail_op = prepared.map()
+    bounds = _tail_lower_bounds(prepared)
     for kind, bound in zip(NORM_KINDS, bounds):
         assert bound <= matrix_norm(tail_op, kind) + 1e-12
     # the Frobenius bound is the 2-norm of the diagonal, (m - 1)/sqrt(m);

@@ -18,7 +18,6 @@ from undersolve.iterate import (
     METHOD_JACOBI,
     METHODS,
     SQUARE_METHODS,
-    SWEEPS,
     SolverConfig,
     _drive,
     exact_solve,
@@ -31,9 +30,13 @@ from undersolve.rref import reduced_system
 from oracles import brute_step, brute_step_operators, random_partitioned
 from stepping import stepper
 
+# the oracles' sweep kind of each method's head; None means no head
+SWEEPS = {METHOD_BASELINE: None, METHOD_GJACOBI: "jacobi", METHOD_GGS: "gs",
+          METHOD_JACOBI: "jacobi", METHOD_GS: "gs"}
+
 
 def test_baseline_one_row():
-    z = stepper(np.array([[1.0, 1.0]]), np.array([2.0]), None)(np.zeros(2))
+    z = stepper(np.array([[1.0, 1.0]]), np.array([2.0]), METHOD_BASELINE)(np.zeros(2))
     assert z.tolist() == [1.0, 1.0]
 
 
@@ -42,16 +45,17 @@ def test_baseline_fixed_point():
     a = rng.uniform(-5, 5, size=(3, 5))
     x = rng.uniform(-1, 1, size=5)
     b = a @ x
-    assert np.abs(stepper(a, b, None)(x) - x).max() <= 1e-12
+    assert np.abs(stepper(a, b, METHOD_BASELINE)(x) - x).max() <= 1e-12
 
 
 def test_baseline_zero_row():
     with pytest.raises(ZeroRow):
-        stepper(np.array([[0.0, 0.0], [1.0, 2.0]]), np.array([1.0, 1.0]), None)(np.zeros(2))
+        stepper(np.array([[0.0, 0.0], [1.0, 2.0]]), np.array([1.0, 1.0]),
+                METHOD_BASELINE)(np.zeros(2))
 
 
 def test_gjacobi_hand_example():
-    x1 = stepper([[1, 0, 2], [0, 1, 1]], [3, 2], METHOD_JACOBI)(np.zeros(3))
+    x1 = stepper([[1, 0, 2], [0, 1, 1]], [3, 2], METHOD_GJACOBI)(np.zeros(3))
     assert x1[2:].tolist() == [1.75]
     assert x1[:2].tolist() == [-0.5, 0.25]
     assert np.allclose(np.array([[1, 0, 2], [0, 1, 1]]) @ x1, [3, 2])
@@ -61,18 +65,18 @@ def test_gjacobi_fixed_point():
     rng = np.random.default_rng(4)
     for _ in range(20):
         a, m, n = random_partitioned(rng, lo=2, hi=6)
-        op = iterate.prepare(a, range(n), METHOD_JACOBI)
+        op = iterate.prepare(a, range(n), METHOD_GJACOBI)
         head = rng.uniform(-1, 1, size=m)
         tail = rng.uniform(-1, 1, size=n - m)
-        b = op.b_head @ head + op.b_tail @ tail
-        x1 = stepper(a, b, METHOD_JACOBI)(np.concatenate([head, tail]))
+        b = op.head.block @ head + op.tail.block @ tail
+        x1 = stepper(a, b, METHOD_GJACOBI)(np.concatenate([head, tail]))
         assert np.abs(x1[:m] - head).max() <= 1e-12
         assert np.abs(x1[m:] - tail).max() <= 1e-12
 
 
 def test_gjacobi_exact_each_step_on_reduced_demo():
     _, a_bar, b_bar = reduced_system(DEMO_A, DEMO_B)
-    step = stepper(a_bar, b_bar, METHOD_JACOBI)
+    step = stepper(a_bar, b_bar, METHOD_GJACOBI)
     x = DEMO_X0
     for _ in range(5):
         x = step(x)
@@ -82,25 +86,25 @@ def test_gjacobi_exact_each_step_on_reduced_demo():
 def test_gjacobi_zero_tail_row():
     a = np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 5.0]])
     with pytest.raises(ZeroTailRow):
-        stepper(a, [1.0, 2.0], METHOD_JACOBI)(np.zeros(3))
+        stepper(a, [1.0, 2.0], METHOD_GJACOBI)(np.zeros(3))
 
 
 def test_gjacobi_zero_diagonal():
     a = np.array([[0.0, 2.0, 1.0], [3.0, 4.0, 5.0]])
     with pytest.raises(ZeroDiagonal):
-        stepper(a, [1.0, 2.0], METHOD_JACOBI)(np.zeros(3))
+        stepper(a, [1.0, 2.0], METHOD_GJACOBI)(np.zeros(3))
 
 
 def test_ggs_hand_example():
     a = np.column_stack([np.array([[2.0, 0.0], [1.0, 4.0]]), np.array([[1.0], [1.0]])])
     b = np.array([4.0, 9.0])
-    op = iterate.prepare(a, range(3), METHOD_GS)
-    x1 = stepper(a, b, METHOD_GS)(np.zeros(3))
+    op = iterate.prepare(a, range(3), METHOD_GGS)
+    x1 = stepper(a, b, METHOD_GGS)(np.zeros(3))
     assert x1[2:].tolist() == [6.5]
     assert x1[:2].tolist() == [-1.25, 0.9375]
     # oracle: dense solve of L head = b_hat
-    b_hat = b - op.b_tail @ x1[2:]
-    assert np.allclose(x1[:2], np.linalg.solve(np.tril(op.b_head), b_hat))
+    b_hat = b - op.tail.block @ x1[2:]
+    assert np.allclose(x1[:2], np.linalg.solve(np.tril(op.head.block), b_hat))
 
 
 def test_ggs_prepare_inverts_no_large_block(monkeypatch):
@@ -116,9 +120,9 @@ def test_ggs_prepare_inverts_no_large_block(monkeypatch):
             shapes.append(np.shape(mat))
             return original(mat, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, record)
-    op = iterate.prepare(a, range(3 * m), METHOD_GS)
+    op = iterate.prepare(a, range(3 * m), METHOD_GGS)
     assert all(max(shape) <= 64 for shape in shapes)
-    assert np.abs(op.lower_inv @ head - np.eye(m)).max() <= 1e-12
+    assert np.abs(op.head.lower_inv @ head - np.eye(m)).max() <= 1e-12
 
 
 def test_ggs_matches_gjacobi_for_identity_head():
@@ -126,8 +130,8 @@ def test_ggs_matches_gjacobi_for_identity_head():
     a = np.column_stack([np.eye(3), rng.uniform(-2, 2, size=(3, 2))])
     b = rng.uniform(-3, 3, size=3)
     x0 = np.concatenate([rng.uniform(-1, 1, size=3), rng.uniform(-1, 1, size=2)])
-    xj = stepper(a, b, METHOD_JACOBI)(x0)
-    xg = stepper(a, b, METHOD_GS)(x0)
+    xj = stepper(a, b, METHOD_GJACOBI)(x0)
+    xg = stepper(a, b, METHOD_GGS)(x0)
     assert np.array_equal(xj, xg)
 
 
@@ -137,7 +141,7 @@ def test_ggs_fixed_point():
     head = rng.uniform(-1, 1, size=m)
     tail = rng.uniform(-1, 1, size=n - m)
     b = a[:, :m] @ head + a[:, m:] @ tail
-    x1 = stepper(a, b, METHOD_GS)(np.concatenate([head, tail]))
+    x1 = stepper(a, b, METHOD_GGS)(np.concatenate([head, tail]))
     assert np.abs(x1[:m] - head).max() <= 1e-12
     assert np.abs(x1[m:] - tail).max() <= 1e-12
 
@@ -174,33 +178,33 @@ def test_weighted_residual_identity():
         x = rng.uniform(-2, 2, size=n)
         b = rng.uniform(-5, 5, size=m)
         perm = column_order(a, POLICY_IDENTITY)
-        op = iterate.prepare(a, perm, METHOD_JACOBI)
+        op = iterate.prepare(a, perm, METHOD_GJACOBI)
         slots = x[list(perm)]
-        norms = vector_norm(op.b_tail, NORM_ONE)
-        b_tilde = b - op.b_head @ slots[:m]
-        d = (b_tilde - op.b_tail @ slots[m:]) / (m * norms)
+        norms = vector_norm(op.tail.block, NORM_ONE)
+        b_tilde = b - op.head.block @ slots[:m]
+        d = (b_tilde - op.tail.block @ slots[m:]) / (m * norms)
         expected = (b - a @ x) / (m * norms)
         assert np.abs(d - expected).max() <= 1e-12 * (1 + np.abs(expected).max())
 
 
-@pytest.mark.parametrize("sweep,splitting", [
-    pytest.param(METHOD_JACOBI, "diag", id="generalized_jacobi_step-diag"),
-    pytest.param(METHOD_GS, "tril", id="generalized_gauss_seidel_step-tril"),
+@pytest.mark.parametrize("method,splitting", [
+    pytest.param(METHOD_GJACOBI, "diag", id="generalized_jacobi_step-diag"),
+    pytest.param(METHOD_GGS, "tril", id="generalized_gauss_seidel_step-tril"),
 ])
-def test_residual_recurrence(sweep, splitting):
+def test_residual_recurrence(method, splitting):
     rng = np.random.default_rng(12)
     for _ in range(30):
         a, m, n = random_partitioned(rng)
         b = rng.uniform(-5, 5, size=m)
-        op = iterate.prepare(a, range(n), sweep)
+        op = iterate.prepare(a, range(n), method)
         x = rng.uniform(-2, 2, size=n)
-        new = stepper(a, b, sweep)(x)
+        new = stepper(a, b, method)(x)
         r = a @ x - b
-        head_inv = (np.diag(1.0 / np.diag(op.b_head)) if splitting == "diag"
-                    else np.linalg.inv(np.tril(op.b_head)))
-        tail_op = np.eye(m) - (op.b_tail @ sign_matrix(op.b_tail)) \
-            / vector_norm(op.b_tail, NORM_ONE)[np.newaxis, :] / m
-        predicted = (np.eye(m) - op.b_head @ head_inv) @ tail_op @ r
+        head_inv = (np.diag(1.0 / np.diag(op.head.block)) if splitting == "diag"
+                    else np.linalg.inv(np.tril(op.head.block)))
+        tail_op = np.eye(m) - (op.tail.block @ sign_matrix(op.tail.block)) \
+            / vector_norm(op.tail.block, NORM_ONE)[np.newaxis, :] / m
+        predicted = (np.eye(m) - op.head.block @ head_inv) @ tail_op @ r
         actual = a @ new - b
         assert np.abs(actual - predicted).max() <= 1e-10 * (1 + np.abs(r).max())
 
@@ -563,12 +567,12 @@ def _prepared(a, perm, method):
     (1 without a head): applying H^-1 as a formed inverse, as Gauss-Seidel
     does, rounds in proportion to it, where the oracle substitutes."""
     try:
-        op = iterate.prepare(a, perm, SWEEPS[method])
+        op = iterate.prepare(a, perm, method)
     except ZeroDiagonal:   # a pivot-columns head may put a zero on the diagonal
         return None, None
-    if op.sweep is None:
+    if op.head is None:
         return op, 1.0
-    head = np.diag(op.diag) if op.diag is not None else np.tril(op.b_head)
+    head = np.diag(op.head.diag) if op.head.diag is not None else np.tril(op.head.block)
     return op, np.linalg.cond(head, np.inf)
 
 
@@ -582,7 +586,7 @@ def test_advance_matches_the_oracle_residual_operator(seed, m, extra, method, po
     if op is None:
         return
     mat, gain = (np.array(o) for o in brute_step_operators(
-        a.tolist(), tuple(perm.tolist()), op.b_head.shape[1], SWEEPS[method]))
+        a.tolist(), tuple(perm.tolist()), 0 if op.head is None else m, SWEEPS[method]))
     r = rng.uniform(-5.0, 5.0, size=a.shape[0])
     # both sides round at most a few units of |A| |K| |r| per entry
     bound = 1e-12 * cond * (np.abs(a) @ np.abs(gain) @ np.abs(r) + np.abs(r))
@@ -598,8 +602,8 @@ def test_gain_matches_the_brute_step(seed, m, extra, method, policy):
     if op is None:
         return
     x = rng.uniform(-2.0, 2.0, size=a.shape[1])
-    head_size = op.b_head.shape[1]
-    new = stepper(a, b, SWEEPS[method], perm)(x)
+    head_size = 0 if op.head is None else m
+    new = stepper(a, b, method, perm)(x)
     expected = np.array(brute_step(a.tolist(), b.tolist(), x.tolist(), tuple(perm.tolist()),
                                    head_size, SWEEPS[method]))
     gain = np.array(brute_step_operators(a.tolist(), tuple(perm.tolist()), head_size,
@@ -672,7 +676,7 @@ def _step_at_a_time(a, b, x0, config):
     norm below epsilon (converged), above 1e12 ||r0|| (diverged), after
     ``STAGNATION_WINDOW`` steps in a row within a relative 1e-14 of the
     norm before (stagnated) or at max_iterations; none of it refreshed."""
-    tail_map = iterate.prepare(a, np.arange(a.shape[1]), None).tail_map
+    tail_map = iterate.prepare(a, np.arange(a.shape[1]), METHOD_BASELINE).tail.map()
     r = b - a @ x0
     norms = [vector_norm(r, config.residual_norm)]
     stagnant = 0

@@ -2,7 +2,9 @@
 
 No import sits inside a function, no module imports another's private
 name, ``rref`` builds on ``errors`` and ``linalg`` alone, and the modules
-import one another without a cycle.
+import one another without a cycle.  The prepared operator's invariants
+are built and read in ``iterate`` alone: no other module forms the sign
+matrix or L^-1, or reads a head's ``diag`` or ``lower_inv``.
 """
 
 import ast
@@ -61,3 +63,29 @@ def test_import_graph_has_no_cycle():
         list(TopologicalSorter(graph).static_order())
     except CycleError as exc:
         pytest.fail(f"import cycle: {exc.args[1]}")
+
+
+def _called_name(node):
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "iterate"],
+                         ids=lambda path: path.name)
+def test_only_iterate_forms_the_operator_invariants(path):
+    found = [f"{path.name}:{node.lineno} {_called_name(node)}"
+             for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Call)
+             and _called_name(node) in ("sign_matrix", "lower_triangular_inverse")]
+    assert found == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "iterate"],
+                         ids=lambda path: path.name)
+def test_only_iterate_reads_a_head_splitting(path):
+    # numpy's own np.diag is no head attribute
+    found = [f"{path.name}:{node.lineno} .{node.attr}"
+             for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Attribute) and node.attr in ("diag", "lower_inv")
+             and not (isinstance(node.value, ast.Name) and node.value.id == "np")]
+    assert found == []

@@ -9,9 +9,9 @@ from undersolve.errors import NotUnderdetermined, RankDeficient
 from undersolve.generate import generate_certified
 from undersolve.iterate import (
     GENERALIZED_METHODS,
+    METHOD_BASELINE,
     METHOD_GGS,
-    METHOD_GS,
-    METHOD_JACOBI,
+    METHOD_GJACOBI,
     SolverConfig,
     exact_solve,
     prepare,
@@ -25,17 +25,17 @@ from oracles import rational_rref
 def test_identity_policy_leading_block():
     a = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]])
     perm = column_order(a, POLICY_IDENTITY)
-    op = prepare(a, perm, METHOD_JACOBI)
-    assert op.b_head.tolist() == [[1, 0], [0, 1]]
-    assert op.b_tail.tolist() == [[2], [1]]
+    op = prepare(a, perm, METHOD_GJACOBI)
+    assert op.head.block.tolist() == [[1, 0], [0, 1]]
+    assert op.tail.block.tolist() == [[2], [1]]
     assert tuple(perm.tolist()) == (0, 1, 2)
 
 
 def test_identity_policy_demo():
-    op = prepare(DEMO_A, column_order(DEMO_A, POLICY_IDENTITY), METHOD_JACOBI)
-    assert op.b_head[0].tolist() == [2, 4, -3, 1, 0]
-    assert op.b_tail[0].tolist() == [5, -7, 8]
-    assert op.b_head.shape == (5, 5) and op.b_tail.shape == (5, 3)
+    op = prepare(DEMO_A, column_order(DEMO_A, POLICY_IDENTITY), METHOD_GJACOBI)
+    assert op.head.block[0].tolist() == [2, 4, -3, 1, 0]
+    assert op.tail.block[0].tolist() == [5, -7, 8]
+    assert op.head.block.shape == (5, 5) and op.tail.block.shape == (5, 3)
 
 
 def test_pivot_columns_makes_head_nonsingular():
@@ -122,8 +122,8 @@ def test_permuted_blocks_reproduce_matrix():
     for policy in (POLICY_IDENTITY, POLICY_PIVOT_COLUMNS):
         a = rng.uniform(-5, 5, size=(4, 7))
         perm = column_order(a, policy)
-        op = prepare(a, perm, METHOD_JACOBI)
-        stacked = np.column_stack([op.b_head, op.b_tail])
+        op = prepare(a, perm, METHOD_GJACOBI)
+        stacked = np.column_stack([op.head.block, op.tail.block])
         assert np.array_equal(stacked, a[:, list(perm)])
 
 
@@ -157,17 +157,24 @@ _CAP = 1e300
 _DOMINANT = st.one_of(st.floats(-_CAP, -_CAP / 2), st.floats(_CAP / 2, _CAP))
 
 
+def _blocks(op, m):
+    """The head and tail blocks of ``op``, m x 0 for a missing one."""
+    empty = np.empty((m, 0))
+    return (empty if op.head is None else op.head.block,
+            empty if op.tail is None else op.tail.block)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_permutations(), st.data())
 def test_disassemble_assemble_identity(perm_n, data):
     # prepare's blocks are C-contiguous takes of a's columns in any column
-    # order, under each sweep's head rule (the first m slots with a sweep,
-    # none without); scattering them back through column_perm gives a bit
-    # for bit, and splitting that again gives the same blocks
+    # order, under each method's head rule (the first m slots with a head,
+    # none for baseline); scattering them back through column_perm gives a
+    # bit for bit, and splitting that again gives the same blocks
     perm, n = perm_n
-    sweep = data.draw(st.sampled_from((None, METHOD_JACOBI, METHOD_GS)))
+    method = data.draw(st.sampled_from((METHOD_BASELINE, METHOD_GJACOBI, METHOD_GGS)))
     rows = data.draw(st.integers(1, n))
-    k = 0 if sweep is None else rows
+    k = 0 if method == METHOD_BASELINE else rows
     a = np.array(data.draw(st.lists(
         st.lists(st.floats(-_CAP, _CAP, allow_nan=False, allow_infinity=False),
                  min_size=n, max_size=n),
@@ -177,14 +184,14 @@ def test_disassemble_assemble_identity(perm_n, data):
             a[i, perm[i]] = data.draw(_DOMINANT)
         if k < n:
             a[i, perm[k + i % (n - k)]] = data.draw(_DOMINANT)
-    split = prepare(a, perm, sweep)
+    head, tail = _blocks(prepare(a, perm, method), rows)
     assert sorted(perm) == list(range(n))
-    assert split.b_head.flags.c_contiguous and split.b_tail.flags.c_contiguous
-    assert np.array_equal(split.b_head, a[:, list(perm[:k])])
-    assert np.array_equal(split.b_tail, a[:, list(perm[k:])])
+    assert head.flags.c_contiguous and tail.flags.c_contiguous
+    assert np.array_equal(head, a[:, list(perm[:k])])
+    assert np.array_equal(tail, a[:, list(perm[k:])])
     full = np.empty_like(a)
-    full[:, list(perm)] = np.column_stack([split.b_head, split.b_tail])
+    full[:, list(perm)] = np.column_stack([head, tail])
     assert np.array_equal(full, a)
-    again = prepare(full, perm, sweep)
-    assert np.array_equal(again.b_head, split.b_head)
-    assert np.array_equal(again.b_tail, split.b_tail)
+    again = _blocks(prepare(full, perm, method), rows)
+    assert np.array_equal(again[0], head)
+    assert np.array_equal(again[1], tail)

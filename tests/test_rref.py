@@ -161,7 +161,7 @@ def test_exact_solve_rank_deficient_consistent():
 
 def test_successive_iterates_differ_until_fixed():
     _, a_bar, b_bar = reduced_system(DEMO_A, DEMO_B)
-    step = stepper(a_bar, b_bar, METHOD_JACOBI)
+    step = stepper(a_bar, b_bar, METHOD_GJACOBI)
     prev = DEMO_X0
     for _ in range(3):
         cur = step(prev)
