@@ -52,12 +52,12 @@ def check_conditions(a, b, method: str, policy: str = POLICY_IDENTITY) -> Condit
 
 def operator_conditions(op: Operator) -> ConditionReport:
     """The conditions of a prepared generalized-method operator: c1 from
-    its head's coupling C, c2 from its tail's map T; the CLI passes the
-    operator its solve prepared."""
-    m = op.tail.block.shape[0]
+    its head's coupling C, c2 from its tail's map T, in either storage
+    form of the tail; the CLI passes the operator its solve prepared."""
+    m = op.tail.weights.size
     # each matrix but T is reduced to its norms and dropped before the next
     # is built: the solve's operator is still alive, so this keeps peak memory
-    sign_norms = _norms(op.tail.signs * op.tail.weights)
+    sign_norms = _norms(op.tail.update_matrix())
     tail_map = op.tail.map()
     tail_norms = _norms(tail_map)
     solved_norms = _norms(op.head.solve(tail_map))

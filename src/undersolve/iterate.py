@@ -6,9 +6,9 @@ system (``rref.reduced_system``).
 Every method is a linear stationary iteration built from two
 primitives.  ``prepare`` splits A in a column order ``column_perm``
 (``partition.column_order``) into a square head B, the first m slots,
-and a tail B~, the rest.  A ``Tail`` holds B~, its signs S = s(B~) and
-its weights W = diag of 1 / (m ||B~_i||_1): its update of a residual r
-is z = S W r, its residual map T = I - B~ S W.  A ``Head`` holds B and
+and a tail B~, the rest.  A tail holds B~, its signs S = s(B~) and its
+weights W = diag of 1 / (m ||B~_i||_1): its update of a residual r is
+z = S W r, its residual map T = I - B~ S W.  A ``Head`` holds B and
 its splitting H, the diagonal (Jacobi) or the lower triangle
 (Gauss-Seidel): it solves H^-1 v, and its coupling is C = (B - H) H^-1.
 In slot order (head h = x[:k], tail t = x[k:]) one step from the
@@ -21,6 +21,17 @@ residual r = rhs - A x changes the iterate by K r and the residual to M r:
 * ``gjacobi`` / ``ggs``: a tail, then a Jacobi / Gauss-Seidel head; M is
   applied factored, as above;
 * ``jacobi`` / ``gs``: a head alone (the head is A, so u = r).
+
+The tail is stored in one of two forms, which ``prepare`` alone picks; a
+step sees only ``update`` (z = S W r) and ``spread`` (B~ z) and does not
+know which.  A tail with a head whose nonzeros are at most 1/8 of its
+entries is a ``CoordinateTail``: its nonzeros, their entries of S W and
+W, so each of the two products is one ``np.bincount`` over the nonzeros.
+The paper's tail condition makes certified tails that sparse: T's
+diagonal is exactly 1 - 1/m, so c2 = m ||T|| < m forces tail rows with
+almost disjoint supports.  Every other tail, baseline's all of A and the
+dense tails of RREF-reduced and random systems among them, is a dense
+``Tail`` of B~, S and W.
 
 The loop of ``_drive`` carries only the residual, in blocks of steps.
 With M factored a block is one step, r' = ``op.advance(r)``.
@@ -77,7 +88,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -184,8 +195,10 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class Tail:
-    """The tail block B~ and its sign-matrix update: the signs S = s(B~)
-    and the weights W = 1 / (m ||B~_i||_1)."""
+    """The tail block B~ in dense form and its sign-matrix update: the
+    signs S = s(B~) and the weights W = 1 / (m ||B~_i||_1).  ``prepare``
+    keeps a tail so when it has no head or when more than 1/8 of its
+    entries are nonzero."""
     block: np.ndarray
     signs: np.ndarray
     weights: np.ndarray
@@ -199,10 +212,73 @@ class Tail:
         """z = S W r: the tail's change from the residual r."""
         return self.signs @ (r * self.weights)
 
+    def spread(self, z):
+        """B~ z: what the tail change z takes from the residual."""
+        return self.block @ z
+
+    def update_matrix(self) -> np.ndarray:
+        """S W, the (n - m) x m matrix of ``update``."""
+        return self.signs * self.weights
+
     def map(self) -> np.ndarray:
         """T = I - B~ S W, the m x m residual map of one update.  The tail
         factor c2 is m times its norm; it involves no head block."""
         return np.eye(self.block.shape[0]) - (self.block @ self.signs) * self.weights
+
+
+@dataclass(frozen=True)
+class CoordinateTail:
+    """The tail block B~ in coordinate form (Saad, Iterative Methods for
+    Sparse Linear Systems, 2nd ed., SIAM 2003, section 3.4): its nonzeros
+    B~[rows, cols] = values, the weights W of ``Tail`` and, for each
+    nonzero, its entry of S W: the sign of its value times its row's
+    weight.  ``update`` and ``spread`` each cost one ``np.bincount`` over
+    the nonzeros, where the dense form multiplies all m x (n - m)
+    entries.  ``prepare`` keeps a tail with a head so when its nonzeros
+    are at most 1/8 of its entries.  No dense B~ is kept: ``block``
+    builds one on every access, and ``update_matrix`` and ``map`` one
+    each."""
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    signed_weights: np.ndarray  # sign(values) * weights[rows]
+    weights: np.ndarray
+    width: int                  # n - m, the columns of B~
+
+    @classmethod
+    def of(cls, rows, cols, values, width, norms):
+        """The tail with nonzeros B~[rows, cols] = values in ``width``
+        columns, from its row 1-norms ``norms``, none zero."""
+        weights = 1.0 / (norms.size * norms)
+        return cls(rows, cols, values, np.sign(values) * weights[rows], weights, width)
+
+    @property
+    def block(self) -> np.ndarray:
+        """B~ as a dense m x (n - m) matrix, built anew on every access."""
+        block = np.zeros((self.weights.size, self.width))
+        block[self.rows, self.cols] = self.values
+        return block
+
+    def update(self, r):
+        """z = S W r: the tail's change from the residual r."""
+        return np.bincount(self.cols, self.signed_weights * r[self.rows], minlength=self.width)
+
+    def spread(self, z):
+        """B~ z: what the tail change z takes from the residual."""
+        return np.bincount(self.rows, self.values * z[self.cols], minlength=self.weights.size)
+
+    def dense(self) -> Tail:
+        """The same tail in dense form, with the same weights."""
+        block = self.block
+        return Tail(block, sign_matrix(block), self.weights)
+
+    def update_matrix(self) -> np.ndarray:
+        """S W, the (n - m) x m matrix of ``update``."""
+        return self.dense().update_matrix()
+
+    def map(self) -> np.ndarray:
+        """T = I - B~ S W, as ``Tail.map``."""
+        return self.dense().map()
 
 
 @dataclass(frozen=True)
@@ -237,11 +313,11 @@ class Operator:
     change of the iterate)."""
     method: str
     head: Optional[Head]    # B: the first m slots; None for baseline
-    tail: Optional[Tail]    # B~: the other slots; None when there are none
+    tail: Optional[Union[Tail, CoordinateTail]]   # B~: the other slots; None when none
 
     def advance(self, r: np.ndarray) -> np.ndarray:
         """M r: the residual one step after the residual r."""
-        u = r if self.tail is None else r - self.tail.block @ self.tail.update(r)
+        u = r if self.tail is None else r - self.tail.spread(self.tail.update(r))
         return u if self.head is None else u - self.head.block @ self.head.solve(u)
 
     def gain(self, s: np.ndarray) -> np.ndarray:
@@ -252,7 +328,7 @@ class Operator:
         z = self.tail.update(s)
         if self.head is None:
             return z
-        return np.concatenate((self.head.solve(s - self.tail.block @ z), z))
+        return np.concatenate((self.head.solve(s - self.tail.spread(z)), z))
 
 
 def prepare(a, column_perm, method: str) -> Operator:
@@ -275,18 +351,34 @@ def prepare(a, column_perm, method: str) -> Operator:
     A tail row counts as zero when its 1-norm is at or below 1e-12 times
     that of its row of A, as rounding leaves it after RREF; the update
     would divide by that norm.  Without a head this means exactly zero.
+
+    This is the one place that picks the tail's storage.  A tail with a
+    head whose nonzeros are at most 1/8 of its entries becomes a
+    ``CoordinateTail``: its nonzeros are found in one pass over a boolean
+    mask, its row norms are summed from their values, and neither the
+    dense signs nor a dense copy of B~ outlives the call.  Every other
+    tail, baseline's all of a among them, is a dense ``Tail``.
     """
-    k = 0 if method == METHOD_BASELINE else a.shape[0]
+    m = a.shape[0]
+    k = 0 if method == METHOD_BASELINE else m
     b_head = np.take(a, column_perm[:k], axis=1)
     b_tail = np.take(a, column_perm[k:], axis=1)
     head = tail = None
-    if b_tail.shape[1]:
-        norms = vector_norm(b_tail, NORM_ONE)
+    if width := b_tail.shape[1]:
+        flat = _sparse_entries(b_tail) if k else None
+        if flat is None:
+            norms = vector_norm(b_tail, NORM_ONE)
+            make_tail = partial(Tail.of, b_tail)
+        else:
+            rows, cols = divmod(flat, width)
+            values = b_tail.ravel()[flat]
+            norms = np.bincount(rows, np.abs(values), minlength=m)
+            make_tail = partial(CoordinateTail.of, rows, cols, values, width)
         if np.any(norms <= 1e-12 * (norms + vector_norm(b_head, NORM_ONE))):
             if k:
                 raise ZeroTailRow("tail block has a zero row")
             raise ZeroRow("matrix has an all-zero row")
-        tail = Tail.of(b_tail, norms)
+        tail = make_tail(norms)
     if method in (METHOD_GJACOBI, METHOD_JACOBI):
         diag = np.diag(b_head)
         if np.any(np.abs(diag) <= singularity_threshold(b_head)):
@@ -298,6 +390,20 @@ def prepare(a, column_perm, method: str) -> Operator:
             raise SingularTriangular("head block has a zero diagonal entry")
         head = Head(b_head, lower_inv=lower_triangular_inverse(lower))
     return Operator(method, head, tail)
+
+
+_SPARSE_SHARE = 8   # a tail with at most 1/8 of its entries nonzero is kept in coordinate form
+
+
+def _sparse_entries(block):
+    """The flat indices of the nonzeros of ``block``, in row-major order,
+    when they are at most 1/``_SPARSE_SHARE`` of its entries; else None.
+    The count and the indices come from a boolean mask: ``np.flatnonzero``
+    of the floats themselves takes about ten times as long."""
+    nonzero = block != 0
+    if _SPARSE_SHARE * np.count_nonzero(nonzero) > nonzero.size:
+        return None
+    return np.flatnonzero(nonzero)
 
 
 _BLOCK = 64     # the most residuals one pass of the solve loop advances with a formed T

@@ -2,7 +2,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from undersolve import convergence, formats, generate, iterate, linalg, partition
@@ -546,11 +546,22 @@ def test_drive_on_a_column_order_matches_the_reordered_system(seed, m, extra, me
     assert np.abs(permuted.solution - expected).max() <= 1e-12 * scale
 
 
-def _method_case(seed, method, policy, m, extra):
+def _method_case(seed, method, policy, m, extra, sparse=False):
     """A random system for ``method`` and its column order under ``policy``
-    (the identity order for the methods without a policy)."""
+    (the identity order for the methods without a policy).  A ``sparse``
+    draw has 8 extra columns per ``extra`` and keeps at most 1/8 of the
+    tail (the columns after the first m) nonzero, every tail row's
+    largest entry among them, so ``prepare`` keeps its tail in coordinate
+    form when the policy keeps A's own head."""
     rng = np.random.default_rng(seed)
-    a, m, n = random_partitioned(rng, m=m, n=m + extra)
+    a, m, n = random_partitioned(rng, m=m, n=m + (8 * extra if sparse else extra))
+    if sparse:
+        tail = a[:, m:]
+        keep = np.zeros(tail.shape, dtype=bool)
+        keep[np.arange(m), np.abs(tail).argmax(axis=1)] = True
+        others = rng.permutation(np.flatnonzero(~keep))[:tail.size // 8 - m]
+        keep.flat[others] = True
+        tail[~keep] = 0.0
     if method in SQUARE_METHODS:
         a = a[:, :m]
     b = rng.uniform(-5.0, 5.0, size=m)
@@ -559,7 +570,17 @@ def _method_case(seed, method, policy, m, extra):
 
 
 _cases = dict(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6), extra=st.integers(1, 6),
-              method=st.sampled_from(METHODS), policy=st.sampled_from(POLICIES))
+              method=st.sampled_from(METHODS), policy=st.sampled_from(POLICIES),
+              sparse=st.booleans())
+
+
+def test_the_sparse_draw_takes_the_coordinate_path():
+    for seed, m, extra in ((0, 1, 1), (1, 3, 2), (2, 6, 6)):
+        for method in GENERALIZED_METHODS:
+            _, a, _, perm = _method_case(seed, method, POLICY_IDENTITY, m, extra, sparse=True)
+            tail = a[:, m:]
+            assert 8 * np.count_nonzero(tail) <= tail.size and np.all(tail.any(axis=1))
+            assert isinstance(iterate.prepare(a, perm, method).tail, iterate.CoordinateTail)
 
 
 def _prepared(a, perm, method):
@@ -578,10 +599,10 @@ def _prepared(a, perm, method):
 
 @settings(max_examples=150, deadline=None)
 @given(**_cases)
-def test_advance_matches_the_oracle_residual_operator(seed, m, extra, method, policy):
+def test_advance_matches_the_oracle_residual_operator(seed, m, extra, method, policy, sparse):
     # M r from the loop-written M: each column is the residual one brute
     # step leaves from x = 0 on the right-hand side e_j
-    rng, a, _, perm = _method_case(seed, method, policy, m, extra)
+    rng, a, _, perm = _method_case(seed, method, policy, m, extra, sparse)
     op, cond = _prepared(a, perm, method)
     if op is None:
         return
@@ -595,9 +616,17 @@ def test_advance_matches_the_oracle_residual_operator(seed, m, extra, method, po
 
 @settings(max_examples=150, deadline=None)
 @given(**_cases)
-def test_gain_matches_the_brute_step(seed, m, extra, method, policy):
-    # slots + K r, with r = b - A x, is the brute step from x
-    rng, a, b, perm = _method_case(seed, method, policy, m, extra)
+@example(seed=29300, m=1, extra=5, method="gjacobi", policy="identity", sparse=False)
+def test_gain_matches_the_brute_step(seed, m, extra, method, policy, sparse):
+    # slots + K r, with r = b - A x, is the brute step from x.  Both sides
+    # round at most a few units of |x| + |K| s per entry, s = |b| + |A| |x|
+    # bounding |r|.  With a head and a tail the head also takes H^-1 u of
+    # u = r - B~ z, whose rounding is of the size of |r| + |B~| |z| <=
+    # (I + |B~| |S| W) s whatever K is; it is all of u where a row of K is
+    # 0 in exact arithmetic, as the head's is for m = 1 (the update alone
+    # solves the one equation: K_head = H^-1 (I - B~ S W) = 0).  The
+    # oracle's sweep rounds b - B~ t' alike
+    rng, a, b, perm = _method_case(seed, method, policy, m, extra, sparse)
     op, cond = _prepared(a, perm, method)
     if op is None:
         return
@@ -608,8 +637,14 @@ def test_gain_matches_the_brute_step(seed, m, extra, method, policy):
                                    head_size, SWEEPS[method]))
     gain = np.array(brute_step_operators(a.tolist(), tuple(perm.tolist()), head_size,
                                          SWEEPS[method])[1])
-    bound = 1e-12 * cond * (np.abs(x) + np.abs(gain) @ (np.abs(b) + np.abs(a) @ np.abs(x)))
-    assert np.all(np.abs(new - expected) <= bound)
+    scale = np.abs(b) + np.abs(a) @ np.abs(x)
+    bound = np.abs(x) + np.abs(gain) @ scale
+    if op.head is not None and op.tail is not None:
+        head, tail = a[:, perm[:m]], a[:, perm[m:]]
+        split = np.diag(np.diag(head)) if SWEEPS[method] == "jacobi" else np.tril(head)
+        update = np.abs(np.sign(tail)).T / (m * np.abs(tail).sum(axis=1))
+        bound[perm[:m]] += np.abs(np.linalg.inv(split)) @ (scale + np.abs(tail) @ (update @ scale))
+    assert np.all(np.abs(new - expected) <= 1e-12 * cond * bound)
 
 
 @settings(max_examples=100, deadline=None)
