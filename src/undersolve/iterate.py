@@ -10,7 +10,8 @@ and a tail B~, the rest.  A tail holds B~, its signs S = s(B~) and its
 weights W = diag of 1 / (m ||B~_i||_1): its update of a residual r is
 z = S W r, its residual map T = I - B~ S W.  A ``Head`` holds B and
 its splitting H, the diagonal (Jacobi) or the lower triangle
-(Gauss-Seidel): it solves H^-1 v, and its coupling is C = (B - H) H^-1.
+(Gauss-Seidel, by blocked forward substitution): it solves H^-1 v, and
+its coupling is C = (B - H) H^-1.  ``prepare`` copies of A only what it keeps.
 In slot order (head h = x[:k], tail t = x[k:]) one step from the
 residual r = rhs - A x changes the iterate by K r and the residual to M r:
 
@@ -26,7 +27,8 @@ The tail is stored in one of two forms, which ``prepare`` alone picks; a
 step sees only ``update`` (z = S W r) and ``spread`` (B~ z) and does not
 know which.  A tail with a head whose nonzeros are at most 1/8 of its
 entries is a ``CoordinateTail``: its nonzeros, their entries of S W and
-W, so each of the two products is one ``np.bincount`` over the nonzeros.
+W, so each of the two products is one ``np.bincount`` over the nonzeros,
+which ``prepare`` gathers from A with no dense copy of B~.
 The paper's tail condition makes certified tails that sparse: T's
 diagonal is exactly 1 - 1/m, so c2 = m ||T|| < m forces tail rows with
 almost disjoint supports.  Every other tail, baseline's all of A and the
@@ -108,7 +110,6 @@ from .linalg import (
     NORM_ONE,
     as_system,
     as_vector,
-    lower_triangular_inverse,
     matrix_norm,
     sign_matrix,
     singularity_threshold,
@@ -140,6 +141,7 @@ STATUSES = (STATUS_CONVERGED, STATUS_MAX_ITERATIONS, STATUS_STAGNATED, STATUS_DI
 DIVERGENCE_FACTOR = 1e12
 STAGNATION_REL_CHANGE = 1e-14
 STAGNATION_WINDOW = 10
+_HEAD_BLOCK = 64        # the most rows of a diagonal block of L that prepare inverts
 
 
 @dataclass(frozen=True)
@@ -235,7 +237,7 @@ class CoordinateTail:
     weight.  ``update`` and ``spread`` each cost one ``np.bincount`` over
     the nonzeros, where the dense form multiplies all m x (n - m)
     entries.  ``prepare`` keeps a tail with a head so when its nonzeros
-    are at most 1/8 of its entries.  No dense B~ is kept: ``block``
+    are at most 1/8 of its entries.  No dense B~ is made or kept: ``block``
     builds one on every access, and ``update_matrix`` and ``map`` one
     each."""
     rows: np.ndarray
@@ -284,24 +286,40 @@ class CoordinateTail:
 @dataclass(frozen=True)
 class Head:
     """The square head block B and its splitting H: the diagonal D for a
-    Jacobi sweep, the lower triangle L for a Gauss-Seidel sweep, kept as
-    L^-1, a dense matrix whose strict upper triangle is exactly 0, formed
-    by ``linalg.lower_triangular_inverse`` (recursive 2x2 blocking, about
-    2m^3/3 flops, a third of a general inverse)."""
+    Jacobi sweep, the lower triangle L for a Gauss-Seidel sweep.  No L^-1
+    is formed: ``solve`` applies it by blocked forward substitution
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM
+    2002, section 13.1) from the inverses of L's diagonal blocks of at
+    most 64 rows, each with its strict upper triangle exactly 0."""
     block: np.ndarray
-    diag: Optional[np.ndarray] = None         # Jacobi: the diagonal of B
-    lower_inv: Optional[np.ndarray] = None    # Gauss-Seidel: L^-1
+    diag: Optional[np.ndarray] = None             # Jacobi: the diagonal of B
+    block_inverses: Optional[tuple] = None        # Gauss-Seidel: L's diagonal blocks, inverted
+
+    @classmethod
+    def gauss_seidel(cls, block):
+        """The Gauss-Seidel head of ``block``, whose diagonal has no zero:
+        each diagonal block of L inverted by ``np.linalg.inv``."""
+        return cls(block, block_inverses=tuple(
+            np.tril(np.linalg.inv(np.tril(block[j:j + _HEAD_BLOCK, j:j + _HEAD_BLOCK])))
+            for j in range(0, block.shape[0], _HEAD_BLOCK)))
 
     def solve(self, v):
-        """H^-1 v, for a vector or for every column of a matrix."""
-        if self.diag is None:
-            return self.lower_inv @ v
-        return (v.T / self.diag).T
+        """H^-1 v, for a vector or for every column of a matrix; for
+        Gauss-Seidel block by block, x_j = L_jj^-1 (v_j - L[j, :j] x[:j])."""
+        if self.diag is not None:
+            return (v.T / self.diag).T
+        if len(self.block_inverses) == 1:
+            return self.block_inverses[0] @ v
+        x = np.empty(v.shape)
+        for j, inverse in zip(range(0, len(v), _HEAD_BLOCK), self.block_inverses):
+            rows = slice(j, j + _HEAD_BLOCK)
+            x[rows] = inverse @ (v[rows] - self.block[rows, :j] @ x[:j])
+        return x
 
     def coupling(self) -> np.ndarray:
         """C = (B - H) H^-1 = I - B H^-1, whose norm is the head factor c1."""
         if self.diag is None:
-            return (self.block - np.tril(self.block)) @ self.lower_inv
+            return (self.block - np.tril(self.block)) @ self.solve(np.eye(self.block.shape[0]))
         return (self.block - np.diag(self.diag)) / self.diag
 
 
@@ -336,10 +354,10 @@ def prepare(a, column_perm, method: str) -> Operator:
     integer array, or any sequence of column indices that slices) and
     build the operator of ``method``.  The head is the first m slots, the
     tail the rest; baseline has no head, so its tail is all of a, and
-    jacobi and gs on a square a have no tail.  Each block is taken from a
-    directly with ``np.take``, so it is C-contiguous; ``a[:, perm]``
-    would be Fortran-ordered, and a matrix-vector product can round
-    differently on it.
+    jacobi and gs on a square a have no tail.  a is only read, and the
+    operator holds no view of it.  A dense block is taken from a with
+    ``np.take``, so it is C-contiguous; ``a[:, perm]`` would be
+    Fortran-ordered, and a matrix-vector product can round differently.
 
     Structural errors are raised in this order: a zero tail row
     (``ZeroRow`` when the head is empty, as for baseline, else
@@ -354,53 +372,60 @@ def prepare(a, column_perm, method: str) -> Operator:
 
     This is the one place that picks the tail's storage.  A tail with a
     head whose nonzeros are at most 1/8 of its entries becomes a
-    ``CoordinateTail``: its nonzeros are found in one pass over a boolean
-    mask, its row norms are summed from their values, and neither the
-    dense signs nor a dense copy of B~ outlives the call.  Every other
-    tail, baseline's all of a among them, is a dense ``Tail``.
+    ``CoordinateTail``: its nonzeros are found on a boolean mask of a's
+    tail columns, their values are gathered from a and its row norms are
+    summed from them; no dense B~ or signs are made.  Every other tail,
+    baseline's all of a among them, is a dense ``Tail``.
     """
     m = a.shape[0]
     k = 0 if method == METHOD_BASELINE else m
     b_head = np.take(a, column_perm[:k], axis=1)
-    b_tail = np.take(a, column_perm[k:], axis=1)
+    head_norms = vector_norm(b_head, NORM_ONE)
+    tail_cols = np.asarray(column_perm[k:], dtype=np.intp)
     head = tail = None
-    if width := b_tail.shape[1]:
-        flat = _sparse_entries(b_tail) if k else None
+    if width := tail_cols.size:
+        flat = _sparse_entries(a, tail_cols) if k else None
         if flat is None:
+            b_tail = np.take(a, tail_cols, axis=1)
             norms = vector_norm(b_tail, NORM_ONE)
             make_tail = partial(Tail.of, b_tail)
         else:
             rows, cols = divmod(flat, width)
-            values = b_tail.ravel()[flat]
+            values = a[rows, tail_cols[cols]]
             norms = np.bincount(rows, np.abs(values), minlength=m)
             make_tail = partial(CoordinateTail.of, rows, cols, values, width)
-        if np.any(norms <= 1e-12 * (norms + vector_norm(b_head, NORM_ONE))):
+        if np.any(norms <= 1e-12 * (norms + head_norms)):
             if k:
                 raise ZeroTailRow("tail block has a zero row")
             raise ZeroRow("matrix has an all-zero row")
         tail = make_tail(norms)
     if method in (METHOD_GJACOBI, METHOD_JACOBI):
         diag = np.diag(b_head)
-        if np.any(np.abs(diag) <= singularity_threshold(b_head)):
+        if np.any(np.abs(diag) <= singularity_threshold(head_norms)):
             raise ZeroDiagonal("head block has a zero diagonal entry")
         head = Head(b_head, diag=diag)
     elif method in (METHOD_GGS, METHOD_GS):
-        lower = np.tril(b_head)
-        if np.any(np.abs(np.diag(lower)) <= singularity_threshold(lower)):
+        lower_norms = vector_norm(np.tril(b_head), NORM_ONE)
+        if np.any(np.abs(np.diag(b_head)) <= singularity_threshold(lower_norms)):
             raise SingularTriangular("head block has a zero diagonal entry")
-        head = Head(b_head, lower_inv=lower_triangular_inverse(lower))
+        head = Head.gauss_seidel(b_head)
     return Operator(method, head, tail)
 
 
 _SPARSE_SHARE = 8   # a tail with at most 1/8 of its entries nonzero is kept in coordinate form
 
 
-def _sparse_entries(block):
-    """The flat indices of the nonzeros of ``block``, in row-major order,
+def _sparse_entries(a, cols):
+    """The flat indices of the nonzeros of a[:, cols], in row-major order,
     when they are at most 1/``_SPARSE_SHARE`` of its entries; else None.
-    The count and the indices come from a boolean mask: ``np.flatnonzero``
+    They come from a boolean mask, on a view of a when ``cols`` is one
+    ascending run, with no float copy of the columns; ``np.flatnonzero``
     of the floats themselves takes about ten times as long."""
-    nonzero = block != 0
+    start = cols[0]
+    if np.array_equal(cols, np.arange(start, start + cols.size)):
+        nonzero = a[:, start:start + cols.size] != 0
+    else:
+        nonzero = np.take(a != 0, cols, axis=1)
     if _SPARSE_SHARE * np.count_nonzero(nonzero) > nonzero.size:
         return None
     return np.flatnonzero(nonzero)

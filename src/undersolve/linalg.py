@@ -24,8 +24,12 @@ def require_finite(a: np.ndarray, what: str) -> np.ndarray:
 
 
 def as_matrix(data) -> np.ndarray:
-    """Validate and return a 2-D float64 matrix (finite entries only)."""
-    a = np.array(data, dtype=float)
+    """Validate and return a 2-D float64 matrix (finite entries only).
+    A contiguous float64 array is returned itself, anything else as a
+    fresh contiguous copy: a caller that writes into it copies it first."""
+    a = np.asarray(data, dtype=float)
+    if not (a.flags.c_contiguous or a.flags.f_contiguous):
+        a = np.array(a)
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D matrix, got ndim={a.ndim}")
     return require_finite(a, "matrix")
@@ -84,39 +88,8 @@ def vector_norm(v: np.ndarray, which: str):
     return float(norms) if norms.ndim == 0 else norms
 
 
-_TRIANGLE_BASE = 64     # blocks this small are inverted by LAPACK directly
-
-
-def lower_triangular_inverse(lower: np.ndarray) -> np.ndarray:
-    """L^-1 for a square lower-triangular L with a nonzero diagonal.
-
-    Recursive 2x2 blocking, as in LAPACK's blocked ``dtrtri``:
-    [[L11, 0], [L21, L22]]^-1 = [[L11^-1, 0], [-L22^-1 L21 L11^-1, L22^-1]].
-    Each level costs two gemms, about 2m^3/3 flops in all against about
-    2m^3 for a general inverse; blocks of at most 64 rows go to
-    ``np.linalg.inv``.  The strict upper triangle of the result is exactly
-    0.  Du Croz & Higham (IMA J. Numer. Anal. 12, 1992) show this is as
-    stable as the unblocked triangular inverse.
-    """
-    out = np.zeros_like(lower, dtype=float)
-    _invert_lower_into(lower, out)
-    return out
-
-
-def _invert_lower_into(lower, out):
-    m = lower.shape[0]
-    if m <= _TRIANGLE_BASE:
-        out[...] = np.tril(np.linalg.inv(lower))
-        return
-    h = m // 2
-    _invert_lower_into(lower[:h, :h], out[:h, :h])
-    _invert_lower_into(lower[h:, h:], out[h:, h:])
-    out[h:, :h] = -(out[h:, h:] @ lower[h:, :h]) @ out[:h, :h]
-
-
-def singularity_threshold(a: np.ndarray) -> float:
-    """Scale-relative zero test for pivots/diagonals: 1e-12 * ||a||_inf
-    (or 1e-12 when the matrix is all zeros)."""
-    scale = matrix_norm(a, NORM_INF)
+def singularity_threshold(row_norms: np.ndarray) -> float:
+    """Scale-relative zero test for pivots/diagonals of a matrix from its
+    row 1-norms: 1e-12 * ||a||_inf (or 1e-12 when the matrix is all zeros)."""
+    scale = float(row_norms.max(initial=0.0))
     return 1e-12 * (scale if scale > 0.0 else 1.0)
-

@@ -46,8 +46,9 @@ def rref(a) -> RrefResult:
     rows that took pivots in the panel and M their pivot columns as they
     were before the panel's elimination (rows swapped):
     Y = M_R^-1 T_R, T_other -= M_other Y, T_R = Y.
+    The elimination runs on one copy of a, kept as ``RrefResult.matrix``.
     """
-    work = as_matrix(a)
+    work = as_matrix(np.array(a, dtype=float))
     m, n = work.shape
     thr = RREF_TOLERANCE * (matrix_norm(work, "inf") or 1.0)
     pivots = []

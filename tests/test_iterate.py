@@ -23,7 +23,7 @@ from undersolve.iterate import (
     exact_solve,
     run,
 )
-from undersolve.linalg import NORM_INF, NORM_ONE, sign_matrix, vector_norm
+from undersolve.linalg import NORM_INF, NORM_ONE, matrix_norm, sign_matrix, vector_norm
 from undersolve.partition import POLICIES, POLICY_IDENTITY, POLICY_PIVOT_COLUMNS, column_order
 from undersolve.rref import reduced_system
 
@@ -121,8 +121,46 @@ def test_ggs_prepare_inverts_no_large_block(monkeypatch):
             return original(mat, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, record)
     op = iterate.prepare(a, range(3 * m), METHOD_GGS)
-    assert all(max(shape) <= 64 for shape in shapes)
-    assert np.abs(op.head.lower_inv @ head - np.eye(m)).max() <= 1e-12
+    assert shapes and all(max(shape) <= 64 for shape in shapes)
+    assert np.abs(op.head.solve(head) - np.eye(m)).max() <= 1e-12
+
+
+def _pin_head_sizes(test):
+    # one block, the first sizes of two and three blocks, both scalings
+    for m in (63, 64, 65, 128, 129):
+        for scaled in (False, True):
+            test = example(seed=m, m=m, scaled=scaled)(test)
+    return test
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 200), scaled=st.booleans())
+@_pin_head_sizes
+def test_gauss_seidel_head_solve(seed, m, scaled):
+    # sizes 1-200 cover one to four diagonal blocks of 64 rows; scaled rows
+    # by 2^-20..2^20 make cond_inf(L) as large as about 1e14
+    rng = np.random.default_rng(seed)
+    off = np.tril(rng.uniform(-1.0, 1.0, size=(m, m)), -1)
+    diag = (np.abs(off).sum(axis=1) + rng.uniform(1.0, 2.0, size=m)) * rng.choice([-1.0, 1.0], size=m)
+    lower = off + np.diag(diag)
+    if scaled:
+        lower *= np.exp2(rng.integers(-20, 21, size=m))[:, np.newaxis]
+    head = iterate.Head.gauss_seidel(lower)
+    inv = head.solve(np.eye(m))
+    assert inv.shape == (m, m)
+    assert np.all(np.triu(inv, 1) == 0.0)
+    cond = matrix_norm(lower, NORM_INF) * matrix_norm(inv, NORM_INF)
+    eps = np.finfo(float).eps
+    assert matrix_norm(inv @ lower - np.eye(m), NORM_INF) <= cond * m * eps
+    if not scaled:
+        # diagonally dominant with unit-scale rows: cond_inf(L) <= 2m (Varah)
+        reference = np.linalg.inv(lower)
+        assert matrix_norm(inv - reference, NORM_INF) <= 1e-12 * matrix_norm(reference, NORM_INF)
+    # a vector is solved as a column of a matrix is, up to rounding: each
+    # is within cond * m * u of L^-1 v, relative to its largest entry
+    v = rng.uniform(-1.0, 1.0, size=(m, 3))
+    column = head.solve(v)[:, 1]
+    assert np.abs(head.solve(v[:, 1]) - column).max() <= cond * m * eps * np.abs(column).max()
 
 
 def test_ggs_matches_gjacobi_for_identity_head():

@@ -4,7 +4,8 @@ No import sits inside a function, no module imports another's private
 name, ``rref`` builds on ``errors`` and ``linalg`` alone, and the modules
 import one another without a cycle.  The prepared operator's invariants
 are built and read in ``iterate`` alone: no other module forms the sign
-matrix or L^-1, or reads a head's ``diag`` or ``lower_inv``.
+matrix or a Gauss-Seidel head, or reads a head's ``diag`` or
+``block_inverses``.
 """
 
 import ast
@@ -76,7 +77,7 @@ def test_only_iterate_forms_the_operator_invariants(path):
     found = [f"{path.name}:{node.lineno} {_called_name(node)}"
              for node in ast.walk(_tree(path))
              if isinstance(node, ast.Call)
-             and _called_name(node) in ("sign_matrix", "lower_triangular_inverse")]
+             and _called_name(node) in ("sign_matrix", "gauss_seidel")]
     assert found == []
 
 
@@ -86,6 +87,6 @@ def test_only_iterate_reads_a_head_splitting(path):
     # numpy's own np.diag is no head attribute
     found = [f"{path.name}:{node.lineno} .{node.attr}"
              for node in ast.walk(_tree(path))
-             if isinstance(node, ast.Attribute) and node.attr in ("diag", "lower_inv")
+             if isinstance(node, ast.Attribute) and node.attr in ("diag", "block_inverses")
              and not (isinstance(node.value, ast.Name) and node.value.id == "np")]
     assert found == []

@@ -3,17 +3,29 @@ whose effect on the iterates follows from the step's formulas alone, so
 they need no oracle.  Each test runs a fixed number of steps through
 ``run`` and compares the iterates of a system and of its transform.
 
+Three families of systems are drawn with equal shares: ``build`` (the
+benchmark's certified system, whose tail has one nonzero per column, so
+at most 1/8 of it is nonzero once m >= 8), ``certified``
+(``generate_certified``) and ``padded``: a ``build`` system with a zero
+column among its first m, which the generalized methods split on its
+pivot columns, a slot order other than the identity.  m is drawn from
+2-7 and from 8-12 with equal shares, so about a sixth of the draws
+prepare a coordinate-form tail; ``test_the_draws_reach_every_split``
+checks on fixed draws that both tail forms and a permuted slot order are
+prepared.
+
 * **signed row scaling** (D A, D b): sign(d_i B~_i) = sign(d_i) s(B~_i)
   and the weight divides by |d_i|, so the tail update z is unchanged; H
   scales with D, so the head sweep is unchanged too;
 * **tail column permutation**, with x0 permuted alike, permutes the
-  iterates alike (for baseline every column is a tail column);
+  iterates alike (for baseline every column is a tail column); not on
+  ``padded`` systems, whose pivot columns such a permutation can move;
 * **null-space shift**: x0 + v with A v = 0 shifts every iterate by v;
 * **linearity**: an iterate is linear in (b, x0);
 * **symmetric head permutation** (P B P^T, P B~, P b): the diagonal moves
   with the rows, so gjacobi and baseline iterates are permuted alike.
   Gauss-Seidel's lower triangle does not move with them, which makes ggs
-  the negative control.
+  the negative control.  Not on ``padded`` systems either.
 
 The tolerance is fixed by the unit roundoff u, the step count and the
 system, not by measured runs.  One step makes at most four chained
@@ -29,6 +41,7 @@ iterate at about the size of the iterates.  Over ``STEPS`` steps:
 
 with scale the sum of the largest entries of the start vectors and
 iterates compared, and kappa = kappa_inf(L) of the head's lower triangle
+(of the first m nonzero columns, the pivot columns of a padded system)
 for ggs, which applies its head as a formed L^-1 whose rounding grows
 with kappa(L) (the larger of the two systems'), and 1 otherwise.
 """
@@ -37,13 +50,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from undersolve import iterate
 from undersolve.generate import generate_certified
-from undersolve.iterate import SolverConfig, run
+from undersolve.iterate import CoordinateTail, SolverConfig, Tail, run
 
 STEPS = 7
 UNIT = np.finfo(float).eps / 2
 METHODS = ("gjacobi", "ggs", "baseline")
 NORMS = ("one", "inf")
+FAMILIES = ("build", "certified", "padded")
 HEAD_OFF_DIAGONAL_MASS = 0.9    # build_system's off-diagonal mass of a head row
 
 
@@ -64,19 +79,26 @@ def _build_system(m, n, rng):
 def _system(family, seed, m, extra):
     """(rng, a, b, x0) of an m x n system of ``family``: ``build`` is
     build_system's with n = 4m, ``certified`` generate_certified's with
-    n = 2m + extra."""
+    n = 2m + extra, ``padded`` build's with a zero column inserted at one
+    of the positions 0..m-1, so n = 4m + 1."""
     rng = np.random.default_rng(seed)
-    if family == "build":
-        a, b = _build_system(m, 4 * m, rng)
-    else:
+    if family == "certified":
         a, b, _ = generate_certified(m, 2 * m + extra, rng)
+    else:
+        a, b = _build_system(m, 4 * m, rng)
+        if family == "padded":
+            a = np.insert(a, rng.integers(m), 0.0, axis=1)
     return rng, a, b, rng.uniform(-1.0, 1.0, size=a.shape[1])
 
 
 def _iterate(a, b, x0, method, norm):
-    """The iterate after ``STEPS`` steps: epsilon is too small to stop on."""
+    """The iterate after ``STEPS`` steps: epsilon is too small to stop on.
+    A generalized method splits a system with a zero column (``padded``)
+    on its pivot columns, and any other system in its own order."""
+    padded = not np.all(np.any(a, axis=0))
+    policy = "pivot-columns" if padded and method != "baseline" else "identity"
     config = SolverConfig(method=method, epsilon=1e-300, max_iterations=STEPS,
-                          residual_norm=norm)
+                          residual_norm=norm, permutation_policy=policy)
     return run(a, b, x0, config).solution
 
 
@@ -85,14 +107,41 @@ def _tolerance(method, systems, *vectors):
     kappa = 1.0
     if method == "ggs":
         m = systems[0].shape[0]
-        kappa = max(np.linalg.cond(np.tril(a[:, :m]), np.inf) for a in systems)
+        kappa = max(np.linalg.cond(np.tril(a[:, np.flatnonzero(np.any(a, axis=0))[:m]]), np.inf)
+                    for a in systems)
     scale = sum(np.abs(v).max() for v in vectors)
     return 4 * (STEPS + 2) * n * UNIT * kappa * scale
 
 
-_cases = dict(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(("build", "certified")),
-              m=st.integers(2, 8), extra=st.integers(0, 2 * 8),
+_cases = dict(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(FAMILIES),
+              m=st.one_of(st.integers(2, 7), st.integers(8, 12)), extra=st.integers(0, 2 * 8),
               method=st.sampled_from(METHODS), norm=st.sampled_from(NORMS))
+_unpadded = {**_cases, "family": st.sampled_from(("build", "certified"))}
+
+
+def test_the_draws_reach_every_split(monkeypatch):
+    # fixed draws of _cases: both tail forms, each with both generalized
+    # methods, and a pivot-columns order that is not the identity
+    prepared = []
+
+    def recording(a, column_perm, method):
+        op = prepare(a, column_perm, method)
+        identity = np.array_equal(column_perm, np.arange(a.shape[1]))
+        prepared.append((method, type(op.tail), identity))
+        return op
+
+    prepare = iterate.prepare
+    monkeypatch.setattr(iterate, "prepare", recording)
+    for family in FAMILIES:
+        for m in (4, 10):
+            for method in METHODS:
+                _, a, b, x0 = _system(family, 0, m, 4)
+                _iterate(a, b, x0, method, "one")
+    for method in ("gjacobi", "ggs"):
+        assert (method, CoordinateTail, True) in prepared
+        assert (method, CoordinateTail, False) in prepared
+        assert (method, Tail, True) in prepared
+    assert ("baseline", Tail, True) in prepared
 
 
 @settings(max_examples=40, deadline=None)
@@ -107,7 +156,7 @@ def test_signed_row_scaling_keeps_the_iterates(seed, family, m, extra, method, n
 
 
 @settings(max_examples=40, deadline=None)
-@given(**_cases)
+@given(**_unpadded)
 def test_tail_column_permutation_permutes_the_iterates(seed, family, m, extra, method, norm):
     rng, a, b, x0 = _system(family, seed, m, extra)
     n = a.shape[1]
@@ -156,7 +205,7 @@ def _head_permuted(a, b, x0, p):
 
 
 @settings(max_examples=40, deadline=None)
-@given(**{**_cases, "method": st.sampled_from(("gjacobi", "baseline"))})
+@given(**{**_unpadded, "method": st.sampled_from(("gjacobi", "baseline"))})
 def test_symmetric_head_permutation_permutes_the_iterates(seed, family, m, extra, method,
                                                           norm):
     rng, a, b, x0 = _system(family, seed, m, extra)
