@@ -317,10 +317,16 @@ class Head:
         return x
 
     def coupling(self) -> np.ndarray:
-        """C = (B - H) H^-1 = I - B H^-1, whose norm is the head factor c1."""
-        if self.diag is None:
-            return (self.block - np.tril(self.block)) @ self.solve(np.eye(self.block.shape[0]))
-        return (self.block - np.diag(self.diag)) / self.diag
+        """C = (B - H) H^-1 = I - B H^-1, whose norm is the head factor c1;
+        for Gauss-Seidel C solves C L = B - L by block columns from the last,
+        C[:, j] = ((B - L)[:, j] - C[:, j+1:] L[j+1:, j]) L_jj^-1."""
+        if self.diag is not None:
+            return (self.block - np.diag(self.diag)) / self.diag
+        c = np.triu(self.block, 1)
+        for j, inverse in reversed(list(zip(range(0, len(c), _HEAD_BLOCK), self.block_inverses))):
+            cols, after = slice(j, j + _HEAD_BLOCK), j + _HEAD_BLOCK
+            c[:, cols] = (c[:, cols] - c[:, after:] @ self.block[after:, cols]) @ inverse
+        return c
 
 
 @dataclass(frozen=True)
@@ -418,14 +424,9 @@ _SPARSE_SHARE = 8   # a tail with at most 1/8 of its entries nonzero is kept in 
 def _sparse_entries(a, cols):
     """The flat indices of the nonzeros of a[:, cols], in row-major order,
     when they are at most 1/``_SPARSE_SHARE`` of its entries; else None.
-    They come from a boolean mask, on a view of a when ``cols`` is one
-    ascending run, with no float copy of the columns; ``np.flatnonzero``
-    of the floats themselves takes about ten times as long."""
-    start = cols[0]
-    if np.array_equal(cols, np.arange(start, start + cols.size)):
-        nonzero = a[:, start:start + cols.size] != 0
-    else:
-        nonzero = np.take(a != 0, cols, axis=1)
+    They come from a boolean mask of a, with no float copy of the columns;
+    ``np.flatnonzero`` of the floats takes about ten times as long."""
+    nonzero = np.take(a != 0, cols, axis=1)
     if _SPARSE_SHARE * np.count_nonzero(nonzero) > nonzero.size:
         return None
     return np.flatnonzero(nonzero)

@@ -88,7 +88,7 @@ def test_frobenius_tail_factor_never_certifies(seed, m, extra, method):
 def test_condition_values_match_the_oracle(seed, method):
     # c1 = ||B H^-1 - I|| with H^-1 from a general inverse, c2 = m ||T|| with
     # T the residual map of a brute baseline step on the tail alone, and the
-    # Cauchy bound ||H^-1 T|| + ||S W||.  H^-1 is formed, in the library as
+    # Cauchy bound ||H^-1 T|| + ||S W||.  H^-1 is formed, in the library by
     # a blocked triangular inverse, so both round in proportion to kappa(H)
     a, m, n = random_partitioned(np.random.default_rng(seed))
     head, tail = a[:, :m], a[:, m:]

@@ -142,10 +142,11 @@ def test_gauss_seidel_head_solve(seed, m, scaled):
     rng = np.random.default_rng(seed)
     off = np.tril(rng.uniform(-1.0, 1.0, size=(m, m)), -1)
     diag = (np.abs(off).sum(axis=1) + rng.uniform(1.0, 2.0, size=m)) * rng.choice([-1.0, 1.0], size=m)
-    lower = off + np.diag(diag)
+    block = off + np.diag(diag) + np.triu(rng.uniform(-1.0, 1.0, size=(m, m)), 1)
     if scaled:
-        lower *= np.exp2(rng.integers(-20, 21, size=m))[:, np.newaxis]
-    head = iterate.Head.gauss_seidel(lower)
+        block *= np.exp2(rng.integers(-20, 21, size=m))[:, np.newaxis]
+    lower, upper = np.tril(block), np.triu(block, 1)
+    head = iterate.Head.gauss_seidel(block)
     inv = head.solve(np.eye(m))
     assert inv.shape == (m, m)
     assert np.all(np.triu(inv, 1) == 0.0)
@@ -161,6 +162,17 @@ def test_gauss_seidel_head_solve(seed, m, scaled):
     v = rng.uniform(-1.0, 1.0, size=(m, 3))
     column = head.solve(v)[:, 1]
     assert np.abs(head.solve(v[:, 1]) - column).max() <= cond * m * eps * np.abs(column).max()
+    # the coupling C = (B - L) L^-1 solves C L = B - L with the same
+    # residual bound; one block multiplies by its inverse, as before
+    coupling = head.coupling()
+    assert np.all(coupling[-1] == 0.0)
+    assert (matrix_norm(coupling @ lower - upper, NORM_INF)
+            <= cond * m * eps * matrix_norm(np.abs(coupling) @ np.abs(lower), NORM_INF))
+    if not scaled:
+        reference = upper @ reference
+        assert matrix_norm(coupling - reference, NORM_INF) <= 1e-12 * matrix_norm(reference, NORM_INF)
+    if m <= 64:
+        assert np.array_equal(coupling, upper @ head.block_inverses[0])
 
 
 def test_ggs_matches_gjacobi_for_identity_head():
