@@ -132,15 +132,22 @@ def cmd_check(args):
     return EXIT_OK if report.overall_certified else EXIT_UNCERTIFIED
 
 
+_TABLE_CELLS = 10_000   # rref prints the reduced [A b] cell by cell up to this size
+
+
 def cmd_rref(args):
     a, b, x0 = _load_problem(args)
     config = _config(args, args.method)
     reduction = reduced_system(a, b)
     result, a_bar, _ = reduction
-    print("reduced system [A b]:")
-    row_format = "  " + "  ".join(["%10.4f"] * result.matrix.shape[1])
-    for row in result.matrix.tolist():
-        print(row_format % tuple(row))
+    rows, cols = result.matrix.shape
+    if result.matrix.size > _TABLE_CELLS:
+        print(f"reduced system [A b]: {rows} x {cols}, rank {result.rank} (table not printed)")
+    else:
+        print("reduced system [A b]:")
+        row_format = "  " + "  ".join(["%10.4f"] * cols)
+        for row in result.matrix.tolist():
+            print(row_format % tuple(row))
     if a_bar.shape[0] < a.shape[0]:
         print(f"rank-deficient: {a.shape[0]} rows reduced to {a_bar.shape[0]}")
     report, op = iterate.solve_reduced(reduction, x0, config)

@@ -25,6 +25,16 @@ three are at least 1 + ``BOUND_MARGIN``.  The filter is exact: a bound
 that large means the full evaluation, which rounds differently by far
 less than the margin, finds c2 >= m in that norm too, so every round
 ends as it would without the filter and the output is the same.
+
+Until the first round that snaps an entry, no round needs the tail
+itself.  Halving is exact there, so round k's tail is the owned part O
+plus 2^-k times the off-owner part F, its signs are those of the first
+tail, and its row norms and the two bounds are each a part from O plus
+2^-k times a part from F.  ``_presnap_rounds`` forms those parts once,
+and each such round costs O(m); a round the filter lets through is
+formed in closed form (``_halved``) and checked in full.  From the first
+snap on, the rounds run as before, on the closed-form tail of that
+round.
 """
 
 import numpy as np
@@ -80,6 +90,74 @@ def _certifies(block):
     return any(m * matrix_norm(tail_map, kind) < m for kind in NORM_KINDS)
 
 
+def _halved(tail, off_owner, halvings):
+    """The tail after ``halvings`` rounds, each of which halves the
+    off-owner entries and then snaps those below ``SNAP_THRESHOLD`` to 0.
+    Halving a float that large is exact, so an entry t is t 2^-k after k
+    rounds, or 0 once t 2^-k < ``SNAP_THRESHOLD``: one scaling by 2^-k
+    and one snap leave the rounds' bits."""
+    block = tail.copy()
+    if halvings:
+        np.multiply(block, 2.0 ** -halvings, out=block, where=off_owner)
+        block[off_owner & (np.abs(block) < SNAP_THRESHOLD)] = 0.0
+    return block
+
+
+def _presnap_rounds(tail, off_owner):
+    """The first round that snaps an off-owner entry of ``tail`` to 0
+    (``MAX_HALVINGS + 1`` when none does), and ``_tail_lower_bounds`` of
+    ``_halved(tail, off_owner, k)`` as a function of any earlier round k.
+    Before that round the signs are those of ``tail``, and each row norm
+    and each entry of block @ signs[:, 0] and block[0] @ signs is an owned
+    part plus 2^-k times an off-owner part, so a round costs O(m).  The
+    sums are grouped differently from ``_tail_lower_bounds`` and round
+    differently, by far less than ``BOUND_MARGIN``."""
+    m = tail.shape[0]
+    off = np.where(off_owner, tail, 0.0)
+    owned = tail - off
+    signs = np.sign(tail)
+    off_size = np.abs(off)
+    norms_o, norms_f = np.abs(owned).sum(axis=1), off_size.sum(axis=1)
+    col_o, col_f = owned @ signs[0], off @ signs[0]
+    row_o, row_f = signs @ owned[0], signs @ off[0]
+    frobenius = (m - 1) / np.sqrt(m)
+
+    def bounds(halvings):
+        scale = 2.0 ** -halvings
+        weights = 1.0 / (m * (norms_o + scale * norms_f))
+        col0 = (col_o + scale * col_f) * -weights[0]
+        col0[0] += 1.0
+        row0 = (row_o + scale * row_f) * -weights
+        row0[0] += 1.0
+        return np.abs(col0).sum(), np.abs(row0).sum(), frobenius
+
+    smallest = off_size.min(where=off_size > 0, initial=np.inf)
+    first_snap = 1
+    while first_snap <= MAX_HALVINGS and smallest * 2.0 ** -first_snap >= SNAP_THRESHOLD:
+        first_snap += 1
+    return first_snap, bounds
+
+
+def _certified_tail(tail, off_owner):
+    """The tail of the first halving round that certifies.  Rounds before
+    the first snap are filtered by their O(m) bounds and only those the
+    filter lets through are formed and checked; from the first snap on,
+    each round is formed from the one before and checked."""
+    first_snap, bounds = _presnap_rounds(tail, off_owner)
+    for halvings in range(min(first_snap, MAX_HALVINGS + 1)):
+        if min(bounds(halvings)) < 1.0 + BOUND_MARGIN:
+            block = _halved(tail, off_owner, halvings)
+            if _certifies(block):
+                return block
+    block = _halved(tail, off_owner, first_snap)
+    for _ in range(first_snap, MAX_HALVINGS + 1):
+        if _certifies(block):
+            return block
+        np.multiply(block, 0.5, out=block, where=off_owner)
+        block[off_owner & (np.abs(block) < SNAP_THRESHOLD)] = 0.0
+    raise SolverError("failed to certify a generated system")
+
+
 def generate_certified(m: int, n: int, rng: np.random.Generator):
     """Random system certified for both generalized methods.
 
@@ -100,13 +178,6 @@ def generate_certified(m: int, n: int, rng: np.random.Generator):
         tail[i, cols] = rng.uniform(0.5, 1.5, size=cols.size) * \
             rng.choice([-1.0, 1.0], size=cols.size)
     x_star = rng.uniform(-1.0, 1.0, size=n)
-    off_owner = owner != np.arange(m)[:, None]
-    halvings = 0
-    while not _certifies(tail):
-        if halvings == MAX_HALVINGS:
-            raise SolverError("failed to certify a generated system")
-        np.multiply(tail, 0.5, out=tail, where=off_owner)
-        tail[off_owner & (np.abs(tail) < SNAP_THRESHOLD)] = 0.0
-        halvings += 1
+    tail = _certified_tail(tail, owner != np.arange(m)[:, None])
     a = np.column_stack([head, tail])
     return a, a @ x_star, x_star

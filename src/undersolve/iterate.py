@@ -218,6 +218,10 @@ class Tail:
         """B~ z: what the tail change z takes from the residual."""
         return self.block @ z
 
+    def dense(self) -> "Tail":
+        """The tail in dense form: itself."""
+        return self
+
     def update_matrix(self) -> np.ndarray:
         """S W, the (n - m) x m matrix of ``update``."""
         return self.signs * self.weights
@@ -238,8 +242,8 @@ class CoordinateTail:
     the nonzeros, where the dense form multiplies all m x (n - m)
     entries.  ``prepare`` keeps a tail with a head so when its nonzeros
     are at most 1/8 of its entries.  No dense B~ is made or kept: ``block``
-    builds one on every access, and ``update_matrix`` and ``map`` one
-    each."""
+    and ``dense`` build one on every call, and ``update_matrix`` and
+    ``map`` one each."""
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
@@ -386,7 +390,14 @@ def prepare(a, column_perm, method: str) -> Operator:
     m = a.shape[0]
     k = 0 if method == METHOD_BASELINE else m
     b_head = np.take(a, column_perm[:k], axis=1)
-    head_norms = vector_norm(b_head, NORM_ONE)
+    abs_head = np.abs(b_head)
+    head_norms = abs_head.sum(axis=1)
+    # |B| gives the head's row norms and, for Gauss-Seidel, those of its lower
+    # triangle, which the diagonal threshold takes; it is dropped before the
+    # tail is built
+    if method in (METHOD_GGS, METHOD_GS):
+        lower_norms = np.tril(abs_head).sum(axis=1)
+    del abs_head
     tail_cols = np.asarray(column_perm[k:], dtype=np.intp)
     head = tail = None
     if width := tail_cols.size:
@@ -411,7 +422,6 @@ def prepare(a, column_perm, method: str) -> Operator:
             raise ZeroDiagonal("head block has a zero diagonal entry")
         head = Head(b_head, diag=diag)
     elif method in (METHOD_GGS, METHOD_GS):
-        lower_norms = vector_norm(np.tril(b_head), NORM_ONE)
         if np.any(np.abs(np.diag(b_head)) <= singularity_threshold(lower_norms)):
             raise SingularTriangular("head block has a zero diagonal entry")
         head = Head.gauss_seidel(b_head)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from undersolve.errors import ParseError, RaggedRows, UnsupportedFormat
+from undersolve.errors import ParseError, RaggedRows, SolverError, UnsupportedFormat
 from undersolve.linalg import as_matrix, require_finite
 
 
@@ -281,3 +281,30 @@ def brute_read_matrix_market(text: str) -> np.ndarray:
     # array format stores column-major
     return require_finite(np.array(values).reshape((n, m)).T.copy(), "matrix")
 
+
+
+def brute_generate_certified(m, n, rng, certifies):
+    """``generate.generate_certified`` as it was before its rounds took a
+    closed form: the same draws, then one halving and snapping pass over
+    the tail per round, with ``certifies`` (the library's round test)
+    called on every round's tail."""
+    head = np.diag(rng.uniform(1.0, 2.0, size=m)) + \
+        rng.uniform(-0.5, 0.5, size=(m, m)) / (2 * m)
+    tail = rng.uniform(-1.0, 1.0, size=(m, n - m))
+    owner = np.arange(n - m) % m
+    for i in range(m):
+        cols = np.flatnonzero(owner == i)
+        tail[i, cols] = rng.uniform(0.5, 1.5, size=cols.size) * \
+            rng.choice([-1.0, 1.0], size=cols.size)
+    x_star = rng.uniform(-1.0, 1.0, size=n)
+    for _ in range(61):
+        if certifies(tail):
+            a = np.column_stack([head, tail])
+            return a, a @ x_star, x_star
+        for i in range(m):
+            for j in range(n - m):
+                if owner[j] != i:
+                    tail[i, j] *= 0.5
+                    if abs(tail[i, j]) < 1e-12:
+                        tail[i, j] = 0.0
+    raise SolverError("failed to certify a generated system")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from undersolve import convergence, formats, iterate
-from undersolve.cli import main
+from undersolve.cli import _TABLE_CELLS, main
 from undersolve.demo import DEMO_A, DEMO_B, DEMO_X0
 from undersolve.iterate import GENERALIZED_METHODS
 from undersolve.rref import reduced_system
@@ -155,6 +155,39 @@ def test_rref_prints_reduced_rows_per_value(case, tmp_path, capsys):
     if case != "demo":
         assert np.signbit(matrix[matrix == 0.0]).any()
         assert max(len(f"{v:10.4f}") for v in matrix.ravel()) > 10
+
+
+@pytest.mark.parametrize("shape", [(50, 199), (73, 136)])
+def test_rref_prints_the_table_up_to_its_limit(shape, tmp_path, capsys):
+    # [A b] of 50 x 200 is exactly the limit's 10,000 cells and prints in
+    # full; 73 x 137 is one cell over and prints one line with its shape
+    # and rank; the CSV and Matrix Market readers print the same bytes
+    m, n = shape
+    rng = np.random.default_rng(m)
+    a = rng.uniform(-1.0, 1.0, size=(m, n))
+    b = a @ rng.uniform(-1.0, 1.0, size=n)
+    outs = []
+    for suffix, write_matrix in ((".csv", formats.write_csv_matrix),
+                                 (".mtx", formats.write_matrix_market)):
+        (tmp_path / f"A{suffix}").write_text(write_matrix(a))
+        (tmp_path / f"b{suffix}").write_text(write_matrix(b[:, None]))
+        assert main(["rref", "--matrix", str(tmp_path / f"A{suffix}"),
+                     "--rhs", str(tmp_path / f"b{suffix}")]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    lines = outs[0].splitlines()
+    result = reduced_system(a, b)[0]
+    if m * (n + 1) <= _TABLE_CELLS:
+        assert m * (n + 1) == _TABLE_CELLS
+        assert lines[0] == "reduced system [A b]:"
+        assert lines[1:m + 1] == ["  " + "  ".join(f"{v:10.4f}" for v in row)
+                                  for row in result.matrix]
+        assert lines[m + 1].startswith("status:")
+    else:
+        assert m * (n + 1) == _TABLE_CELLS + 1
+        assert lines[0] == f"reduced system [A b]: {m} x {n + 1}, rank {m} (table not printed)"
+        assert result.rank == m
+        assert lines[1].startswith("status:")
 
 
 def test_rref_reduces_once(demo_files, monkeypatch):

@@ -8,9 +8,19 @@ from hypothesis.extra.numpy import arrays
 
 from undersolve import convergence, generate
 from undersolve.convergence import check_conditions
-from undersolve.generate import SNAP_THRESHOLD, _tail_lower_bounds, generate_certified
+from undersolve.generate import (
+    MAX_HALVINGS,
+    SNAP_THRESHOLD,
+    _certifies,
+    _halved,
+    _presnap_rounds,
+    _tail_lower_bounds,
+    generate_certified,
+)
 from undersolve.iterate import GENERALIZED_METHODS, Tail
 from undersolve.linalg import NORM_KINDS, NORM_ONE, matrix_norm, sign_matrix, vector_norm
+
+from oracles import brute_generate_certified
 
 # sha256 of the bytes of (A, b, x*) from generate_certified(m, n,
 # default_rng(seed)), recorded when the generator re-partitioned the system
@@ -104,3 +114,43 @@ def test_tail_lower_bounds_are_sound(seed, m, extra, halvings):
     # the Frobenius bound is the 2-norm of the diagonal, (m - 1)/sqrt(m);
     # at m = 1 the diagonal is 0 up to rounding
     assert bounds[2] == pytest.approx(np.linalg.norm(np.diag(tail_op)), rel=1e-12, abs=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8), extra=st.integers(0, 24))
+def test_generate_certified_matches_round_by_round_halving(seed, m, extra):
+    # the closed-form rounds certify in the same round as halving the tail
+    # once per round with the full round test, so every output bit agrees
+    n = 2 * m + extra
+    expected = brute_generate_certified(m, n, np.random.default_rng(seed), _certifies)
+    got = generate_certified(m, n, np.random.default_rng(seed))
+    assert b"".join(v.tobytes() for v in got) == b"".join(v.tobytes() for v in expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8), extra=st.integers(0, 16),
+       off_scale=st.sampled_from([1.0, 1e-6, 1e-11, 1e-13]))
+def test_presnap_rounds_are_sound(seed, m, extra, off_scale):
+    # a tail as generate_certified draws it, its off-owner entries scaled by
+    # off_scale so that some snap early
+    rng = np.random.default_rng(seed)
+    width = m + extra
+    off_owner = np.arange(width) % m != np.arange(m)[:, None]
+    tail = rng.uniform(-1.0, 1.0, size=(m, width))
+    tail[~off_owner] = rng.uniform(0.5, 1.5, size=width) * rng.choice([-1.0, 1.0], size=width)
+    tail[off_owner] *= off_scale
+    first_snap, bounds = _presnap_rounds(tail, off_owner)
+    # the closed form is the rounds' tail bit for bit, and the first snap is
+    # the first round that zeroes an entry
+    rounds = tail.copy()
+    for halvings in range(min(first_snap + 2, MAX_HALVINGS + 1)):
+        assert _halved(tail, off_owner, halvings).tobytes() == rounds.tobytes()
+        snapped = np.count_nonzero(rounds[off_owner]) < np.count_nonzero(tail[off_owner])
+        assert snapped == (halvings >= first_snap)
+        np.multiply(rounds, 0.5, out=rounds, where=off_owner)
+        rounds[off_owner & (np.abs(rounds) < SNAP_THRESHOLD)] = 0.0
+    # before it, the O(m) bounds are those of the formed tail, to rounding
+    for halvings in range(min(first_snap, MAX_HALVINGS + 1)):
+        block = _halved(tail, off_owner, halvings)
+        expected = _tail_lower_bounds(Tail.of(block, vector_norm(block, NORM_ONE)))
+        assert np.allclose(bounds(halvings), expected, rtol=0.0, atol=1e-12)
