@@ -54,15 +54,11 @@ def operator_conditions(op: Operator) -> ConditionReport:
     """The conditions of a prepared generalized-method operator: c1 from
     its head's coupling C, c2 from its tail's map T, in either storage
     form of the tail; the CLI passes the operator its solve prepared."""
-    # a coordinate tail's dense form is built once, for S W and T
-    tail = op.tail.dense()
-    m = tail.weights.size
+    m = op.tail.weights.size
     # each matrix but T is reduced to its norms and dropped before the next
-    # is built, the dense tail before the head's: the solve's operator is
-    # still alive, so this keeps peak memory
-    sign_norms = _norms(tail.update_matrix())
-    tail_map = tail.map()
-    del tail
+    # is built: the solve's operator is still alive, so this keeps peak memory
+    sign_norms = op.tail.update_norms()
+    tail_map = op.tail.map()
     tail_norms = _norms(tail_map)
     solved_norms = _norms(op.head.solve(tail_map))
     head_norms = _norms(op.head.coupling())

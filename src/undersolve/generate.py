@@ -17,25 +17,29 @@ k != i, entry (i, k) of the tail factor's matrix I - B~ s(B~) N^-1 / m
 holds, for each column j that row i owns, the term
 B~[i, j] sign(B~[k, j]) / (m ||B~_k||_1): an owned entry, never halved,
 times the sign of an off-support entry of row k, which does not depend on
-scale.  These terms keep their size until that entry is zeroed.  Each
-round therefore first computes three lower bounds on the factor's norms
-(row 0 and column 0 by one matrix-vector product each; the diagonal's
-entries are all 1 - 1/m) and skips the full matrix product when all
-three are at least 1 + ``BOUND_MARGIN``.  The filter is exact: a bound
-that large means the full evaluation, which rounds differently by far
-less than the margin, finds c2 >= m in that norm too, so every round
+scale.  These terms keep their size until that entry is zeroed.  So a
+round is worth forming only when three lower bounds on the factor's
+norms (its column 0, its row 0 and its diagonal, whose entries are all
+1 - 1/m) are not all at least 1 + ``BOUND_MARGIN``.  The filter is exact:
+a bound that large means the full evaluation, which rounds differently by
+far less than the margin, finds c2 >= m in that norm too, so every round
 ends as it would without the filter and the output is the same.
 
-Until the first round that snaps an entry, no round needs the tail
-itself.  Halving is exact there, so round k's tail is the owned part O
-plus 2^-k times the off-owner part F, its signs are those of the first
-tail, and its row norms and the two bounds are each a part from O plus
-2^-k times a part from F.  ``_presnap_rounds`` forms those parts once,
-and each such round costs O(m); a round the filter lets through is
-formed in closed form (``_halved``) and checked in full.  From the first
-snap on, the rounds run as before, on the closed-form tail of that
-round.
+No round's bounds need its tail.  Halving a float of at least
+``SNAP_THRESHOLD`` is exact, so round k holds an owned entry t as t and
+an off-owner one as t 2^-k, with the sign of t, until its snap round, the
+first k with |t| 2^-k < ``SNAP_THRESHOLD``, which ``np.frexp`` gives
+exactly (``_snap_rounds``); from then on it holds 0.  Each row norm and
+each entry of column 0 and row 0 of B~ s(B~) is then an unscaled part
+plus 2^-k times a scaled part, each a sum of the terms still alive in
+round k.  One ``np.bincount`` per quantity groups the terms by row, scale
+and snap round, and suffix sums over the rounds finish them, so every
+round's bounds cost O(m) after one pass over the tail (``_round_bounds``).
+Only a round those bounds let through is formed (``_halved``, bit for bit
+the tail of halving once per round) and checked in full (``_certifies``).
 """
+
+from __future__ import annotations
 
 import numpy as np
 
@@ -103,58 +107,84 @@ def _halved(tail, off_owner, halvings):
     return block
 
 
-def _presnap_rounds(tail, off_owner):
-    """The first round that snaps an off-owner entry of ``tail`` to 0
-    (``MAX_HALVINGS + 1`` when none does), and ``_tail_lower_bounds`` of
-    ``_halved(tail, off_owner, k)`` as a function of any earlier round k.
-    Before that round the signs are those of ``tail``, and each row norm
-    and each entry of block @ signs[:, 0] and block[0] @ signs is an owned
-    part plus 2^-k times an off-owner part, so a round costs O(m).  The
-    sums are grouped differently from ``_tail_lower_bounds`` and round
-    differently, by far less than ``BOUND_MARGIN``."""
+_ROUNDS = MAX_HALVINGS + 1      # rounds 0 ... MAX_HALVINGS
+_NEVER = _ROUNDS                # the snap round of an entry no round zeroes
+
+
+def _snap_rounds(size, off_owner):
+    """The first round whose tail holds each entry as 0, as int8, from the
+    entries' absolute values ``size``.  For an off-owner entry t != 0 it is
+    the first k >= 1 with |t| 2^-k < ``SNAP_THRESHOLD``: with |t| = mant 2^e
+    and the threshold mant_thr 2^e_thr (mantissas in [1/2, 1)), that is
+    k = e - e_thr + (mant >= mant_thr), clipped to [1, ``_NEVER``].  An
+    owned entry is never halved (``_NEVER``), and an exact zero is 0."""
+    mant, exp = np.frexp(size)
+    mant_thr, exp_thr = np.frexp(SNAP_THRESHOLD)
+    exp += mant >= mant_thr
+    del mant
+    exp -= exp_thr
+    np.clip(exp, 1, _NEVER, out=exp)
+    exp[~off_owner] = _NEVER
+    rounds = exp.astype(np.int8)
+    rounds[size == 0.0] = 0
+    return rounds
+
+
+def _alive_sums(terms, snap, scaled):
+    """The row sums of the m x w ``terms`` over those alive in each round
+    k = 0 ... ``MAX_HALVINGS`` (``snap`` > k), as an m x 2 x ``_ROUNDS``
+    array: [:, 0] sums the terms with ``scaled`` unset, [:, 1] those with
+    it set.  One ``np.bincount`` groups the terms by row, scale and snap
+    round, and suffix sums over the snap rounds finish them."""
+    m = terms.shape[0]
+    bins = _NEVER + 1           # snap rounds 0 ... _NEVER
+    key = np.add(np.arange(m)[:, None] * (2 * bins), snap + scaled * np.int8(bins))
+    sums = np.bincount(key.ravel(), terms.ravel(), minlength=2 * m * bins)
+    del key
+    sums = sums.reshape(m, 2, bins)[..., ::-1].cumsum(axis=-1)[..., ::-1]
+    return sums[..., 1:]
+
+
+def _round_bounds(tail, off_owner):
+    """``_tail_lower_bounds`` of ``_halved(tail, off_owner, k)`` for every
+    round k = 0 ... ``MAX_HALVINGS``, as three arrays over the rounds,
+    from the unscaled and scaled parts of the row norms and of
+    B~ s(B~)[:, 0] and B~[0] s(B~).  The sums are grouped differently from
+    ``_tail_lower_bounds`` and round differently, by far less than
+    ``BOUND_MARGIN``."""
     m = tail.shape[0]
-    off = np.where(off_owner, tail, 0.0)
-    owned = tail - off
-    signs = np.sign(tail)
-    off_size = np.abs(off)
-    norms_o, norms_f = np.abs(owned).sum(axis=1), off_size.sum(axis=1)
-    col_o, col_f = owned @ signs[0], off @ signs[0]
-    row_o, row_f = signs @ owned[0], signs @ off[0]
-    frobenius = (m - 1) / np.sqrt(m)
-
-    def bounds(halvings):
-        scale = 2.0 ** -halvings
-        weights = 1.0 / (m * (norms_o + scale * norms_f))
-        col0 = (col_o + scale * col_f) * -weights[0]
-        col0[0] += 1.0
-        row0 = (row_o + scale * row_f) * -weights
-        row0[0] += 1.0
-        return np.abs(col0).sum(), np.abs(row0).sum(), frobenius
-
-    smallest = off_size.min(where=off_size > 0, initial=np.inf)
-    first_snap = 1
-    while first_snap <= MAX_HALVINGS and smallest * 2.0 ** -first_snap >= SNAP_THRESHOLD:
-        first_snap += 1
-    return first_snap, bounds
+    terms = np.abs(tail)
+    snap = _snap_rounds(terms, off_owner)
+    norms = _alive_sums(terms, snap, off_owner)
+    # a term of B~[i] s(B~[0]) or of B~[0] s(B~[i]) lives while both its
+    # entries do, and is scaled with B~[i, j] or with B~[0, j]
+    joint = np.minimum(snap, snap[0])
+    del snap
+    np.multiply(tail, np.sign(tail[0]), out=terms)
+    col = _alive_sums(terms, joint, off_owner)
+    np.sign(tail, out=terms)
+    terms *= tail[0]
+    row = _alive_sums(terms, joint, off_owner[0])
+    del terms, joint
+    scale = 2.0 ** -np.arange(_ROUNDS)
+    weights = 1.0 / (m * (norms[:, 0] + scale * norms[:, 1]))
+    col0 = (col[:, 0] + scale * col[:, 1]) * -weights[0]
+    col0[0] += 1.0
+    row0 = (row[:, 0] + scale * row[:, 1]) * -weights
+    row0[0] += 1.0
+    frobenius = np.full(_ROUNDS, (m - 1) / np.sqrt(m))
+    return np.abs(col0).sum(axis=0), np.abs(row0).sum(axis=0), frobenius
 
 
 def _certified_tail(tail, off_owner):
-    """The tail of the first halving round that certifies.  Rounds before
-    the first snap are filtered by their O(m) bounds and only those the
-    filter lets through are formed and checked; from the first snap on,
-    each round is formed from the one before and checked."""
-    first_snap, bounds = _presnap_rounds(tail, off_owner)
-    for halvings in range(min(first_snap, MAX_HALVINGS + 1)):
-        if min(bounds(halvings)) < 1.0 + BOUND_MARGIN:
-            block = _halved(tail, off_owner, halvings)
-            if _certifies(block):
-                return block
-    block = _halved(tail, off_owner, first_snap)
-    for _ in range(first_snap, MAX_HALVINGS + 1):
+    """The tail of the first halving round that certifies.  Every round's
+    bounds come from ``_round_bounds``, and only a round they cannot rule
+    out is formed (``_halved``) and checked (``_certifies``)."""
+    bounds = np.minimum.reduce(_round_bounds(tail, off_owner))
+    for halvings in np.flatnonzero(bounds < 1.0 + BOUND_MARGIN):
+        block = _halved(tail, off_owner, int(halvings))
         if _certifies(block):
             return block
-        np.multiply(block, 0.5, out=block, where=off_owner)
-        block[off_owner & (np.abs(block) < SNAP_THRESHOLD)] = 0.0
     raise SolverError("failed to certify a generated system")
 
 
@@ -171,13 +201,14 @@ def generate_certified(m: int, n: int, rng: np.random.Generator):
         rng.uniform(-0.5, 0.5, size=(m, m)) / (2 * m)
     tail = rng.uniform(-1.0, 1.0, size=(m, n - m))
     # each tail row owns a round-robin share of the columns; keep those
-    # entries bounded away from zero
-    owner = np.arange(n - m) % m
+    # entries bounded away from zero.  rng.choice([-1.0, 1.0]) draws its
+    # index by rng.integers(0, 2); drawing the index here gives the same
+    # signs without choice's per-call checks
+    signs = np.array([-1.0, 1.0])
     for i in range(m):
-        cols = np.flatnonzero(owner == i)
-        tail[i, cols] = rng.uniform(0.5, 1.5, size=cols.size) * \
-            rng.choice([-1.0, 1.0], size=cols.size)
+        size = len(range(i, n - m, m))
+        tail[i, i::m] = rng.uniform(0.5, 1.5, size=size) * signs[rng.integers(0, 2, size=size)]
     x_star = rng.uniform(-1.0, 1.0, size=n)
-    tail = _certified_tail(tail, owner != np.arange(m)[:, None])
+    tail = _certified_tail(tail, np.arange(n - m) % m != np.arange(m)[:, None])
     a = np.column_stack([head, tail])
     return a, a @ x_star, x_star

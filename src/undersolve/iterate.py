@@ -107,6 +107,7 @@ from .errors import (
 )
 from .linalg import (
     NORM_INF,
+    NORM_KINDS,
     NORM_ONE,
     as_system,
     as_vector,
@@ -218,13 +219,11 @@ class Tail:
         """B~ z: what the tail change z takes from the residual."""
         return self.block @ z
 
-    def dense(self) -> "Tail":
-        """The tail in dense form: itself."""
-        return self
-
-    def update_matrix(self) -> np.ndarray:
-        """S W, the (n - m) x m matrix of ``update``."""
-        return self.signs * self.weights
+    def update_norms(self) -> list:
+        """The 1-, infinity- and Frobenius norm of S W, the (n - m) x m
+        matrix of ``update``, in ``NORM_KINDS`` order."""
+        update = self.signs * self.weights
+        return [matrix_norm(update, kind) for kind in NORM_KINDS]
 
     def map(self) -> np.ndarray:
         """T = I - B~ S W, the m x m residual map of one update.  The tail
@@ -240,10 +239,10 @@ class CoordinateTail:
     nonzero, its entry of S W: the sign of its value times its row's
     weight.  ``update`` and ``spread`` each cost one ``np.bincount`` over
     the nonzeros, where the dense form multiplies all m x (n - m)
-    entries.  ``prepare`` keeps a tail with a head so when its nonzeros
-    are at most 1/8 of its entries.  No dense B~ is made or kept: ``block``
-    and ``dense`` build one on every call, and ``update_matrix`` and
-    ``map`` one each."""
+    entries, and ``update_norms`` and ``map`` work from the nonzeros too.
+    ``prepare`` keeps a tail with a head so when its nonzeros are at most
+    1/8 of its entries.  No dense B~ is kept: ``block`` and ``dense``
+    build one on every call."""
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
@@ -278,13 +277,44 @@ class CoordinateTail:
         block = self.block
         return Tail(block, sign_matrix(block), self.weights)
 
-    def update_matrix(self) -> np.ndarray:
-        """S W, the (n - m) x m matrix of ``update``."""
-        return self.dense().update_matrix()
+    def update_norms(self) -> list:
+        """The norms of S W, as ``Tail.update_norms``, from its nonzeros:
+        S W has one per nonzero of B~, so its column sums are sums by
+        tail row and its row sums sums by column of B~."""
+        size = np.abs(self.signed_weights)
+        return [float(np.bincount(self.rows, size, minlength=self.weights.size).max()),
+                float(np.bincount(self.cols, size, minlength=self.width).max()),
+                float(np.sqrt((size * size).sum()))]
 
     def map(self) -> np.ndarray:
-        """T = I - B~ S W, as ``Tail.map``."""
-        return self.dense().map()
+        """T = I - B~ S W, as ``Tail.map``.  (B~ S)[i, k] sums
+        B~[i, j] sign(B~[k, j]) over the columns j where both are nonzero,
+        so it is one ``np.bincount`` over the pairs of nonzeros that share
+        a column: sum_j c_j^2 pairs for c_j nonzeros in column j.  When
+        they outnumber the m x (n - m) entries of B~, the dense product is
+        cheaper, and T is formed from ``dense``."""
+        m = self.weights.size
+        counts = np.bincount(self.cols, minlength=self.width)
+        pairs = int(counts @ counts)
+        if pairs > m * self.width:
+            return self.dense().map()
+        # the nonzeros in column order, and their pairs nonzero by nonzero:
+        # the pairs of nonzero p in column j start at s_p = sum of per[:p],
+        # and its t-th pair's partner is the nonzero first[j] + t.  Signs
+        # are gathered as int8, an eighth of the pairs' floats
+        order = np.argsort(self.cols, kind="stable")
+        rows, values = self.rows[order], self.values[order]
+        cols = self.cols[order]
+        per = counts[cols]
+        first = np.cumsum(counts) - counts
+        partner = np.arange(pairs) + np.repeat(first[cols] - (np.cumsum(per) - per), per)
+        key = rows[partner]
+        key += np.repeat(rows * m, per)
+        products = np.repeat(values, per)
+        products *= np.sign(values).astype(np.int8)[partner]
+        del partner
+        product = np.bincount(key, products, minlength=m * m).reshape(m, m)
+        return np.eye(m) - product * self.weights
 
 
 @dataclass(frozen=True)

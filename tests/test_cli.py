@@ -526,3 +526,22 @@ def test_cli_and_solves_do_not_import_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_jobs_but_gen_do_not_import_numpy_random():
+    # numpy.random takes about 15 ms to import; only gen draws from it
+    a, b = os.path.join(DATA, "demo5x8_A.csv"), os.path.join(DATA, "demo5x8_b.csv")
+    code = (
+        "import contextlib, io, sys\n"
+        "import undersolve.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert undersolve.cli.main(['rref', '--matrix', {a!r}, '--rhs', {b!r}]) == 0\n"
+        f"    undersolve.cli.main(['check', '--matrix', {a!r}, '--rhs', {b!r}])\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"

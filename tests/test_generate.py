@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from undersolve.generate import (
     MAX_HALVINGS,
     SNAP_THRESHOLD,
     _certifies,
+    _NEVER,
     _halved,
-    _presnap_rounds,
+    _round_bounds,
+    _snap_rounds,
     _tail_lower_bounds,
     generate_certified,
 )
@@ -80,17 +83,39 @@ def test_generated_heads_have_c1_below_one_half(data, m):
 
 def test_generate_certified_skips_doomed_rounds(monkeypatch):
     # at 300 x 1200 no round certifies before the off-owner entries snap to
-    # 0 (40 halvings); the lower bounds reject those rounds without the gemm
-    calls = []
-    original = Tail.map
+    # 0 (40 halvings); the closed-form bounds reject those rounds without
+    # forming them, and the gemm runs at most twice
+    formed, maps = [], []
+    halved, original = generate._halved, Tail.map
+
+    def forming(*args):
+        formed.append(args[-1])
+        return halved(*args)
 
     def counting(tail):
-        calls.append(tail)
+        maps.append(tail)
         return original(tail)
 
+    monkeypatch.setattr(generate, "_halved", forming)
     monkeypatch.setattr(Tail, "map", counting)
     generate_certified(300, 1200, np.random.default_rng(0))
-    assert len(calls) <= 2
+    assert len(formed) <= 2
+    assert len(maps) <= 2
+
+
+def test_generate_certified_keeps_its_memory():
+    # the closed form's m x w temporaries must not raise the tracemalloc peak
+    # of generate_certified(300, 1200) above 13,972,560 bytes, measured
+    # (numpy 2.4, Python 3.11) while rounds after the first snap were still
+    # halved in place; the closed form peaks at 9.7 MB
+    generate_certified(300, 1200, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        generate_certified(300, 1200, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13_972_560
 
 
 @settings(max_examples=300, deadline=None)
@@ -127,30 +152,60 @@ def test_generate_certified_matches_round_by_round_halving(seed, m, extra):
     assert b"".join(v.tobytes() for v in got) == b"".join(v.tobytes() for v in expected)
 
 
+def _round_by_round(tail, off_owner):
+    """Every round's tail, 0 ... MAX_HALVINGS, by halving and snapping once
+    per round."""
+    rounds = [tail.copy()]
+    for _ in range(MAX_HALVINGS):
+        block = rounds[-1].copy()
+        np.multiply(block, 0.5, out=block, where=off_owner)
+        block[off_owner & (np.abs(block) < SNAP_THRESHOLD)] = 0.0
+        rounds.append(block)
+    return rounds
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8), extra=st.integers(0, 16),
        off_scale=st.sampled_from([1.0, 1e-6, 1e-11, 1e-13]))
-def test_presnap_rounds_are_sound(seed, m, extra, off_scale):
+def test_round_bounds_are_sound(seed, m, extra, off_scale):
     # a tail as generate_certified draws it, its off-owner entries scaled by
-    # off_scale so that some snap early
+    # off_scale so that some snap early, and some of them exactly 0
     rng = np.random.default_rng(seed)
     width = m + extra
     off_owner = np.arange(width) % m != np.arange(m)[:, None]
     tail = rng.uniform(-1.0, 1.0, size=(m, width))
     tail[~off_owner] = rng.uniform(0.5, 1.5, size=width) * rng.choice([-1.0, 1.0], size=width)
     tail[off_owner] *= off_scale
-    first_snap, bounds = _presnap_rounds(tail, off_owner)
-    # the closed form is the rounds' tail bit for bit, and the first snap is
-    # the first round that zeroes an entry
-    rounds = tail.copy()
-    for halvings in range(min(first_snap + 2, MAX_HALVINGS + 1)):
-        assert _halved(tail, off_owner, halvings).tobytes() == rounds.tobytes()
-        snapped = np.count_nonzero(rounds[off_owner]) < np.count_nonzero(tail[off_owner])
-        assert snapped == (halvings >= first_snap)
-        np.multiply(rounds, 0.5, out=rounds, where=off_owner)
-        rounds[off_owner & (np.abs(rounds) < SNAP_THRESHOLD)] = 0.0
-    # before it, the O(m) bounds are those of the formed tail, to rounding
-    for halvings in range(min(first_snap, MAX_HALVINGS + 1)):
+    tail[off_owner & (rng.random((m, width)) < 0.1)] = 0.0
+    bounds = np.column_stack(_round_bounds(tail, off_owner))
+    assert bounds.shape == (MAX_HALVINGS + 1, 3)
+    # in every round, before the first snap and after it, the closed form
+    # is the rounds' tail bit for bit and the O(m) bounds are those of the
+    # formed tail, to rounding
+    for halvings, rounds in enumerate(_round_by_round(tail, off_owner)):
         block = _halved(tail, off_owner, halvings)
+        assert block.tobytes() == rounds.tobytes()
         expected = _tail_lower_bounds(Tail.of(block, vector_norm(block, NORM_ONE)))
-        assert np.allclose(bounds(halvings), expected, rtol=0.0, atol=1e-12)
+        assert np.allclose(bounds[halvings], expected, rtol=0.0, atol=1e-12)
+
+
+def test_snap_rounds_match_round_by_round_halving():
+    # entries exactly at SNAP_THRESHOLD 2^k, their floating-point
+    # neighbours, exact zeros, entries below the threshold already and
+    # entries no round zeroes; the snap round is the first round whose
+    # tail holds the entry as 0
+    edges = SNAP_THRESHOLD * 2.0 ** np.arange(-3, 64)
+    values = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+                             [0.0, -0.0, 5e-324, 1e-300, 0.5, 1.0, 1.5, 2.0 ** 40, 1e300]])
+    values = np.concatenate([values, -values])
+    tail = values[None, :]
+    off_owner = np.ones(tail.shape, dtype=bool)
+    rounds = _round_by_round(tail, off_owner)
+    expected = [next((k for k, block in enumerate(rounds) if block[0, j] == 0.0), _NEVER)
+                for j in range(values.size)]
+    got = _snap_rounds(np.abs(tail), off_owner)
+    assert got.dtype == np.int8
+    assert got[0].tolist() == expected
+    # an owned entry is never snapped, and an owned zero is 0 from round 0
+    owned = _snap_rounds(np.abs(tail), ~off_owner)[0]
+    assert owned.tolist() == [0 if v == 0.0 else _NEVER for v in values]

@@ -26,7 +26,13 @@ conditions follow alike: |T| <= I + |B~| |S| W, and the 1-, infinity-
 and Frobenius norms are monotone, so a norm moves by at most the norm of
 14 gamma_n times its matrix's envelope.  The head is shared by both
 forms, so c1 is the same number.
+
+A coordinate tail forms T from the pairs of its nonzeros that share a
+column when they number at most m (n - m), and from the dense product
+otherwise; both sides of that rule are tested.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,7 +113,8 @@ def test_the_two_tail_forms_agree_to_rounding(seed, m, width, density, method):
     for form in (op.tail, _coordinate(tail)):
         assert _close(form.update(r), z, z_env, tol)
         assert _close(form.spread(z), tail @ z, np.abs(tail) @ np.abs(z), tol)
-        assert _close(form.update_matrix(), dense.update_matrix(), abs_sw, tol)
+        assert _close(np.array(form.update_norms()), np.array(dense.update_norms()),
+                      np.array([matrix_norm(abs_sw, kind) for kind in NORM_KINDS]), tol)
         assert _close(form.map(), dense.map(), map_env, tol)
         other = Operator(method, op.head, form)
         assert _close(other.advance(r), reference.advance(r), advance_env, tol)
@@ -140,3 +147,67 @@ def test_a_zero_tail_row_raises_in_both_forms(seed, m, width, sparse, tiny, meth
     assert (SPARSE_SHARE * np.count_nonzero(tail) <= tail.size) == sparse
     with pytest.raises(ZeroTailRow):
         prepare(a, np.arange(m + width), method)
+
+
+@pytest.mark.parametrize("m,counts,pairs_path", [
+    (1, [1, 1, 1, 1, 1], True),             # 5 pairs, 5 entries
+    (4, [2, 2, 2, 2, 2, 2], True),          # 24 pairs, 24 entries: at the rule
+    (4, [3, 2, 2, 2, 2, 0], False),         # 25 pairs, 24 entries
+    (3, [3, 0, 0, 0, 0, 0, 0, 0, 0], True),  # 9 pairs, 27 entries
+    (3, [3, 3, 3, 1], False),               # 28 pairs, 12 entries
+    (8, [8] + [1] * 55, True),              # 119 pairs, 448 entries
+])
+def test_coordinate_map_on_either_side_of_the_pair_rule(monkeypatch, m, counts, pairs_path):
+    # column j holds counts[j] nonzeros in consecutive rows (cyclically), so
+    # every row holds one; the map is the dense form's to rounding, and it
+    # is built from the dense form only above the rule
+    rng = np.random.default_rng(sum(counts))
+    block = np.zeros((m, len(counts)))
+    start = 0
+    for j, count in enumerate(counts):
+        rows = (start + np.arange(count)) % m
+        block[rows, j] = rng.uniform(0.5, 1.5, size=count) * rng.choice([-1.0, 1.0], size=count)
+        start += count
+    assert np.all(block.any(axis=1))
+    form = _coordinate(block)
+    dense = Tail.of(block, vector_norm(block, NORM_ONE))
+    built = []
+    original = CoordinateTail.dense
+
+    def counting(tail):
+        built.append(tail)
+        return original(tail)
+
+    monkeypatch.setattr(CoordinateTail, "dense", counting)
+    tail_map = form.map()
+    assert (not built) == pairs_path
+    map_env = np.eye(m) + np.abs(block) @ (np.abs(dense.signs) * dense.weights)
+    assert _close(tail_map, dense.map(), map_env, 2 * CHAINED * _gamma(m + len(counts)))
+
+
+def test_coordinate_map_allocates_no_more_than_the_dense_form():
+    # a 500 x 1500 tail at prepare's 1/8 density has about 5.95M pairs of
+    # nonzeros sharing a column, 8 times its entries; forming T from them
+    # took 112 ms and 153 MB against 21 ms for the dense product, so map()
+    # takes the dense form
+    rng = np.random.default_rng(0)
+    m, width = 500, 1500
+    flat = np.sort(rng.choice(m * width, size=m * width // SPARSE_SHARE, replace=False))
+    rows, cols = divmod(flat, width)
+    values = rng.uniform(0.5, 1.5, size=flat.size)
+    form = CoordinateTail.of(rows, cols, values, width,
+                             np.bincount(rows, values, minlength=m))
+    counts = np.bincount(cols, minlength=width)
+    assert counts @ counts > 5_900_000
+
+    def peak(make):
+        tracemalloc.start()
+        try:
+            make()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # beyond the dense form, map() holds only the column counts and a few
+    # interpreter objects
+    assert peak(form.map) <= peak(lambda: form.dense().map()) + counts.nbytes + 4096
