@@ -6,7 +6,8 @@ max-iterations or stagnated, 3 diverged or inconsistent, 4 every input or
 validation error: a usage error (a missing or unknown option or method, a
 mistyped value), an unreadable or malformed file, NaN/Inf entries, a
 duplicate Matrix Market coordinate, mismatched lengths or shapes, a bad
-``--eps``, ``--max-iter`` or ``--seed``, or an unwritable output path.
+``--eps``, ``--max-iter`` or ``--seed``, or an unwritable output path
+or standard output (a closed pipe).
 
 The library makes every validation decision, ``SolverConfig`` every default;
 the CLI loads files, calls it, and exits 4 in one place, ``main``.
@@ -263,9 +264,20 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()      # a closed stdout fails here, not at exit
+        return code
     except (CliError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except BrokenPipeError:
+        # an unwritable output.  Closing stdout drops what it still holds,
+        # which the flush at exit would fail on again
+        try:
+            sys.stdout.close()
+        except BrokenPipeError:
+            pass
+        print("error: cannot write standard output: broken pipe", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -17,11 +17,15 @@ residual r = rhs - A x changes the iterate by K r and the residual to M r:
 
     u = r - B~ z,   delta = H^-1 u,   K r = [delta; z],   M r = u - B delta.
 
-* ``baseline``: a tail alone (the tail is A), so M = T, an m x m matrix
-  ``_drive`` forms once;
-* ``gjacobi`` / ``ggs``: a tail, then a Jacobi / Gauss-Seidel head; M is
-  applied factored, as above;
-* ``jacobi`` / ``gs``: a head alone (the head is A, so u = r).
+* ``baseline``: a tail alone (the tail is A), so M = T;
+* ``gjacobi`` / ``ggs``: a tail, then a Jacobi / Gauss-Seidel head, so
+  M = T - B H^-1 T = -C T;
+* ``jacobi`` / ``gs``: a head alone (the head is A, so u = r and
+  M = I - B H^-1 = -C).
+
+``Operator.map`` forms M, an m x m matrix; ``_drive`` forms it once for
+baseline at any m and for the other methods up to ``_FORMED_ROWS``
+(64) rows.  Above that a method with a head applies M factored, as above.
 
 The tail is stored in one of two forms, which ``prepare`` alone picks; a
 step sees only ``update`` (z = S W r) and ``spread`` (B~ z) and does not
@@ -36,19 +40,23 @@ dense tails of RREF-reduced and random systems among them, is a dense
 ``Tail`` of B~, S and W.
 
 The loop of ``_drive`` carries only the residual, in blocks of steps.
-With M factored a block is one step, r' = ``op.advance(r)``.
-Baseline's block is the next 64 residuals T r, ..., T^64 r (fewer when
-fewer iterations are left), made by recursive doubling from T, T^2, T^4,
-... T^32: one matrix-vector product and six gemms, the flops of 64
-matrix-vector products.  The powers are squared inside the solve, only
-as far as a block needs them: at most five m x m matrices beyond T,
-about 5 m^3 multiply-adds once.  One reduction gives a block's norms.
-Its leading plain steps, those that neither check, stop nor stagnate,
-are committed at once (``acc += r + ...``); the first other step runs
-through the step's checks, and the rest of the block is thrown away.
-After such a step the next block is no longer than the steps that pass
-took, and the length doubles back to 64 over blocks with no such step.
-The iterate is
+With M factored a block is one step, r' = ``op.advance(r)``.  With M
+formed a block is the next k residuals M r, ..., M^k r (fewer when fewer
+iterations are left), made by recursive doubling from M, M^2, M^4, ...
+(a matrix-powers kernel: Demmel, Hoemmen, Mohiyuddin & Yelick, IPDPS
+2008): one matrix-vector product and log2 k gemms, the flops of k
+matrix-vector products.  A solve's first block is 16 residuals, so a
+short solve (ggs takes about 11 steps) throws little away; over blocks
+the length doubles up to max(64, 8192 // m) residuals (273 at m = 30,
+64 from m = 128), so a long one (baseline takes thousands) takes a few
+passes.  The powers are squared inside the solve, only as far as a
+block needs them, 2 m^3 flops each.  One reduction gives a block's
+norms.  Its leading plain steps, those that neither check, stop nor
+stagnate, are committed at once (``acc += r + ...``); the first other
+step runs through the step's checks, and the rest of the block is thrown
+away.  After such a step the next block is no longer than the steps that
+pass took, and the length doubles back to the cap over blocks with no
+such step.  The iterate is
 gathered as x = x_start + K acc (``op.gain``), by linearity the same x
 the steps would have made one at a time, only when a fresh b - A x is
 taken and at the end.  Entries of ``residual_norms`` between fresh
@@ -351,7 +359,7 @@ class Head:
         return x
 
     def coupling(self) -> np.ndarray:
-        """C = (B - H) H^-1 = I - B H^-1, whose norm is the head factor c1;
+        """C = (B - H) H^-1 = B H^-1 - I, whose norm is the head factor c1;
         for Gauss-Seidel C solves C L = B - L by block columns from the last,
         C[:, j] = ((B - L)[:, j] - C[:, j+1:] L[j+1:, j]) L_jj^-1."""
         if self.diag is not None:
@@ -368,7 +376,7 @@ class Operator:
     """The one prepared system of a method: a head, a tail or both, built
     once by ``prepare``, and its two maps of a residual r: ``advance``
     (M r, the residual one step later) and ``gain`` (K r, the step's
-    change of the iterate)."""
+    change of the iterate); ``map`` forms M itself."""
     method: str
     head: Optional[Head]    # B: the first m slots; None for baseline
     tail: Optional[Union[Tail, CoordinateTail]]   # B~: the other slots; None when none
@@ -387,6 +395,13 @@ class Operator:
         if self.head is None:
             return z
         return np.concatenate((self.head.solve(s - self.tail.spread(z)), z))
+
+    def map(self) -> np.ndarray:
+        """M, the m x m matrix of ``advance``: T = ``tail.map()`` for
+        baseline, T - B H^-1 T with a head and a tail, I - B H^-1 (that is
+        -C) for a head alone."""
+        t = np.eye(len(self.head.block)) if self.tail is None else self.tail.map()
+        return t if self.head is None else t - self.head.block @ self.head.solve(t)
 
 
 def prepare(a, column_perm, method: str) -> Operator:
@@ -465,20 +480,37 @@ def _sparse_entries(a, cols):
     """The flat indices of the nonzeros of a[:, cols], in row-major order,
     when they are at most 1/``_SPARSE_SHARE`` of its entries; else None.
     They come from a boolean mask of a, with no float copy of the columns;
-    ``np.flatnonzero`` of the floats takes about ten times as long."""
-    nonzero = np.take(a != 0, cols, axis=1)
+    ``np.flatnonzero`` of the floats takes about ten times as long.  When
+    the columns are one ascending run, as in the identity order, only that
+    slice of a is compared."""
+    first = int(cols[0])
+    if np.array_equal(cols, np.arange(first, first + cols.size)):
+        nonzero = a[:, first:first + cols.size] != 0
+    else:
+        nonzero = np.take(a != 0, cols, axis=1)
     if _SPARSE_SHARE * np.count_nonzero(nonzero) > nonzero.size:
         return None
     return np.flatnonzero(nonzero)
 
 
-_BLOCK = 64     # the most residuals one pass of the solve loop advances with a formed T
+# A method with a head forms M, and steps in blocks, when m is at most
+# _FORMED_ROWS; above it M stays factored.  Measured crossover, time of
+# ten build_system solves (n = 4m, one BLAS thread) formed / factored:
+# gjacobi 0.51 at m = 30, 0.60 at 64, 0.96 at 96, 1.19 at 128; jacobi on
+# the head 0.57, 0.69, 0.97, 2.07; ggs and gs (about 11 steps) 0.92-1.18
+# over four runs at 30, 1.07-1.08 at 64, 1.12-1.15 at 96, 1.45 and 1.90
+# at 128.  At 200 x 800 every method is 2-3x slower formed.
+_FORMED_ROWS = 64
+_FIRST_BLOCK = 16           # the residuals in a solve's first block
+# a block holds at most max(_BLOCK, _BLOCK_ENTRIES // m) residuals, of m entries each
+_BLOCK = 64
+_BLOCK_ENTRIES = 1 << 13
 
 
 def _residual_block(powers, r, k):
-    """T r, T^2 r, ..., T^k r as the rows of a k x m array, by recursive
-    doubling: rows [h, 2h) are rows [0, h) times (T^h)^T, one gemm on a
-    transposed view.  ``powers`` holds T, T^2, T^4, ...; each new power is
+    """M r, M^2 r, ..., M^k r as the rows of a k x m array, by recursive
+    doubling: rows [h, 2h) are rows [0, h) times (M^h)^T, one gemm on a
+    transposed view.  ``powers`` holds M, M^2, M^4, ...; each new power is
     the square of the last, appended in place only when k needs it."""
     rows = np.empty((k, r.size))
     rows[0] = powers[0] @ r
@@ -513,18 +545,22 @@ def _drive(a, b, column_perm, x0, config: SolverConfig):
     x0 that already meets epsilon converges in zero iterations even on a
     system the method rejects.
 
-    Baseline's map T is formed here, once: an m x n x m product that
-    costs about m/2 of the steps it replaces.  Its diagonal is 1 - 1/m,
-    so rho(T) >= 1 - 1/m and a solve runs at least about
-    m ln(||r_0|| / epsilon) steps, at 2 m^2 flops each.  The loop squares
-    T up to five times more for its blocks of steps, 2 m^3 flops each,
-    which those steps outweigh once m ln(||r_0|| / epsilon) exceeds 5 m.
-    With a head, M stays factored.
+    M (``op.map()``) is formed here, once, for baseline at any m and for
+    a method with a head when m is at most ``_FORMED_ROWS``; then each
+    pass advances a block of residuals (module docstring).  Baseline's T
+    is an m x n x m product that costs about m/2 of the steps it
+    replaces.  Its diagonal is 1 - 1/m, so rho(T) >= 1 - 1/m and a solve
+    runs at least about m ln(||r_0|| / epsilon) steps, at 2 m^2 flops
+    each.  With a head, M adds about 2 m^3 flops, which the Python of a
+    dozen single steps outweighs up to that size; above it M stays
+    factored and a pass is one step.  The loop squares M as far as its
+    blocks need, 2 m^3 flops each time.
     """
     generalized = config.method in GENERALIZED_METHODS
     perm = np.asarray(column_perm, dtype=np.intp)
     kind = config.residual_norm
-    r = b - a @ x0
+    m = a.shape[0]
+    r = b - a @ x0 if x0.any() else b.copy()
     history = [vector_norm(r, kind)]
     report = partial(SolveReport, residual_norms=history, config=config,
                      column_perm=tuple(perm.tolist()) if generalized else None)
@@ -554,9 +590,9 @@ def _drive(a, b, column_perm, x0, config: SolverConfig):
 
     reference = max(history[0], 1e-300)
     ceiling = DIVERGENCE_FACTOR * reference
-    # baseline: T, T^2, T^4, ..., squared as blocks need them
-    powers = [op.tail.map()] if op.head is None else None
-    size = _BLOCK                 # baseline: the length of the next block
+    # M, M^2, M^4, ..., squared as blocks need them; None when M stays factored
+    powers = [op.map()] if op.head is None or m <= _FORMED_ROWS else None
+    size, cap = _FIRST_BLOCK, max(_BLOCK, _BLOCK_ENTRIES // m)
     stagnant = 0
     status = STATUS_MAX_ITERATIONS
     while (left := config.max_iterations + 1 - len(history)) > 0:
@@ -576,7 +612,7 @@ def _drive(a, b, column_perm, x0, config: SolverConfig):
             acc += block[:plain - 1].sum(axis=0)
             r, pending, stagnant = block[plain - 1], True, 0
             if plain == len(block):
-                size = min(2 * size, _BLOCK)
+                size = min(2 * size, cap)
                 continue
         # the first step of the block that may check or stop.  The rest of
         # the block is thrown away, so the next block is no longer than the

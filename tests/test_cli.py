@@ -377,6 +377,29 @@ def test_unwritable_output_path_exits_4(argv, demo_files, tmp_path, capsys):
     assert err.startswith(f"error: cannot write {target}") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("unbuffered", ("", "1"), ids=("buffered", "unbuffered"))
+def test_closed_stdout_exits_4_with_one_error_line(unbuffered):
+    # a stdout whose reader has gone (``undersolve solve ... | head -1``) is
+    # an unwritable output: the write fails in print when stdout is
+    # unbuffered and at main's flush when it is not, and neither failure
+    # may print a traceback or fail again at exit
+    a, b = os.path.join(DATA, "demo5x8_A.csv"), os.path.join(DATA, "demo5x8_b.csv")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-X", "dev", "-m", "undersolve.cli", "solve", "--matrix", a,
+             "--rhs", b, "--method", "gjacobi"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (4, "error: cannot write standard output: "
+                                                "broken pipe\n")
+
+
 def test_json_outputs_deterministic(reduced_files, tmp_path):
     pa, pb, px = reduced_files
     j1 = tmp_path / "r1.json"

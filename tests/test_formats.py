@@ -395,13 +395,18 @@ def test_read_report_rejects_an_outcome_no_solve_gives(edit, field):
 
 def test_read_report_takes_back_every_status_write_report_writes():
     # the five statuses, plus the inconsistent reduction's error report,
-    # which holds no residual norm at all, read back to the bytes written
+    # which holds no residual norm at all, read back to the bytes written.
+    # At epsilon = 1e-300 the 4 x 8 gjacobi solve (M formed) reaches a fresh
+    # residual of exactly 0; the 30 x 120 one stagnates at its rounding floor
     a = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]])
     rng = np.random.default_rng(3)
-    below_floor = rng.uniform(-1.0, 1.0, size=(4, 8)) + np.eye(4, 8) * 8.0
+    exact_zero = rng.uniform(-1.0, 1.0, size=(4, 8)) + np.eye(4, 8) * 8.0
+    exact_zero_b = rng.uniform(-1.0, 1.0, size=4)
+    below_floor = rng.uniform(-1.0, 1.0, size=(30, 120)) + np.eye(30, 120) * 60.0
     reports = [
         run(a, np.array([3.0, 2.0]), None, SolverConfig(method="baseline", max_iterations=70)),
-        run(below_floor, rng.uniform(-1.0, 1.0, size=4), None, SolverConfig(epsilon=1e-300)),
+        run(exact_zero, exact_zero_b, None, SolverConfig(epsilon=1e-300)),
+        run(below_floor, rng.uniform(-1.0, 1.0, size=30), None, SolverConfig(epsilon=1e-300)),
         run(a, np.array([3.0, 2.0]), None, SolverConfig()),
         run(np.array([[1.0, 10.0], [10.0, 1.0]]), np.ones(2), None,
             SolverConfig(method="jacobi")),
@@ -410,7 +415,8 @@ def test_read_report_takes_back_every_status_write_report_writes():
         exact_solve([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]], [1.0, 2.0]),
     ]
     assert [r.status for r in reports] == [
-        "max_iterations", "stagnated", "converged", "diverged", "error", "error"]
+        "max_iterations", "converged", "stagnated", "converged", "diverged", "error", "error"]
+    assert (reports[1].iterations, reports[1].residual_norms[-1]) == (16, 0.0)
     assert reports[-1].residual_norms == []
     for report in reports:
         text = write_report(report)

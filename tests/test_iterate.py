@@ -665,6 +665,32 @@ def test_advance_matches_the_oracle_residual_operator(seed, m, extra, method, po
 
 
 @settings(max_examples=150, deadline=None)
+@given(**_cases, shuffle=st.booleans())
+def test_map_is_advance_column_by_column_and_the_oracle_residual_operator(
+        seed, m, extra, method, policy, sparse, shuffle):
+    # M = op.map(), the matrix the driver forms: column j is advance(e_j)
+    # and the residual one brute step leaves from x = 0 on e_j, each to
+    # the rounding of the advance test above.  A shuffle permutes the head
+    # slots among themselves and the tail slots among themselves, so a
+    # sparse tail keeps its coordinate form
+    rng, a, _, perm = _method_case(seed, method, policy, m, extra, sparse)
+    if shuffle:
+        k = 0 if method == METHOD_BASELINE else m
+        perm = np.concatenate((rng.permutation(perm[:k]), rng.permutation(perm[k:])))
+    op, cond = _prepared(a, perm, method)
+    if op is None:
+        return
+    mat, gain = (np.array(o) for o in brute_step_operators(
+        a.tolist(), tuple(perm.tolist()), 0 if op.head is None else m, SWEEPS[method]))
+    bound = 1e-12 * cond * (np.abs(a) @ np.abs(gain) + np.eye(m))
+    formed = op.map()
+    assert formed.shape == (m, m)
+    assert np.all(np.abs(formed - np.column_stack([op.advance(e) for e in np.eye(m)]))
+                  <= bound)
+    assert np.all(np.abs(formed - mat) <= bound)
+
+
+@settings(max_examples=150, deadline=None)
 @given(**_cases)
 @example(seed=29300, m=1, extra=5, method="gjacobi", policy="identity", sparse=False)
 def test_gain_matches_the_brute_step(seed, m, extra, method, policy, sparse):
@@ -822,7 +848,7 @@ def _stagnating():
     pytest.param(_overflowing_after_divergence, "diverged", id="overflow-after-divergence"),
 ])
 def test_block_residuals_match_the_step_at_a_time_recurrence(system, status, norm):
-    # rows of a block come from T^2, T^4, ... T^32; their norms are the
+    # rows of a block come from T^2, T^4, T^8, ...; their norms are the
     # recurrence's to rounding, and the block stops at the same step
     a, b, x0 = system()
     config = SolverConfig(method=METHOD_BASELINE, residual_norm=norm)
@@ -833,7 +859,7 @@ def test_block_residuals_match_the_step_at_a_time_recurrence(system, status, nor
     carried, expected = np.array(report.residual_norms[:-1]), np.array(expected[:-1])
     assert np.all(np.abs(carried - expected) <= 1e-10 * expected)
     if system is _certified_50x200 and norm == NORM_ONE:
-        assert report.iterations == 1044   # 16 blocks of 64 steps and 20 more
+        assert report.iterations == 1044   # 240 steps in blocks of 16 to 128, then 163 a block
 
 
 @pytest.mark.filterwarnings("error")
@@ -900,8 +926,8 @@ def test_below_the_rounding_floor_the_solve_stagnates(seed, method):
 def test_baseline_blocks_throw_little_away(seed, epsilon, monkeypatch):
     # a step that checks or stops throws away the rest of its block; the
     # next block is no longer than the steps that pass took, so below the
-    # rounding floor, where every step is a fresh check, a 64-step block
-    # is not formed for every step
+    # rounding floor, where every step is a fresh check, a block of the
+    # cap's length is not formed for every step
     rows = []
     block = iterate._residual_block
     monkeypatch.setattr(iterate, "_residual_block",
@@ -909,14 +935,15 @@ def test_baseline_blocks_throw_little_away(seed, epsilon, monkeypatch):
     a, b = _benchmark_system(30, 120, np.random.default_rng(seed))
     report = run(a, b, None, SolverConfig(method=METHOD_BASELINE, epsilon=epsilon))
     assert report.status == ("converged" if epsilon == 1e-8 else "stagnated")
-    assert report.iterations <= sum(rows) <= 2 * report.iterations + iterate._BLOCK
+    cap = max(iterate._BLOCK, iterate._BLOCK_ENTRIES // a.shape[0])
+    assert report.iterations <= sum(rows) <= 2 * report.iterations + cap
 
 
 def test_a_step_run_through_the_checks_early_changes_nothing(monkeypatch):
     # the checks handle a plain step as the bulk commit does: report the
     # first step of the first block as not plain, and the solve is the same
     # to rounding, while the next blocks start at one step and double back
-    # to 64
+    # to the cap, max(64, 8192 // m) = 1638 residuals at m = 5
     a, b, x0 = _reduced_demo()
     config = SolverConfig(method=METHOD_BASELINE)
     expected = run(a, b, x0, config)
@@ -932,4 +959,4 @@ def test_a_step_run_through_the_checks_early_changes_nothing(monkeypatch):
                        atol=0.0)
     assert np.abs(report.solution - expected.solution).max() <= 1e-12 * np.abs(
         expected.solution).max()
-    assert sizes[:9] == [64, 1, 2, 4, 8, 16, 32, 64, 64]
+    assert sizes == [16, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 1638]

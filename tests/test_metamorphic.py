@@ -25,7 +25,13 @@ prepared.
 * **symmetric head permutation** (P B P^T, P B~, P b): the diagonal moves
   with the rows, so gjacobi and baseline iterates are permuted alike.
   Gauss-Seidel's lower triangle does not move with them, which makes ggs
-  the negative control.  Not on ``padded`` systems either.
+  the negative control.  Not on ``padded`` systems either;
+* **formed and factored M**: at these sizes every method forms its
+  residual map M and steps in blocks; with the row limit set to 0, a
+  method with a head applies M factored, one step a pass.  Both solve
+  with the same status and iteration count, and their solutions agree to
+  rounding.  Also on the benchmark's 30 x 120 system, with jacobi and gs
+  on its head.
 
 The tolerance is fixed by the unit roundoff u, the step count and the
 system, not by measured runs.  One step makes at most four chained
@@ -35,18 +41,19 @@ solve adds two more: the start residual b - A x0 and the gather
 x0 + K acc.  On these systems the head is diagonally dominant with a
 diagonal of at least 1 and the tail update divides by m times a row
 norm, so |K| |A| has entries of order 1 and each rounding reaches the
-iterate at about the size of the iterates.  Over ``STEPS`` steps:
+iterate at about the size of the iterates.  Over ``STEPS`` steps (or the steps a solve took):
 
     |x - x'| <= 4 (STEPS + 2) n u kappa scale,
 
 with scale the sum of the largest entries of the start vectors and
 iterates compared, and kappa = kappa_inf(L) of the head's lower triangle
 (of the first m nonzero columns, the pivot columns of a padded system)
-for ggs, which applies its head as a formed L^-1 whose rounding grows
-with kappa(L) (the larger of the two systems'), and 1 otherwise.
+for ggs and gs, which apply their head as a formed L^-1 whose rounding
+grows with kappa(L) (the larger of the two systems'), and 1 otherwise.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -102,15 +109,15 @@ def _iterate(a, b, x0, method, norm):
     return run(a, b, x0, config).solution
 
 
-def _tolerance(method, systems, *vectors):
+def _tolerance(method, systems, *vectors, steps=STEPS):
     n = systems[0].shape[1]
     kappa = 1.0
-    if method == "ggs":
+    if method in ("ggs", "gs"):
         m = systems[0].shape[0]
         kappa = max(np.linalg.cond(np.tril(a[:, np.flatnonzero(np.any(a, axis=0))[:m]]), np.inf)
                     for a in systems)
     scale = sum(np.abs(v).max() for v in vectors)
-    return 4 * (STEPS + 2) * n * UNIT * kappa * scale
+    return 4 * (steps + 2) * n * UNIT * kappa * scale
 
 
 _cases = dict(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(FAMILIES),
@@ -228,3 +235,43 @@ def test_symmetric_head_permutation_moves_ggs_far_beyond_the_tolerance():
         permuted = _iterate(a2, b2, x02, "ggs", norm)
         tol = _tolerance("ggs", (a, a2), x0, x, permuted)
         assert np.abs(permuted - x[q]).max() > 1000 * tol
+
+
+def _formed_and_factored_agree(a, b, x0, config):
+    """Solve with M formed, as every m here is at most the row limit, and
+    with M factored (the limit set to 0): the same status and iteration
+    count, and solutions within the tolerance of that many steps."""
+    formed = run(a, b, x0, config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(iterate, "_FORMED_ROWS", 0)
+        factored = run(a, b, x0, config)
+    assert (formed.status, formed.iterations) == (factored.status, factored.iterations)
+    start = np.zeros(a.shape[1]) if x0 is None else x0
+    tol = _tolerance(config.method, (a,), start, formed.solution, factored.solution,
+                     steps=formed.iterations)
+    assert np.abs(formed.solution - factored.solution).max() <= tol
+    return formed
+
+
+@settings(max_examples=40, deadline=None)
+@given(**{**_cases, "method": st.sampled_from(("gjacobi", "ggs"))})
+def test_formed_and_factored_m_solve_alike(seed, family, m, extra, method, norm):
+    _, a, b, x0 = _system(family, seed, m, extra)
+    padded = not np.all(np.any(a, axis=0))
+    _formed_and_factored_agree(a, b, x0, SolverConfig(
+        method=method, residual_norm=norm,
+        permutation_policy="pivot-columns" if padded else "identity"))
+
+
+@pytest.mark.parametrize("method", ("gjacobi", "ggs", "jacobi", "gs"))
+@pytest.mark.parametrize("seed", range(3))
+def test_formed_and_factored_m_solve_the_benchmark_system_alike(seed, method):
+    # the benchmark's 30 x 120 system from a zero start; jacobi and gs
+    # solve its head for a right-hand side of their own, as the benchmark does
+    rng = np.random.default_rng(seed)
+    a, b = _build_system(30, 120, rng)
+    if method in ("jacobi", "gs"):
+        a = a[:, :30].copy()
+        b = a @ rng.uniform(-1.0, 1.0, size=30)
+    report = _formed_and_factored_agree(a, b, None, SolverConfig(method=method))
+    assert report.status == "converged"
