@@ -36,7 +36,10 @@ round k.  One ``np.bincount`` per quantity groups the terms by row, scale
 and snap round, and suffix sums over the rounds finish them, so every
 round's bounds cost O(m) after one pass over the tail (``_round_bounds``).
 Only a round those bounds let through is formed (``_halved``, bit for bit
-the tail of halving once per round) and checked in full (``_certifies``).
+the tail of halving once per round) and checked in full (``_certifies``)
+on the tail ``iterate.prepare`` builds, as ``check`` does: its
+coordinate form when the round's tail is sparse, as it is once its
+off-owner entries have snapped to 0.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInput, NotUnderdetermined, SolverError
-from .iterate import Tail
-from .linalg import NORM_KINDS, NORM_ONE, matrix_norm, vector_norm
+from .iterate import METHOD_GJACOBI, prepare
+from .linalg import NORM_KINDS, matrix_norm
 
 SNAP_THRESHOLD = 1e-12
 MAX_HALVINGS = 60
@@ -68,29 +71,13 @@ def generate_system(m: int, n: int, rng: np.random.Generator):
     return a, a @ x_star, x_star
 
 
-def _tail_lower_bounds(tail):
-    """Lower bounds on the one-, infinity- and Frobenius-norm of
-    ``tail.map()``, in ``NORM_KINDS`` order: the 1-norm of its column 0,
-    the 1-norm of its row 0 and the 2-norm of its diagonal, without
-    forming the matrix.  Each diagonal entry is 1 - 1/m, as
-    B~[i, j] sign(B~[i, j]) sums to ||B~_i||_1."""
-    block, signs, weights = tail.block, tail.signs, tail.weights
-    m = block.shape[0]
-    col0 = (block @ signs[:, 0]) * -weights[0]
-    col0[0] += 1.0
-    row0 = (block[0] @ signs) * -weights
-    row0[0] += 1.0
-    return np.abs(col0).sum(), np.abs(row0).sum(), (m - 1) / np.sqrt(m)
-
-
-def _certifies(block):
-    """Whether both methods certify: the tail factor c2 < m holds in some
-    norm (the head factor c1 < 1 holds in all of them)."""
-    m = block.shape[0]
-    tail = Tail.of(block, vector_norm(block, NORM_ONE))
-    if min(_tail_lower_bounds(tail)) >= 1.0 + BOUND_MARGIN:
-        return False
-    tail_map = tail.map()
+def _certifies(a):
+    """Whether both methods certify the stacked system a = [head, tail]:
+    the tail factor c2 = m ||T|| < m holds in some norm (the head factor
+    c1 < 1 holds in all of them), for T the map of the tail that
+    ``iterate.prepare`` builds, as ``check`` does."""
+    m, n = a.shape
+    tail_map = prepare(a, np.arange(n), METHOD_GJACOBI).tail.map()
     return any(m * matrix_norm(tail_map, kind) < m for kind in NORM_KINDS)
 
 
@@ -146,12 +133,15 @@ def _alive_sums(terms, snap, scaled):
 
 
 def _round_bounds(tail, off_owner):
-    """``_tail_lower_bounds`` of ``_halved(tail, off_owner, k)`` for every
-    round k = 0 ... ``MAX_HALVINGS``, as three arrays over the rounds,
-    from the unscaled and scaled parts of the row norms and of
-    B~ s(B~)[:, 0] and B~[0] s(B~).  The sums are grouped differently from
-    ``_tail_lower_bounds`` and round differently, by far less than
-    ``BOUND_MARGIN``."""
+    """Lower bounds on the one-, infinity- and Frobenius norm of the map T
+    of ``_halved(tail, off_owner, k)``, for every round
+    k = 0 ... ``MAX_HALVINGS``, as three arrays over the rounds: the
+    1-norm of T's column 0, the 1-norm of its row 0 and the 2-norm of its
+    diagonal, whose entries are all 1 - 1/m, as B~[i, j] sign(B~[i, j])
+    sums to ||B~_i||_1.  The first two come from the unscaled and scaled
+    parts of the row norms and of B~ s(B~)[:, 0] and B~[0] s(B~); their
+    sums are grouped differently from T's own and round differently, by
+    far less than ``BOUND_MARGIN``."""
     m = tail.shape[0]
     terms = np.abs(tail)
     snap = _snap_rounds(terms, off_owner)
@@ -176,15 +166,16 @@ def _round_bounds(tail, off_owner):
     return np.abs(col0).sum(axis=0), np.abs(row0).sum(axis=0), frobenius
 
 
-def _certified_tail(tail, off_owner):
-    """The tail of the first halving round that certifies.  Every round's
-    bounds come from ``_round_bounds``, and only a round they cannot rule
-    out is formed (``_halved``) and checked (``_certifies``)."""
+def _certified_system(head, tail, off_owner):
+    """The system [head, tail] of the first halving round that certifies.
+    Every round's bounds come from ``_round_bounds``, and only a round
+    they cannot rule out is formed (``_halved``) and checked
+    (``_certifies``)."""
     bounds = np.minimum.reduce(_round_bounds(tail, off_owner))
     for halvings in np.flatnonzero(bounds < 1.0 + BOUND_MARGIN):
-        block = _halved(tail, off_owner, int(halvings))
-        if _certifies(block):
-            return block
+        a = np.column_stack([head, _halved(tail, off_owner, int(halvings))])
+        if _certifies(a):
+            return a
     raise SolverError("failed to certify a generated system")
 
 
@@ -209,6 +200,5 @@ def generate_certified(m: int, n: int, rng: np.random.Generator):
         size = len(range(i, n - m, m))
         tail[i, i::m] = rng.uniform(0.5, 1.5, size=size) * signs[rng.integers(0, 2, size=size)]
     x_star = rng.uniform(-1.0, 1.0, size=n)
-    tail = _certified_tail(tail, np.arange(n - m) % m != np.arange(m)[:, None])
-    a = np.column_stack([head, tail])
+    a = _certified_system(head, tail, np.arange(n - m) % m != np.arange(m)[:, None])
     return a, a @ x_star, x_star

@@ -282,12 +282,28 @@ def brute_read_matrix_market(text: str) -> np.ndarray:
     return require_finite(np.array(values).reshape((n, m)).T.copy(), "matrix")
 
 
+def tail_lower_bounds(block):
+    """Lower bounds on the one-, infinity- and Frobenius norm of the tail
+    map T = I - B~ s(B~) W of ``block``, W = diag of 1 / (m ||B~_k||_1),
+    in ``NORM_KINDS`` order, without forming T: the 1-norm of its column
+    0, the 1-norm of its row 0 and the 2-norm of its diagonal.  Each
+    diagonal entry is 1 - 1/m, as B~[i, j] sign(B~[i, j]) sums to
+    ||B~_i||_1.  The oracle of ``generate._round_bounds``."""
+    m = block.shape[0]
+    signs = np.sign(block).T
+    weights = 1.0 / (m * np.abs(block).sum(axis=1))
+    col0 = (block @ signs[:, 0]) * -weights[0]
+    col0[0] += 1.0
+    row0 = (block[0] @ signs) * -weights
+    row0[0] += 1.0
+    return np.abs(col0).sum(), np.abs(row0).sum(), (m - 1) / np.sqrt(m)
+
 
 def brute_generate_certified(m, n, rng, certifies):
     """``generate.generate_certified`` as it was before its rounds took a
     closed form: the same draws, then one halving and snapping pass over
     the tail per round, with ``certifies`` (the library's round test)
-    called on every round's tail."""
+    called on every round's system [head, tail]."""
     head = np.diag(rng.uniform(1.0, 2.0, size=m)) + \
         rng.uniform(-0.5, 0.5, size=(m, m)) / (2 * m)
     tail = rng.uniform(-1.0, 1.0, size=(m, n - m))
@@ -298,8 +314,8 @@ def brute_generate_certified(m, n, rng, certifies):
             rng.choice([-1.0, 1.0], size=cols.size)
     x_star = rng.uniform(-1.0, 1.0, size=n)
     for _ in range(61):
-        if certifies(tail):
-            a = np.column_stack([head, tail])
+        a = np.column_stack([head, tail])
+        if certifies(a):
             return a, a @ x_star, x_star
         for i in range(m):
             for j in range(n - m):

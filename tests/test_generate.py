@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -17,13 +17,12 @@ from undersolve.generate import (
     _halved,
     _round_bounds,
     _snap_rounds,
-    _tail_lower_bounds,
     generate_certified,
 )
-from undersolve.iterate import GENERALIZED_METHODS, Tail
+from undersolve.iterate import GENERALIZED_METHODS, CoordinateTail, Tail
 from undersolve.linalg import NORM_KINDS, NORM_ONE, matrix_norm, sign_matrix, vector_norm
 
-from oracles import brute_generate_certified
+from oracles import brute_generate_certified, tail_lower_bounds
 
 # sha256 of the bytes of (A, b, x*) from generate_certified(m, n,
 # default_rng(seed)), recorded when the generator re-partitioned the system
@@ -84,20 +83,21 @@ def test_generated_heads_have_c1_below_one_half(data, m):
 def test_generate_certified_skips_doomed_rounds(monkeypatch):
     # at 300 x 1200 no round certifies before the off-owner entries snap to
     # 0 (40 halvings); the closed-form bounds reject those rounds without
-    # forming them, and the gemm runs at most twice
+    # forming them, and a tail map, of either form, is formed at most twice
     formed, maps = [], []
-    halved, original = generate._halved, Tail.map
+    halved = generate._halved
 
     def forming(*args):
         formed.append(args[-1])
         return halved(*args)
 
-    def counting(tail):
-        maps.append(tail)
-        return original(tail)
-
     monkeypatch.setattr(generate, "_halved", forming)
-    monkeypatch.setattr(Tail, "map", counting)
+    for form in (Tail, CoordinateTail):
+        def counting(tail, _original=form.map):
+            maps.append(type(tail))
+            return _original(tail)
+
+        monkeypatch.setattr(form, "map", counting)
     generate_certified(300, 1200, np.random.default_rng(0))
     assert len(formed) <= 2
     assert len(maps) <= 2
@@ -133,7 +133,7 @@ def test_tail_lower_bounds_are_sound(seed, m, extra, halvings):
     tail[~owned & (np.abs(tail) < SNAP_THRESHOLD)] = 0.0
     prepared = Tail(tail, sign_matrix(tail), 1.0 / (m * vector_norm(tail, NORM_ONE)))
     tail_op = prepared.map()
-    bounds = _tail_lower_bounds(prepared)
+    bounds = tail_lower_bounds(tail)
     for kind, bound in zip(NORM_KINDS, bounds):
         assert bound <= matrix_norm(tail_op, kind) + 1e-12
     # the Frobenius bound is the 2-norm of the diagonal, (m - 1)/sqrt(m);
@@ -150,6 +150,31 @@ def test_generate_certified_matches_round_by_round_halving(seed, m, extra):
     expected = brute_generate_certified(m, n, np.random.default_rng(seed), _certifies)
     got = generate_certified(m, n, np.random.default_rng(seed))
     assert b"".join(v.tobytes() for v in got) == b"".join(v.tobytes() for v in expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8), extra=st.integers(0, 24))
+@example(seed=0, m=30, extra=60)
+@example(seed=1, m=30, extra=60)
+def test_round_test_agrees_with_check(seed, m, extra):
+    # every round _certifies decides while a system is generated, it decides
+    # as check does for both methods: certified overall exactly when some
+    # norm has c2 < m (c1 < 1 holds in all of them)
+    rounds, original = [], generate._certifies
+
+    def spying(a):
+        rounds.append((a, original(a)))
+        return rounds[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(generate, "_certifies", spying)
+        generate_certified(m, 2 * m + extra, np.random.default_rng(seed))
+    assert rounds[-1][1]
+    for a, answer in rounds:
+        for method in GENERALIZED_METHODS:
+            report = check_conditions(a, np.zeros(m), method)
+            assert report.overall_certified == answer, (method, a.shape)
+            assert any(rec.c2 < m for rec in report.per_norm) == answer, (method, a.shape)
 
 
 def _round_by_round(tail, off_owner):
@@ -185,7 +210,7 @@ def test_round_bounds_are_sound(seed, m, extra, off_scale):
     for halvings, rounds in enumerate(_round_by_round(tail, off_owner)):
         block = _halved(tail, off_owner, halvings)
         assert block.tobytes() == rounds.tobytes()
-        expected = _tail_lower_bounds(Tail.of(block, vector_norm(block, NORM_ONE)))
+        expected = tail_lower_bounds(block)
         assert np.allclose(bounds[halvings], expected, rtol=0.0, atol=1e-12)
 
 

@@ -4,8 +4,8 @@ No import sits inside a function, no module imports another's private
 name, ``rref`` builds on ``errors`` and ``linalg`` alone, and the modules
 import one another without a cycle.  The prepared operator's invariants
 are built and read in ``iterate`` alone: no other module forms the sign
-matrix or a Gauss-Seidel head, or reads a head's ``diag`` or
-``block_inverses``.
+matrix or a Gauss-Seidel head, reads a head's ``diag`` or
+``block_inverses``, or names a tail form (``Tail``, ``CoordinateTail``).
 """
 
 import ast
@@ -80,6 +80,17 @@ def test_only_iterate_forms_the_operator_invariants(path):
              and _called_name(node) in ("sign_matrix", "gauss_seidel")]
     assert found == []
 
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "iterate"],
+                         ids=lambda path: path.name)
+def test_only_iterate_names_a_tail_form(path):
+    # prepare alone picks a tail's form: no other module imports, calls or
+    # reads Tail or CoordinateTail
+    spelled = {ast.alias: "name", ast.Name: "id", ast.Attribute: "attr"}
+    found = [f"{path.name}:{node.lineno} {getattr(node, spelled[type(node)])}"
+             for node in ast.walk(_tree(path)) if type(node) in spelled
+             and getattr(node, spelled[type(node)]) in ("Tail", "CoordinateTail")]
+    assert found == []
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "iterate"],
                          ids=lambda path: path.name)
