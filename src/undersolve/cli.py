@@ -15,6 +15,7 @@ the CLI loads files, calls it, and exits 4 in one place, ``main``.
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 import numpy as np
@@ -197,7 +198,9 @@ def cmd_gen(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     defaults = iterate.SolverConfig
     parser = _Parser(
         prog="undersolve",

@@ -37,9 +37,11 @@ and snap round, and suffix sums over the rounds finish them, so every
 round's bounds cost O(m) after one pass over the tail (``_round_bounds``).
 Only a round those bounds let through is formed (``_halved``, bit for bit
 the tail of halving once per round) and checked in full (``_certifies``)
-on the tail ``iterate.prepare`` builds, as ``check`` does: its
+on the tail alone, as ``iterate.prepare`` builds it for baseline: its
 coordinate form when the round's tail is sparse, as it is once its
-off-owner entries have snapped to 0.
+off-owner entries have snapped to 0, which is the form ``check`` builds
+for the stacked system.  Only the round that certifies is stacked with
+the head.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInput, NotUnderdetermined, SolverError
-from .iterate import METHOD_GJACOBI, prepare
+from .iterate import METHOD_BASELINE, prepare
 from .linalg import NORM_KINDS, matrix_norm
 
 SNAP_THRESHOLD = 1e-12
@@ -71,13 +73,14 @@ def generate_system(m: int, n: int, rng: np.random.Generator):
     return a, a @ x_star, x_star
 
 
-def _certifies(a):
-    """Whether both methods certify the stacked system a = [head, tail]:
-    the tail factor c2 = m ||T|| < m holds in some norm (the head factor
-    c1 < 1 holds in all of them), for T the map of the tail that
-    ``iterate.prepare`` builds, as ``check`` does."""
-    m, n = a.shape
-    tail_map = prepare(a, np.arange(n), METHOD_GJACOBI).tail.map()
+def _certifies(tail):
+    """Whether both methods certify a system with this tail: the tail
+    factor c2 = m ||T|| < m holds in some norm (the head factor c1 < 1
+    holds in all of them), for T the map of the tail alone that
+    ``iterate.prepare`` builds for baseline.  Its rows are not zero, as
+    each owns entries of size at least 0.5."""
+    m, w = tail.shape
+    tail_map = prepare(tail, np.arange(w), METHOD_BASELINE).tail.map()
     return any(m * matrix_norm(tail_map, kind) < m for kind in NORM_KINDS)
 
 
@@ -170,12 +173,12 @@ def _certified_system(head, tail, off_owner):
     """The system [head, tail] of the first halving round that certifies.
     Every round's bounds come from ``_round_bounds``, and only a round
     they cannot rule out is formed (``_halved``) and checked
-    (``_certifies``)."""
+    (``_certifies``); the one that certifies is stacked with the head."""
     bounds = np.minimum.reduce(_round_bounds(tail, off_owner))
     for halvings in np.flatnonzero(bounds < 1.0 + BOUND_MARGIN):
-        a = np.column_stack([head, _halved(tail, off_owner, int(halvings))])
-        if _certifies(a):
-            return a
+        block = _halved(tail, off_owner, int(halvings))
+        if _certifies(block):
+            return np.column_stack([head, block])
     raise SolverError("failed to certify a generated system")
 
 

@@ -29,15 +29,15 @@ baseline at any m and for the other methods up to ``_FORMED_ROWS``
 
 The tail is stored in one of two forms, which ``prepare`` alone picks; a
 step sees only ``update`` (z = S W r) and ``spread`` (B~ z) and does not
-know which.  A tail with a head whose nonzeros are at most 1/8 of its
-entries is a ``CoordinateTail``: its nonzeros, their entries of S W and
-W, so each of the two products is one ``np.bincount`` over the nonzeros,
-which ``prepare`` gathers from A with no dense copy of B~.
+know which.  A tail whose nonzeros are at most 1/8 of its entries, with
+or without a head, is a ``CoordinateTail``: its nonzeros, their entries
+of S W and W, so each of the two products is one ``np.bincount`` over the
+nonzeros, which ``prepare`` gathers from A with no dense copy of B~.
 The paper's tail condition makes certified tails that sparse: T's
 diagonal is exactly 1 - 1/m, so c2 = m ||T|| < m forces tail rows with
-almost disjoint supports.  Every other tail, baseline's all of A and the
-dense tails of RREF-reduced and random systems among them, is a dense
-``Tail`` of B~, S and W.
+almost disjoint supports.  Every other tail, the dense tails of
+RREF-reduced and random systems among them, is a dense ``Tail`` of B~,
+S and W.
 
 The loop of ``_drive`` carries only the residual, in blocks of steps.
 With M factored a block is one step, r' = ``op.advance(r)``.  With M
@@ -208,8 +208,7 @@ class SolveReport:
 class Tail:
     """The tail block B~ in dense form and its sign-matrix update: the
     signs S = s(B~) and the weights W = 1 / (m ||B~_i||_1).  ``prepare``
-    keeps a tail so when it has no head or when more than 1/8 of its
-    entries are nonzero."""
+    keeps a tail so when more than 1/8 of its entries are nonzero."""
     block: np.ndarray
     signs: np.ndarray
     weights: np.ndarray
@@ -248,9 +247,9 @@ class CoordinateTail:
     weight.  ``update`` and ``spread`` each cost one ``np.bincount`` over
     the nonzeros, where the dense form multiplies all m x (n - m)
     entries, and ``update_norms`` and ``map`` work from the nonzeros too.
-    ``prepare`` keeps a tail with a head so when its nonzeros are at most
-    1/8 of its entries.  No dense B~ is kept: ``block`` and ``dense``
-    build one on every call."""
+    ``prepare`` keeps a tail so when its nonzeros are at most 1/8 of its
+    entries.  No dense B~ is kept: ``block`` and ``dense`` build one on
+    every call."""
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
@@ -350,8 +349,6 @@ class Head:
         Gauss-Seidel block by block, x_j = L_jj^-1 (v_j - L[j, :j] x[:j])."""
         if self.diag is not None:
             return (v.T / self.diag).T
-        if len(self.block_inverses) == 1:
-            return self.block_inverses[0] @ v
         x = np.empty(v.shape)
         for j, inverse in zip(range(0, len(v), _HEAD_BLOCK), self.block_inverses):
             rows = slice(j, j + _HEAD_BLOCK)
@@ -425,12 +422,12 @@ def prepare(a, column_perm, method: str) -> Operator:
     that of its row of A, as rounding leaves it after RREF; the update
     would divide by that norm.  Without a head this means exactly zero.
 
-    This is the one place that picks the tail's storage.  A tail with a
-    head whose nonzeros are at most 1/8 of its entries becomes a
-    ``CoordinateTail``: its nonzeros are found on a boolean mask of a's
-    tail columns, their values are gathered from a and its row norms are
-    summed from them; no dense B~ or signs are made.  Every other tail,
-    baseline's all of a among them, is a dense ``Tail``.
+    This is the one place that picks the tail's storage, by its density
+    alone.  A tail whose nonzeros are at most 1/8 of its entries becomes a
+    ``CoordinateTail``, with or without a head: its nonzeros are found on
+    a boolean mask of a's tail columns, their values are gathered from a
+    and its row norms are summed from them; no dense B~ or signs are made.
+    Every other tail is a dense ``Tail``.
     """
     m = a.shape[0]
     k = 0 if method == METHOD_BASELINE else m
@@ -446,8 +443,7 @@ def prepare(a, column_perm, method: str) -> Operator:
     tail_cols = np.asarray(column_perm[k:], dtype=np.intp)
     head = tail = None
     if width := tail_cols.size:
-        flat = _sparse_entries(a, tail_cols) if k else None
-        if flat is None:
+        if (flat := _sparse_entries(a, tail_cols)) is None:
             b_tail = np.take(a, tail_cols, axis=1)
             norms = vector_norm(b_tail, NORM_ONE)
             make_tail = partial(Tail.of, b_tail)

@@ -303,7 +303,8 @@ def brute_generate_certified(m, n, rng, certifies):
     """``generate.generate_certified`` as it was before its rounds took a
     closed form: the same draws, then one halving and snapping pass over
     the tail per round, with ``certifies`` (the library's round test)
-    called on every round's system [head, tail]."""
+    called on every round's tail; the round that certifies is returned as
+    the system [head, tail]."""
     head = np.diag(rng.uniform(1.0, 2.0, size=m)) + \
         rng.uniform(-0.5, 0.5, size=(m, m)) / (2 * m)
     tail = rng.uniform(-1.0, 1.0, size=(m, n - m))
@@ -314,8 +315,8 @@ def brute_generate_certified(m, n, rng, certifies):
             rng.choice([-1.0, 1.0], size=cols.size)
     x_star = rng.uniform(-1.0, 1.0, size=n)
     for _ in range(61):
-        a = np.column_stack([head, tail])
-        if certifies(a):
+        if certifies(tail):
+            a = np.column_stack([head, tail])
             return a, a @ x_star, x_star
         for i in range(m):
             for j in range(n - m):

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from undersolve import convergence, formats, iterate
+from undersolve import cli, convergence, formats, iterate
 from undersolve.cli import _TABLE_CELLS, main
 from undersolve.demo import DEMO_A, DEMO_B, DEMO_X0
 from undersolve.iterate import GENERALIZED_METHODS
@@ -356,6 +356,33 @@ def test_help_exits_0(argv, capsys):
         main(argv)
     assert exit_info.value.code == 0
     assert "usage: undersolve" in capsys.readouterr().out
+
+
+def test_the_parser_is_built_once_and_parses_alike_again(capsys):
+    # main builds its parser on its first call only; a repeated call gives
+    # the same stdout, stderr and exit code, for help and for usage errors
+    files = ["--matrix", "A.csv", "--rhs", "b.csv"]
+    cases = [["--help"], ["solve", "--help"], ["solve", "--method", "nope", *files],
+             ["solve", "--method", "gjacobi", "--eps", "abc", *files],
+             ["solve", "--method", "gjacobi", "--matrix", "A.csv"]]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    for argv in cases:
+        cli.build_parser.cache_clear()
+        first = outcome(argv)
+        assert outcome(argv) == first
+        assert first[0] == (0 if "--help" in argv else 4)
+        assert cli.build_parser.cache_info().misses == 1
+    cli.build_parser.cache_clear()
+    for argv in cases:
+        outcome(argv)
+    assert cli.build_parser.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("argv", [

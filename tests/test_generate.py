@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from undersolve import convergence, generate
+from undersolve import convergence, generate, iterate
 from undersolve.convergence import check_conditions
 from undersolve.generate import (
     MAX_HALVINGS,
@@ -65,6 +65,26 @@ def test_generate_certified_runs_no_condition_check(monkeypatch):
         monkeypatch.setattr(generate, name, counting, raising=False)
     generate_certified(30, 120, np.random.default_rng(0))
     assert calls == []
+
+
+def test_generate_certified_builds_no_head(monkeypatch):
+    # each round's c2 is decided on its tail alone, so no head is prepared,
+    # neither for a dense certifying tail (2 x 8, seed 1) nor a sparse one
+    built = []
+
+    class Counting(iterate.Head):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(iterate, "Head", Counting)
+    for m, n, seed in ((2, 8, 1), (30, 120, 0), (300, 1200, 0)):
+        generate_certified(m, n, np.random.default_rng(seed))
+    assert built == []
+    # the spy sees each head that prepare builds
+    for method in GENERALIZED_METHODS:
+        iterate.prepare(np.ones((2, 4)) + np.eye(2, 4), np.arange(4), method)
+    assert len(built) == 2
 
 
 @settings(max_examples=150, deadline=None)
@@ -157,20 +177,23 @@ def test_generate_certified_matches_round_by_round_halving(seed, m, extra):
 @example(seed=0, m=30, extra=60)
 @example(seed=1, m=30, extra=60)
 def test_round_test_agrees_with_check(seed, m, extra):
-    # every round _certifies decides while a system is generated, it decides
-    # as check does for both methods: certified overall exactly when some
+    # every round _certifies decides on its tail while a system is
+    # generated, it decides as check does for both methods on that tail
+    # stacked with the generated head: certified overall exactly when some
     # norm has c2 < m (c1 < 1 holds in all of them)
     rounds, original = [], generate._certifies
 
-    def spying(a):
-        rounds.append((a, original(a)))
+    def spying(tail):
+        rounds.append((tail, original(tail)))
         return rounds[-1][1]
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(generate, "_certifies", spying)
-        generate_certified(m, 2 * m + extra, np.random.default_rng(seed))
+        system = generate_certified(m, 2 * m + extra, np.random.default_rng(seed))[0]
     assert rounds[-1][1]
-    for a, answer in rounds:
+    assert np.array_equal(system[:, m:], rounds[-1][0])
+    for tail, answer in rounds:
+        a = np.column_stack([system[:, :m], tail])
         for method in GENERALIZED_METHODS:
             report = check_conditions(a, np.zeros(m), method)
             assert report.overall_certified == answer, (method, a.shape)

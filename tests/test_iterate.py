@@ -1,3 +1,4 @@
+import math
 from functools import partial
 
 import numpy as np
@@ -29,6 +30,7 @@ from undersolve.rref import reduced_system
 
 from oracles import brute_step, brute_step_operators, random_partitioned
 from stepping import stepper
+from test_metamorphic import _build_system
 
 # the oracles' sweep kind of each method's head; None means no head
 SWEEPS = {METHOD_BASELINE: None, METHOD_GJACOBI: "jacobi", METHOD_GGS: "gs",
@@ -477,6 +479,34 @@ def test_converged_only_on_a_fresh_residual(seed, m, extra, method, exact, norm,
     if report.status == "converged":
         fresh = vector_norm(a @ report.solution - b, norm)
         assert report.residual_norms[-1] == fresh < epsilon
+
+
+def test_a_run_out_of_iterations_converges_on_its_fresh_residual():
+    # a solve that stops at max_iterations with its carried norm at or
+    # above epsilon, but whose final fresh residual is below it, reports
+    # converged.  On a 70 x 280 benchmark system (M factored above 64
+    # rows) the fresh norm f_k of the iterate after k steps and the carried
+    # norm c_k of step k (from a run one step longer) differ by rounding;
+    # where f_k < c_k, epsilon = sqrt(f_k c_k) lies between them
+    a, b = _build_system(70, 280, np.random.default_rng(0))
+
+    def solve(epsilon, steps):
+        return run(a, b, None, SolverConfig(method=METHOD_GJACOBI, epsilon=epsilon,
+                                            max_iterations=steps))
+
+    cases = []
+    for k in range(3, 40):
+        fresh = solve(1e-300, k).residual_norms[-1]
+        carried = solve(1e-300, k + 1).residual_norms[k]
+        if fresh < carried:
+            cases.append((k, fresh, math.sqrt(fresh * carried)))
+    assert cases
+    for k, fresh, epsilon in cases:
+        report = solve(epsilon, k)
+        assert report.status == "converged" and report.iterations == k
+        assert report.residual_norms[-1] == fresh < epsilon
+        assert min(report.residual_norms[:-1]) >= epsilon
+        assert vector_norm(a @ report.solution - b, NORM_ONE) == fresh
 
 
 def test_exact_solve_reports_the_rounding_it_lands_on():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from undersolve.demo import DEMO_A
-from undersolve.errors import DimensionMismatch, SolverError
+from undersolve.errors import DimensionMismatch, InvalidInput, SolverError
 from undersolve.linalg import (
     NORM_FRO,
     NORM_INF,
@@ -92,6 +92,19 @@ def test_matrix_norms():
     assert matrix_norm(a, NORM_ONE) == 6.0
     assert matrix_norm(a, NORM_INF) == 7.0
     assert matrix_norm(a, NORM_FRO) == pytest.approx(np.sqrt(30.0))
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+@pytest.mark.parametrize("which", [NORM_ONE, NORM_INF, NORM_FRO])
+def test_matrix_norm_of_an_empty_matrix_is_zero(shape, which):
+    assert matrix_norm(np.zeros(shape), which) == 0.0
+
+
+def test_an_unknown_norm_kind_raises_invalid_input():
+    with pytest.raises(InvalidInput, match="unknown norm kind: 'two'"):
+        matrix_norm(np.eye(2), "two")
+    with pytest.raises(InvalidInput, match="unknown vector norm kind: 'fro'"):
+        vector_norm(np.ones(2), NORM_FRO)
 
 
 @pytest.mark.parametrize("size", [1, 3, 7])

@@ -1,10 +1,11 @@
 """The two storage forms of the tail agree to rounding.
 
-``iterate.prepare`` keeps a tail with a head in coordinate form
-(``CoordinateTail``) when its nonzeros are at most 1/8 of its entries,
-and in dense form (``Tail``) otherwise.  Both forms of one B~ must give
-the same update z = S W r, spread B~ z, map T, operator steps and
-convergence conditions, up to rounding, on either side of the threshold.
+``iterate.prepare`` keeps a tail in coordinate form (``CoordinateTail``)
+when its nonzeros are at most 1/8 of its entries, and in dense form
+(``Tail``) otherwise, with a head or without one (baseline's tail is all
+of A).  Both forms of one B~ must give the same update z = S W r, spread
+B~ z, map T, operator steps and, with a head, convergence conditions, up
+to rounding, on either side of the threshold.
 
 The tolerance is fixed by the unit roundoff u and the system, not by
 measured runs.  The forms add the same products in different orders
@@ -40,13 +41,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from undersolve.convergence import operator_conditions
-from undersolve.errors import ZeroTailRow
+from undersolve.errors import ZeroRow, ZeroTailRow
 from undersolve.iterate import (
     GENERALIZED_METHODS,
+    METHOD_BASELINE,
     CoordinateTail,
     Operator,
+    SolverConfig,
     Tail,
     prepare,
+    run,
 )
 from undersolve.linalg import NORM_KINDS, NORM_ONE, matrix_norm, vector_norm
 
@@ -84,29 +88,36 @@ def _close(x, y, envelope, tol):
 
 
 _cases = dict(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8), width=st.integers(1, 40),
-              density=st.floats(0.02, 0.6), method=st.sampled_from(GENERALIZED_METHODS))
+              density=st.floats(0.02, 0.6),
+              method=st.sampled_from(GENERALIZED_METHODS + (METHOD_BASELINE,)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(**_cases)
 def test_the_two_tail_forms_agree_to_rounding(seed, m, width, density, method):
+    # baseline takes the drawn tail as all of a; its sums have at most
+    # m + width terms, as the generalized methods' do
     rng, a = _system(seed, m, width, density)
-    n = a.shape[1]
-    tail = a[:, m:]
-    op = prepare(a, np.arange(n), method)
+    if method == METHOD_BASELINE:
+        a = a[:, m:]
+    tail = a[:, a.shape[1] - width:]
+    op = prepare(a, np.arange(a.shape[1]), method)
     sparse = SPARSE_SHARE * np.count_nonzero(tail) <= tail.size
     assert isinstance(op.tail, CoordinateTail if sparse else Tail)
     assert np.array_equal(op.tail.block, tail)
     dense = Tail.of(tail, vector_norm(tail, NORM_ONE))
 
-    tol = 2 * CHAINED * _gamma(n)
+    tol = 2 * CHAINED * _gamma(m + width)
     r = rng.uniform(-5.0, 5.0, size=m)
     abs_sw = np.abs(dense.signs) * dense.weights
     z_env = abs_sw @ np.abs(r)
     u_env = np.abs(r) + np.abs(tail) @ z_env
-    head_inv = np.abs(op.head.solve(np.eye(m)))
-    delta_env = head_inv @ u_env
-    advance_env = u_env + np.abs(op.head.block) @ delta_env
+    advance_env, gain_env = u_env, z_env
+    if op.head is not None:
+        head_inv = np.abs(op.head.solve(np.eye(m)))
+        delta_env = head_inv @ u_env
+        advance_env = u_env + np.abs(op.head.block) @ delta_env
+        gain_env = np.concatenate((delta_env, z_env))
     map_env = np.eye(m) + np.abs(tail) @ abs_sw
     z = dense.update(r)
     reference = Operator(method, op.head, dense)
@@ -118,7 +129,9 @@ def test_the_two_tail_forms_agree_to_rounding(seed, m, width, density, method):
         assert _close(form.map(), dense.map(), map_env, tol)
         other = Operator(method, op.head, form)
         assert _close(other.advance(r), reference.advance(r), advance_env, tol)
-        assert _close(other.gain(r), reference.gain(r), np.concatenate((delta_env, z_env)), tol)
+        assert _close(other.gain(r), reference.gain(r), gain_env, tol)
+        if op.head is None:
+            continue
 
         got, want = operator_conditions(other), operator_conditions(reference)
         for kind, g, w in zip(NORM_KINDS, got.per_norm, want.per_norm):
@@ -131,22 +144,51 @@ def test_the_two_tail_forms_agree_to_rounding(seed, m, width, density, method):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 8), width=st.integers(16, 40),
-       sparse=st.booleans(), tiny=st.booleans(), method=st.sampled_from(GENERALIZED_METHODS))
+       sparse=st.booleans(), tiny=st.booleans(),
+       method=st.sampled_from(GENERALIZED_METHODS + (METHOD_BASELINE,)))
 def test_a_zero_tail_row_raises_in_both_forms(seed, m, width, sparse, tiny, method):
     # a row whose 1-norm is at most 1e-12 times its row of A counts as zero
-    # in either form: exactly zero, or scaled to 1e-13 of its head row.  A
-    # sparse tail holds one nonzero per row, a dense one no zero at all
+    # in either form: exactly zero, or scaled to 1e-13 of its head row.
+    # Without a head (baseline, whose tail is all of a) only an exactly
+    # zero row does, and it is a zero row of a.  A sparse tail holds one
+    # nonzero per row, a dense one no zero at all
     rng, a = _system(seed, m, width, 0.0 if sparse else 1.0)
     row = int(rng.integers(m))
-    if tiny:
+    error = ZeroTailRow
+    if method == METHOD_BASELINE:
+        a, error = a[:, m:].copy(), ZeroRow
+        a[row] = 0.0
+    elif tiny:
         tail = a[row, m:]
         a[row, m:] = tail * (1e-13 * np.abs(a[row, :m]).sum() / np.abs(tail).sum())
     else:
         a[row, m:] = 0.0
-    tail = a[:, m:]
+    tail = a[:, a.shape[1] - width:]
     assert (SPARSE_SHARE * np.count_nonzero(tail) <= tail.size) == sparse
-    with pytest.raises(ZeroTailRow):
-        prepare(a, np.arange(m + width), method)
+    with pytest.raises(error):
+        prepare(a, np.arange(a.shape[1]), method)
+
+
+def test_baseline_keeps_a_sparse_matrix_in_coordinate_form():
+    # the storage rule reads a tail's density alone, so baseline, whose
+    # tail is all of a, keeps a matrix at most 1/8 nonzero in coordinate
+    # form.  Rows with disjoint supports give T = (1 - 1/m) I: a 2 x 16
+    # system with 4 nonzeros halves its residual each step
+    a = np.zeros((2, 16))
+    a[0, [0, 5]] = [2.0, -1.0]
+    a[1, [8, 13]] = [0.5, 3.0]
+    b = np.array([1.0, -2.0])
+    op = prepare(a, np.arange(16), METHOD_BASELINE)
+    assert op.head is None and isinstance(op.tail, CoordinateTail)
+    assert np.array_equal(op.tail.block, a)
+    assert np.array_equal(op.tail.map(), 0.5 * np.eye(2))
+    report = run(a, b, None, SolverConfig(method=METHOD_BASELINE))
+    assert (report.status, report.iterations) == ("converged", 29)
+    assert report.residual_norms[:-1] == [3.0 * 0.5 ** k for k in range(29)]
+    assert report.residual_norms[-1] == vector_norm(b - a @ report.solution, NORM_ONE) < 1e-8
+    # one more nonzero is above the share: the dense form
+    a[0, 1] = 1.0
+    assert isinstance(prepare(a, np.arange(16), METHOD_BASELINE).tail, Tail)
 
 
 @pytest.mark.parametrize("m,counts,pairs_path", [
